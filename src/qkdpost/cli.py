@@ -161,7 +161,12 @@ def simulate(error_rate, protocol, n, m, trials, delta, tolerance, margin, fmt, 
     trial_seeds = np.random.SeedSequence(seed).generate_state(trials, dtype=np.uint64).tolist()
     reports = []
     for trial, trial_seed in enumerate(trial_seeds):
-        report = run_full_session(SessionConfig(seed=int(trial_seed), **base_cfg))
+        try:
+            report = run_full_session(SessionConfig(seed=int(trial_seed), **base_cfg))
+        except ValueError as exc:
+            # Parameters whose estimated block laws push a code rate out of
+            # (0, 1) leave no syndrome shorter than the data.
+            raise click.UsageError(f"trial {trial} (seed {trial_seed}): {exc}")
         record = {"trial": trial, "trial_seed": int(trial_seed)}
         record.update(report.to_dict())
         reports.append(record)

@@ -334,30 +334,35 @@ def bp_decode(
     t = as_bits(t)
     if t.size != H.m:
         raise ValueError(f"syndrome length {t.size}, expected {H.m}")
-    hard = np.zeros(H.n, dtype=np.uint8)
-    if np.array_equal(H.syndrome(hard), t):
-        return DecodeResult(hard, converged=True, iterations=0)
+    if not t.any():
+        return DecodeResult(np.zeros(H.n, dtype=np.uint8), converged=True, iterations=0)
 
     ev, ec = H._edge_var, H._edge_check
+    m = H.m
     llr0 = math.log((1.0 - crossover) / crossover)
-    edge_sign = 1.0 - 2.0 * t[ec].astype(np.float64)
+    target = t.astype(np.int64)
     m_vc = np.full(ev.size, llr0)
+    posterior = np.zeros(H.n)
     for it in range(1, max_iters + 1):
         tanh_half = np.tanh(m_vc / 2.0)
-        mag = np.log(np.clip(np.abs(tanh_half), 1e-300, None))
-        neg = (tanh_half < 0).astype(np.float64)
-        mag_tot = np.bincount(ec, weights=mag, minlength=H.m)
-        neg_tot = np.bincount(ec, weights=neg, minlength=H.m)
-        excl_mag = np.clip(mag_tot[ec] - mag, None, -1e-16)
-        excl_par = np.rint(neg_tot[ec] - neg).astype(np.int64) & 1
-        m_cv = edge_sign * (1.0 - 2.0 * excl_par) * 2.0 * np.arctanh(np.exp(excl_mag))
+        mag = np.log(np.maximum(np.abs(tanh_half), 1e-300))
+        neg = tanh_half < 0
+        mag_tot = np.bincount(ec, weights=mag, minlength=m)
+        # A check message is negative when the target bit plus the other
+        # edges' negative signs is odd.
+        neg_tot = np.bincount(ec[neg], minlength=m) + target
+        excl_mag = np.minimum(mag_tot[ec] - mag, -1e-16)
+        flip = (neg_tot[ec] - neg) & 1
+        m_cv = (1.0 - 2.0 * flip) * 2.0 * np.arctanh(np.exp(excl_mag))
         posterior = llr0 + np.bincount(ev, weights=m_cv, minlength=H.n)
-        fresh = np.clip(posterior[ev] - m_cv, -llr_clip, llr_clip)
+        post_edge = posterior[ev]
+        fresh = np.minimum(np.maximum(post_edge - m_cv, -llr_clip), llr_clip)
         m_vc = damping * m_vc + (1.0 - damping) * fresh if damping > 0.0 else fresh
-        hard = (posterior < 0).astype(np.uint8)
-        if np.array_equal(H.syndrome(hard), t):
-            return DecodeResult(hard, converged=True, iterations=it)
-    return DecodeResult(hard, converged=False, iterations=max_iters)
+        # Syndrome of the hard decision, read from the edges already at hand.
+        syndrome = np.bincount(ec[post_edge < 0], minlength=m) & 1
+        if not np.count_nonzero(syndrome != target):
+            return DecodeResult((posterior < 0).astype(np.uint8), converged=True, iterations=it)
+    return DecodeResult((posterior < 0).astype(np.uint8), converged=False, iterations=max_iters)
 
 
 def code_for_rate(

@@ -20,8 +20,13 @@ objective is not assumed unimodal, the refinement only polishes the best
 grid bracket. Minimizing the raw rate and clamping afterwards equals
 minimizing the clamped rate, since clamping is monotone.
 
-Scalar entry points take a validated BellDiagonal; the BB84 grid runs on a
+Scalar entry points take a validated BellDiagonal. The BB84 grid runs on a
 private vectorized core kept consistent with the scalar path by tests.
+bb84_curve solves a whole e-grid and all four minimized curves at once: one
+grid pass over (e, p11), then golden-section polishing as array operations
+on every (e, curve) bracket. bb84_rate, which serves one error rate at a
+time (threshold searches, the session's BB84 mapping), shares the grid pass
+but polishes with the scalar closed forms, which is faster for one bracket.
 """
 
 from __future__ import annotations
@@ -162,12 +167,8 @@ def rate_point(p: BellDiagonal, e: float, p11_star: float | None = None) -> Rate
     )
 
 
-def sixstate_curve(e_grid, which: str = "proposed") -> list[RatePoint]:
-    """RatePoint rows along the six-state family; the selector is validated
-    for interface symmetry with BB84, where the minimized objective depends
-    on it, but every row carries all curves."""
-    if which not in CURVES:
-        raise ValueError(f"unknown curve {which!r}")
+def sixstate_curve(e_grid) -> list[RatePoint]:
+    """RatePoint rows along the six-state family, each carrying all curves."""
     return [rate_point(six_state_point(float(e)), float(e)) for e in e_grid]
 
 
@@ -216,8 +217,42 @@ def _curves_vec(p00, p10, p01, p11) -> dict[str, np.ndarray]:
     }
 
 
-def _bb84_entries(e: float, t: np.ndarray):
+def _bb84_entries(e, t):
     return 1.0 - 2.0 * e + t, e - t, e - t, t
+
+
+# The curves bb84_curve minimizes over p11; first/second follow the proposed
+# argmin.
+_MINIMIZED = ("proposed", "vollbrecht", "bstep", "oneway")
+# e-rows per grid pass: 64 x 2001 points keeps each temporary near 1 MB.
+_GRID_ROWS = 64
+_POLISH_TOL = 1e-12
+
+
+def _bb84_grid(es: np.ndarray, curves) -> np.ndarray:
+    """Best point of the p11 grid on [0, e] for each curve and each e in es.
+
+    Returns an array of shape (4, len(curves), len(es)) holding the best grid
+    value, its p11, and the p11 bracket [lo, hi] of its grid neighbours. Each
+    row of the grid equals np.linspace(0, e, _GRID_POINTS) bit for bit
+    whenever the step e / (_GRID_POINTS - 1) does not underflow to 0.
+    """
+    out = np.empty((4, len(curves), es.size))
+    steps = np.arange(_GRID_POINTS)
+    for start in range(0, es.size, _GRID_ROWS):
+        rows = slice(start, start + _GRID_ROWS)
+        e = es[rows, None]
+        t = steps * (e / (_GRID_POINTS - 1))
+        t[:, -1] = e[:, 0]
+        vals = _curves_vec(*_bb84_entries(e, t))
+        r = np.arange(t.shape[0])
+        for k, curve in enumerate(curves):
+            best = np.argmin(vals[curve], axis=1)
+            out[0, k, rows] = vals[curve][r, best]
+            out[1, k, rows] = t[r, best]
+            out[2, k, rows] = t[r, np.maximum(best - 1, 0)]
+            out[3, k, rows] = t[r, np.minimum(best + 1, _GRID_POINTS - 1)]
+    return out
 
 
 def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
@@ -232,11 +267,7 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
         raise ValueError(f"BB84 error rate {e} outside [0, 1/2]")
     if e == 0.0:
         return _RATE_FNS[which](bb84_family(0.0, 0.0)), 0.0
-    grid = np.linspace(0.0, e, _GRID_POINTS)
-    vals = _curves_vec(*_bb84_entries(e, grid))[which]
-    best = int(np.argmin(vals))
-    lo = grid[max(best - 1, 0)]
-    hi = grid[min(best + 1, grid.size - 1)]
+    grid_val, grid_t, lo, hi = _bb84_grid(np.array([e]), (which,))[:, 0, 0].tolist()
 
     def f(t: float) -> float:
         return _RATE_FNS[which](bb84_family(e, t))
@@ -245,7 +276,7 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
     x1 = b - _GOLDEN * (b - a)
     x2 = a + _GOLDEN * (b - a)
     f1, f2 = f(x1), f(x2)
-    while b - a > 1e-12:
+    while b - a > _POLISH_TOL:
         if f1 <= f2:
             b, x2, f2 = x2, x1, f1
             x1 = b - _GOLDEN * (b - a)
@@ -255,34 +286,74 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
             x2 = a + _GOLDEN * (b - a)
             f2 = f(x2)
     t_star = x1 if f1 <= f2 else x2
-    val = float(min(f(t_star), float(vals[best])))
-    if float(vals[best]) <= val:
-        t_star = float(grid[best])
+    val = float(min(f(t_star), grid_val))
+    if grid_val <= val:
+        t_star = grid_t
     return val, float(t_star)
 
 
-def bb84_curve(e_grid, which: str = "proposed") -> list[RatePoint]:
+def _bb84_polish(e: np.ndarray, curve: np.ndarray, a: np.ndarray, b: np.ndarray):
+    """Golden-section search on every bracket [a, b] at once, each stopping
+    at width _POLISH_TOL; bracket k minimizes _MINIMIZED[curve[k]] at e[k].
+    Returns the final point of each bracket and its value."""
+
+    def f(idx, t):
+        vals = _curves_vec(*_bb84_entries(e[idx], t))
+        return np.choose(curve[idx], [vals[c] for c in _MINIMIZED])
+
+    a, b = a.copy(), b.copy()
+    every = np.arange(e.size)
+    x1 = b - _GOLDEN * (b - a)
+    x2 = a + _GOLDEN * (b - a)
+    f1, f2 = f(every, x1), f(every, x2)
+    act = every[b - a > _POLISH_TOL]
+    while act.size:
+        left = f1[act] <= f2[act]
+        y1, y2 = x1[act], x2[act]
+        lo = np.where(left, a[act], y1)
+        hi = np.where(left, y2, b[act])
+        x_new = np.where(left, hi - _GOLDEN * (hi - lo), lo + _GOLDEN * (hi - lo))
+        f_new = f(act, x_new)
+        a[act], b[act] = lo, hi
+        x1[act] = np.where(left, x_new, y2)
+        x2[act] = np.where(left, y1, x_new)
+        f1[act], f2[act] = np.where(left, f_new, f2[act]), np.where(left, f1[act], f_new)
+        act = act[hi - lo > _POLISH_TOL]
+    t_star = np.where(f1 <= f2, x1, x2)
+    return t_star, f(every, t_star)
+
+
+def bb84_curve(e_grid) -> list[RatePoint]:
     """RatePoint rows for BB84: first/second at the proposed argmin, the
-    comparison curves each minimized over their own p11."""
-    if which not in CURVES:
-        raise ValueError(f"unknown curve {which!r}")
-    rows = []
-    for e in e_grid:
-        e = float(e)
-        _, t_star = bb84_rate(e, "proposed")
-        member = bb84_family(e, t_star)
-        rows.append(
-            RatePoint(
-                e=e,
-                first_arg=rate_first_arg(member),
-                second_arg=rate_second_arg(member),
-                vollbrecht=bb84_rate(e, "vollbrecht")[0],
-                bstep=bb84_rate(e, "bstep")[0],
-                oneway=bb84_rate(e, "oneway")[0],
-                p11_star=t_star,
-            )
+    comparison curves each minimized over their own p11.
+
+    All rows and curves are solved together (see the module docstring); the
+    final rule per (e, curve) is bb84_rate's: the smaller of the polished
+    and the best grid value.
+    """
+    es = np.array([float(e) for e in e_grid], dtype=np.float64)
+    if es.size == 0:
+        return []
+    bad = ~((es >= 0.0) & (es <= 0.5))
+    if bad.any():
+        raise ValueError(f"BB84 error rate {es[bad][0]} outside [0, 1/2]")
+    grid_val, grid_t, lo, hi = _bb84_grid(es, _MINIMIZED)
+    curve = np.broadcast_to(np.arange(len(_MINIMIZED))[:, None], grid_val.shape)
+    e = np.broadcast_to(es, grid_val.shape)
+    t_star, val = _bb84_polish(e.ravel(), curve.ravel(), lo.ravel(), hi.ravel())
+    t_star, val = t_star.reshape(grid_val.shape), val.reshape(grid_val.shape)
+    grid_won = grid_val <= val
+    val = np.where(grid_won, grid_val, val)
+    t_star = np.where(grid_won, grid_t, t_star)
+    at_star = _curves_vec(*_bb84_entries(es, t_star[0]))
+    return [
+        RatePoint(e=e_i, first_arg=first, second_arg=second, vollbrecht=voll, bstep=bstep,
+                  oneway=oneway, p11_star=p11)
+        for e_i, first, second, voll, bstep, oneway, p11 in zip(
+            es.tolist(), at_star["first_arg"].tolist(), at_star["second_arg"].tolist(),
+            *val[1:].tolist(), t_star[0].tolist(),
         )
-    return rows
+    ]
 
 
 @dataclass(frozen=True)
@@ -326,7 +397,7 @@ def tolerable_rate(
     return ThresholdResult(e_star=0.5 * (lo + hi), found=True, scanned_to=e_max)
 
 
-def sweep(emin: float, emax: float, step: float, protocol: str, which: str = "proposed"):
+def sweep(emin: float, emax: float, step: float, protocol: str):
     """Deterministic RatePoint rows on the inclusive grid."""
     if emin >= emax:
         raise ValueError("emin must be below emax")
@@ -335,9 +406,9 @@ def sweep(emin: float, emax: float, step: float, protocol: str, which: str = "pr
     count = int(math.floor((emax - emin) / step + 1e-9)) + 1
     grid = [emin + i * step for i in range(count)]
     if protocol == "six-state":
-        return sixstate_curve(grid, which)
+        return sixstate_curve(grid)
     if protocol == "bb84":
-        return bb84_curve(grid, which)
+        return bb84_curve(grid)
     raise ValueError(f"unknown protocol {protocol!r}")
 
 

@@ -14,6 +14,12 @@ def test_as_bits_rejects_non_binary():
         as_bits([0, 1, 2])
     with pytest.raises(ValueError):
         as_bits([[0, 1]])
+    # Non-integer input is checked before the cast, which would truncate it.
+    for bad in ([0.5, 1.7], [0.0, float("nan")]):
+        with pytest.raises(ValueError):
+            as_bits(bad)
+    assert as_bits([1.0, 0.0]).tolist() == [1, 0]
+    assert as_bits([]).size == 0
 
 
 def test_parity_seq():

@@ -6,6 +6,10 @@ header metadata, and the documented exit codes.
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -150,6 +154,16 @@ def test_simulate_usage_error(runner):
     assert result.exit_code == 2
 
 
+def test_simulate_code_rate_out_of_range(runner):
+    # At e = 0.3 the round-one code rate exceeds 1: a usage error, no traceback.
+    result = runner.invoke(cli.main, [
+        "simulate", "--e", "0.3", "--n", "2000", "--m", "1000",
+    ])
+    assert result.exit_code == 2
+    assert "target rate 1.036" in result.output
+    assert "not in (0, 1)" in result.output
+
+
 @pytest.mark.parametrize("suite,samples", [
     ("theorem3", 15),
     ("lemmas", 15),
@@ -197,3 +211,13 @@ def test_version_flag(runner):
     result = runner.invoke(cli.main, ["--version"])
     assert result.exit_code == 0
     assert "0.1.0" in result.output
+
+
+def test_python_m_entry_point():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    result = subprocess.run(
+        [sys.executable, "-m", "qkdpost", "--version"], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert "0.1.0" in result.stdout

@@ -135,6 +135,52 @@ def test_bb84_rate_regression():
     assert rate == pytest.approx(0.4447252658, abs=1e-8)
 
 
+# float.hex of bb84_rate(e, curve): the scalar path must not drift.
+BB84_RATE_PINS = {
+    (0.02, "proposed"): ("0x1.70e65e172aa39p-1", "0x1.96d280b96fa6cp-17"),
+    (0.02, "vollbrecht"): ("0x1.702ef70298348p-1", "0x1.6d2a4d36dfb77p-17"),
+    (0.02, "bstep"): ("0x1.723b13fce82ffp-2", "0x0.0p+0"),
+    (0.02, "oneway"): ("0x1.6f2a35ddd149ep-1", "0x1.a36e2eb1c432dp-12"),
+    (0.05, "proposed"): ("0x1.c7660f61dfddep-2", "0x1.326c02dc5023dp-12"),
+    (0.05, "vollbrecht"): ("0x1.c06744d15cc0cp-2", "0x1.e272d18daf45cp-13"),
+    (0.05, "bstep"): ("0x1.d4a84503193c7p-3", "0x0.0p+0"),
+    (0.05, "oneway"): ("0x1.b575831c1abbep-2", "0x1.47ae162f86a72p-9"),
+    (0.11, "proposed"): ("0x1.0aea298b6cc8fp-4", "0x1.54a6bc08ba784p-8"),
+    (0.11, "vollbrecht"): ("0x1.6264a7c2b6fbdp-5", "0x1.d2185f9ef3c1ep-9"),
+    (0.11, "bstep"): ("0x1.dcb0543833d79p-5", "0x1.6d63fe72431ffp-16"),
+    (0.11, "oneway"): ("0x1.607f3bd48c000p-13", "0x1.8c7e2801ade16p-7"),
+    (0.14, "proposed"): ("0x1.3698ed20dc82bp-10", "0x1.169ec4a0199aep-10"),
+    (0.14, "vollbrecht"): ("-0x1.aa882c9155990p-4", "0x1.0a0d2073df536p-7"),
+    (0.14, "bstep"): ("0x1.3698ed20dc82bp-10", "0x1.169ec4a0199aep-10"),
+    (0.14, "oneway"): ("-0x1.590acbd0f5a38p-3", "0x1.41205a8cb89efp-6"),
+}
+
+
+def test_bb84_rate_pinned():
+    for (e, curve), pinned in BB84_RATE_PINS.items():
+        rate, p11 = bb84_rate(e, curve)
+        assert (rate.hex(), p11.hex()) == pinned, (e, curve)
+
+
+def test_bb84_curve_matches_bb84_rate():
+    grid = [i * 1e-3 for i in range(251)] + [0.5]
+    rows = bb84_curve(grid)
+    assert [r.e for r in rows] == grid
+    for r in rows:
+        assert 0.0 <= r.p11_star <= r.e
+        for curve in ("proposed", "vollbrecht", "bstep", "oneway"):
+            assert abs(r.raw(curve) - bb84_rate(r.e, curve)[0]) <= 1e-12, (r.e, curve)
+
+
+def test_bb84_curve_edges():
+    assert bb84_curve([]) == []
+    for bad in ([0.1, 0.51], [-1e-3], [float("nan")]):
+        with pytest.raises(ValueError):
+            bb84_curve(bad)
+        with pytest.raises(ValueError):
+            bb84_rate(bad[-1])
+
+
 def test_thresholds():
     cases = [
         (lambda e: rate_oneway(six_state_point(e)), 0.1262),
