@@ -11,10 +11,9 @@ plausible vector with a prescribed syndrome under an i.i.d. Bernoulli model:
   schedule, the practical engine for sparse matrices at large n.
 
 Constructions: dense uniform-random with an explicit rank check (small n),
-progressive edge growth for regular column degrees (moderate n), and a
-staircase form [S | T] whose lower-triangular tail T makes full row rank
-structural (protocol scale, where elimination-based rank verification is
-too expensive). Staircase information columns take a configurable degree
+and a staircase form [S | T] whose lower-triangular tail T makes full row
+rank structural (protocol scale, where elimination-based rank verification
+is too expensive). Staircase information columns take a configurable degree
 profile, and a configurable fraction of tail columns carry a third entry
 below the diagonal; both knobs shape the belief-propagation threshold,
 which must sit comfortably above the session operating point for the
@@ -50,7 +49,10 @@ DEFAULT_INFO_DEGREES: tuple[tuple[int, float], ...] = ((3, 0.7), (12, 0.3))
 DEFAULT_TAIL_DEGREE3 = 0.4
 
 _ML_MAX_N = 24
-_PEG_MAX_N = 16384
+# "auto" builds dense codes up to this many columns, staircase codes above.
+_DENSE_LIMIT = 512
+# Random dense draws tried before giving up on full row rank.
+_DENSE_DRAWS = 64
 
 
 def gf2_rank(mat: np.ndarray) -> int:
@@ -101,9 +103,8 @@ class DecodeResult:
 class CodeConfig:
     """Construction parameters for code_for_rate.
 
-    construction: "auto" picks dense below dense_limit columns, staircase
-    above. "dense", "peg", and "staircase" force the respective method.
-    var_degree: column degree for the peg construction.
+    construction: "auto" picks dense up to 512 columns, staircase above.
+    "dense" and "staircase" force the respective method.
     info_degrees: (degree, fraction) profile for staircase information
     columns; fractions must sum to 1.
     tail_degree3: fraction of staircase tail columns given a third entry
@@ -111,17 +112,12 @@ class CodeConfig:
     """
 
     construction: str = "auto"
-    var_degree: int = 3
     info_degrees: tuple[tuple[int, float], ...] = DEFAULT_INFO_DEGREES
     tail_degree3: float = DEFAULT_TAIL_DEGREE3
-    dense_limit: int = 512
-    max_attempts: int = 64
 
     def __post_init__(self):
-        if self.construction not in ("auto", "dense", "peg", "staircase"):
+        if self.construction not in ("auto", "dense", "staircase"):
             raise ValueError(f"unknown construction {self.construction!r}")
-        if self.var_degree < 2:
-            raise ValueError("var_degree must be >= 2")
         frac = math.fsum(f for _, f in self.info_degrees)
         if abs(frac - 1.0) > 1e-9:
             raise ValueError(f"info_degrees fractions sum to {frac}, not 1")
@@ -132,38 +128,24 @@ class CodeConfig:
 
 
 class ParityCheck:
-    """Immutable full-row-rank binary matrix in sparse adjacency form.
+    """Immutable full-row-rank binary matrix stored as its nonzero entries.
 
-    rank_certificate records how full rank was established: "eliminated"
-    (explicit F2 elimination) or "triangular" (staircase tail, structural).
+    Entry i of (edge_var, edge_check) is a 1 in column edge_var[i], row
+    edge_check[i]; the entries may come in any order and are kept sorted by
+    column, rows ascending within a column. rank_certificate records how
+    full rank was established: "eliminated" (explicit F2 elimination) or
+    "triangular" (staircase tail, structural).
     """
 
-    def __init__(self, m: int, n: int, col_rows: list[np.ndarray], rank_certificate: str):
-        if len(col_rows) != n:
-            raise ValueError("one row-index array required per column")
-        sizes = [len(rows) for rows in col_rows]
-        edge_check = np.concatenate([np.zeros(0, dtype=np.int64), *col_rows]).astype(np.int64)
-        self._set_edges(m, n, np.repeat(np.arange(n), sizes), edge_check, rank_certificate)
-
-    @classmethod
-    def _from_edges(
-        cls, m: int, n: int, edge_var: np.ndarray, edge_check: np.ndarray, rank_certificate: str
-    ) -> "ParityCheck":
-        """Build from (column, row) pairs of the nonzero entries, in any order."""
-        code = cls.__new__(cls)
-        code._set_edges(m, n, edge_var, edge_check, rank_certificate)
-        return code
-
-    def _set_edges(
+    def __init__(
         self, m: int, n: int, edge_var: np.ndarray, edge_check: np.ndarray, rank_certificate: str
-    ) -> None:
+    ):
         if rank_certificate not in ("eliminated", "triangular"):
             raise ValueError(f"unknown rank certificate {rank_certificate!r}")
         ev = np.asarray(edge_var, dtype=np.int64)
         ec = np.asarray(edge_check, dtype=np.int64)
         if ec.size and (ec.min() < 0 or ec.max() >= m):
             raise ValueError("row index out of range")
-        # edge arrays in variable-major order, rows ascending within a column
         order = _column_major(ev, ec, m)
         ev, ec = ev[order], ec[order]
         if np.any((ev[1:] == ev[:-1]) & (ec[1:] == ec[:-1])):
@@ -186,7 +168,7 @@ class ParityCheck:
         if gf2_rank(mat) != m:
             raise ValueError(f"matrix rank below row count {m}")
         edge_var, edge_check = np.nonzero(mat.T)
-        return cls._from_edges(m, n, edge_var, edge_check, rank_certificate="eliminated")
+        return cls(m, n, edge_var, edge_check, rank_certificate="eliminated")
 
     def to_dense(self) -> np.ndarray:
         mat = np.zeros((self.m, self.n), dtype=np.uint8)
@@ -381,89 +363,22 @@ def code_for_rate(
     m = math.ceil(n * target_rate)
     mode = config.construction
     if mode == "auto":
-        mode = "dense" if n <= config.dense_limit else "staircase"
+        mode = "dense" if n <= _DENSE_LIMIT else "staircase"
     if mode == "dense":
-        return _dense_code(m, n, config, rng)
-    if mode == "peg":
-        return _peg_code(m, n, config, rng)
+        return _dense_code(m, n, rng)
     return _staircase_code(m, n, config, rng)
 
 
-def _dense_code(m: int, n: int, config: CodeConfig, rng: np.random.Generator) -> ParityCheck:
-    for _ in range(config.max_attempts):
+def _dense_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
+    for _ in range(_DENSE_DRAWS):
         mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
         # A zero column would leave that bit invisible to the syndrome.
         for j in np.flatnonzero(mat.sum(axis=0) == 0):
             mat[rng.integers(m), j] = 1
         if gf2_rank(mat) == m:
             edge_var, edge_check = np.nonzero(mat.T)
-            return ParityCheck._from_edges(m, n, edge_var, edge_check, "eliminated")
-    raise ValueError(f"no full-rank dense matrix in {config.max_attempts} draws")
-
-
-def _peg_code(m: int, n: int, config: CodeConfig, rng: np.random.Generator) -> ParityCheck:
-    if n > _PEG_MAX_N:
-        raise ValueError(f"progressive edge growth limited to n <= {_PEG_MAX_N}")
-    dv = config.var_degree
-    if dv > m:
-        raise ValueError(f"column degree {dv} exceeds row count {m}")
-    for _ in range(config.max_attempts):
-        cols = _peg_adjacency(m, n, dv, rng)
-        dense = np.zeros((m, n), dtype=np.uint8)
-        for j, rows in enumerate(cols):
-            dense[rows, j] = 1
-        if gf2_rank(dense) == m:
-            return ParityCheck(m, n, cols, rank_certificate="eliminated")
-    raise ValueError(f"no full-rank edge-growth matrix in {config.max_attempts} attempts")
-
-
-def _peg_adjacency(m: int, n: int, dv: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """Each new edge lands on a check as far from its column as the current
-    graph allows (unreachable checks count as infinitely far); ties go to
-    the least-loaded check, then a random one. The expansion sweeps the full
-    edge list per layer, which beats frontier bookkeeping at these sizes."""
-    total = n * dv
-    edge_var = np.empty(total, dtype=np.int64)
-    edge_check = np.empty(total, dtype=np.int64)
-    edges = 0
-    check_deg = np.zeros(m, dtype=np.int64)
-    var_adj: list[list[int]] = [[] for _ in range(n)]
-
-    def pick_min_degree(candidates: np.ndarray) -> int:
-        deg = check_deg[candidates]
-        pool = candidates[deg == deg.min()]
-        return int(pool[rng.integers(0, pool.size)])
-
-    for v in range(n):
-        for _ in range(dv):
-            if not var_adj[v]:
-                chosen = pick_min_degree(np.arange(m))
-            else:
-                ev = edge_var[:edges]
-                ec = edge_check[:edges]
-                reached_c = np.zeros(m, dtype=bool)
-                reached_c[var_adj[v]] = True
-                reached_v = np.zeros(n, dtype=bool)
-                reached_v[v] = True
-                last_layer = np.flatnonzero(reached_c)
-                while True:
-                    reached_v[ev[reached_c[ec]]] = True
-                    prev = reached_c.copy()
-                    reached_c[ec[reached_v[ev]]] = True
-                    new_mask = reached_c & ~prev
-                    if not new_mask.any():
-                        break
-                    last_layer = np.flatnonzero(new_mask)
-                    if reached_c.all():
-                        break
-                unreached = np.flatnonzero(~reached_c)
-                chosen = pick_min_degree(unreached if unreached.size else last_layer)
-            var_adj[v].append(chosen)
-            edge_var[edges] = v
-            edge_check[edges] = chosen
-            edges += 1
-            check_deg[chosen] += 1
-    return [np.array(sorted(adj), dtype=np.int64) for adj in var_adj]
+            return ParityCheck(m, n, edge_var, edge_check, "eliminated")
+    raise ValueError(f"no full-rank dense matrix in {_DENSE_DRAWS} draws")
 
 
 def _staircase_code(m: int, n: int, config: CodeConfig, rng: np.random.Generator) -> ParityCheck:
@@ -492,7 +407,7 @@ def _staircase_code(m: int, n: int, config: CodeConfig, rng: np.random.Generator
     degrees = np.minimum(_profile_degrees(k, config.info_degrees, rng), m)
     info_rows = np.zeros(0, dtype=np.int64)
     if k:
-        info_rows = _balanced_sockets(m, degrees, rng, pre_load=pre_load)
+        info_rows = _balanced_sockets(m, degrees, rng, pre_load)
     steps = np.arange(m - 1)
     extra = np.flatnonzero(tail_extra >= 0)
     edge_var = np.concatenate(
@@ -504,7 +419,7 @@ def _staircase_code(m: int, n: int, config: CodeConfig, rng: np.random.Generator
     edge_var, edge_check = edge_var[order], edge_check[order]
     col_ptr = np.concatenate([[0], np.cumsum(np.bincount(edge_var, minlength=n))])
     _break_low_degree_cycles(col_ptr, edge_check, m, k, rng)
-    return ParityCheck._from_edges(m, n, edge_var, edge_check, rank_certificate="triangular")
+    return ParityCheck(m, n, edge_var, edge_check, rank_certificate="triangular")
 
 
 def _break_low_degree_cycles(
@@ -601,7 +516,7 @@ def _profile_degrees(k: int, profile: tuple[tuple[int, float], ...], rng: np.ran
     return degrees
 
 
-def _balanced_sockets(m: int, degrees: np.ndarray, rng: np.random.Generator, pre_load=None):
+def _balanced_sockets(m: int, degrees: np.ndarray, rng: np.random.Generator, pre_load: np.ndarray):
     """Assign each column's edges to checks with near-uniform check loads.
 
     pre_load counts edges already placed on each check by the caller; the
@@ -612,8 +527,6 @@ def _balanced_sockets(m: int, degrees: np.ndarray, rng: np.random.Generator, pre
     owns the next degrees[j] entries.
     """
     total = int(degrees.sum())
-    if pre_load is None:
-        pre_load = np.zeros(m, dtype=np.int64)
     base = (total + int(pre_load.sum())) // m
     row_counts = np.maximum(base - pre_load, 0).astype(np.int64)
     drift = total - int(row_counts.sum())

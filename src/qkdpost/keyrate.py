@@ -47,7 +47,6 @@ __all__ = [
     "rate_second_arg",
     "rate_proposed",
     "rate_vollbrecht",
-    "rate_bstep",
     "rate_oneway",
     "rate_point",
     "sixstate_curve",
@@ -106,11 +105,6 @@ def rate_vollbrecht(p: BellDiagonal) -> float:
     return base + 0.5 * r0 * r1 * mean_h
 
 
-def rate_bstep(p: BellDiagonal) -> float:
-    """Advantage distillation alone: identically the second argument."""
-    return rate_second_arg(p)
-
-
 def rate_oneway(p: BellDiagonal) -> float:
     return 1.0 - _entropy_xz(p)
 
@@ -120,7 +114,7 @@ _RATE_FNS = {
     "first_arg": rate_first_arg,
     "second_arg": rate_second_arg,
     "vollbrecht": rate_vollbrecht,
-    "bstep": rate_bstep,
+    "bstep": rate_second_arg,
     "oneway": rate_oneway,
 }
 
@@ -156,12 +150,14 @@ class RatePoint:
 
 
 def rate_point(p: BellDiagonal, e: float, p11_star: float | None = None) -> RatePoint:
+    # bstep (advantage distillation alone) is the second argument itself
+    second = rate_second_arg(p)
     return RatePoint(
         e=e,
         first_arg=rate_first_arg(p),
-        second_arg=rate_second_arg(p),
+        second_arg=second,
         vollbrecht=rate_vollbrecht(p),
-        bstep=rate_bstep(p),
+        bstep=second,
         oneway=rate_oneway(p),
         p11_star=p11_star,
     )

@@ -50,10 +50,11 @@ def random_dense(m: int, n: int, seed: int) -> ParityCheck:
 
 
 @pytest.fixture(scope="module")
-def big_36() -> ParityCheck:
-    # PEG at n = 10^4 is the slow construction; build once per module.
+def big_code() -> ParityCheck:
+    # The construction a session uses at n = 10^4; shared by the large-block
+    # BP tests.
     rng = np.random.default_rng(20260819)
-    return code_for_rate(10_000, 0.5, CodeConfig(construction="peg", var_degree=3), rng)
+    return code_for_rate(10_000, 0.5, CodeConfig(construction="staircase"), rng)
 
 
 def test_gf2_rank():
@@ -64,19 +65,46 @@ def test_gf2_rank():
 
 
 def test_parity_check_validation():
+    # ParityCheck(m, n, edge_var, edge_check, certificate): entry i is a 1 in
+    # column edge_var[i], row edge_check[i].
     with pytest.raises(ValueError):
-        ParityCheck(2, 2, [np.array([0]), np.array([1])], "guessed")
+        ParityCheck(2, 2, [0, 1], [0, 1], "guessed")
     with pytest.raises(ValueError):
-        ParityCheck(2, 2, [np.array([0, 0]), np.array([1])], "eliminated")
+        ParityCheck(2, 2, [0, 0, 1], [0, 0, 1], "eliminated")
     with pytest.raises(ValueError):
-        ParityCheck(2, 2, [np.array([0]), np.array([2])], "eliminated")
-    unsorted = ParityCheck(4, 2, [np.array([3, 1]), np.array([0])], "eliminated")
+        ParityCheck(2, 2, [0, 1], [0, 2], "eliminated")
+    unsorted = ParityCheck(4, 2, [1, 0, 0], [0, 3, 1], "eliminated")
     assert unsorted._edge_var.tolist() == [0, 0, 1]
     assert unsorted._edge_check.tolist() == [1, 3, 0]
     with pytest.raises(ValueError):
         ParityCheck.from_dense(np.array([[1, 0, 1], [1, 0, 1]], dtype=np.uint8))
     with pytest.raises(ValueError):
         ParityCheck.from_dense(np.zeros(4, dtype=np.uint8))
+
+
+@st.composite
+def edge_lists(draw):
+    """(m, n, edge_var, edge_check, v): distinct entries in shuffled order."""
+    m = draw(st.integers(1, 30))
+    n = draw(st.integers(1, 40))
+    cells = draw(st.lists(st.integers(0, m * n - 1), unique=True, max_size=300))
+    flat = np.array(cells, dtype=np.int64)
+    v = np.array(draw(st.lists(st.integers(0, 1), min_size=n, max_size=n)), dtype=np.uint8)
+    return m, n, flat // m, flat % m, v
+
+
+@given(edge_lists())
+def test_edge_constructor_matches_dense(case):
+    m, n, edge_var, edge_check, v = case
+    dense = np.zeros((m, n), dtype=np.uint8)
+    dense[edge_check, edge_var] = 1
+    code = ParityCheck(m, n, edge_var, edge_check, "eliminated")
+    assert np.array_equal(code.to_dense(), dense)
+    assert np.array_equal(code.syndrome(v), (dense.astype(np.int64) @ v) % 2)
+    # stored column-major, rows ascending within a column, nothing repeated
+    keys = code._edge_var * m + code._edge_check
+    assert np.all(np.diff(keys) > 0)
+    assert keys.size == edge_var.size
 
 
 def test_syndrome_zero_and_length():
@@ -203,9 +231,9 @@ def test_bp_validation():
 
 
 def test_bp_never_beats_ml():
-    # Paired draws on one small LDPC: exact ML bounds BP from below, and any
+    # Paired draws on one small code: exact ML bounds BP from below, and any
     # converged BP output must reproduce the target syndrome.
-    code = code_for_rate(18, 0.45, CodeConfig(construction="peg"), np.random.default_rng(7))
+    code = code_for_rate(18, 0.45, rng=np.random.default_rng(7))
     rng = np.random.default_rng(0)
     bp_err = ml_err = 0
     for _ in range(1000):
@@ -220,33 +248,34 @@ def test_bp_never_beats_ml():
     assert 0 < ml_err <= bp_err < 1000
 
 
-def test_bp_regular_ldpc_large_block(big_36):
-    # Regular (3,6) at n = 10^4 decodes crossover 0.05 with few block failures.
-    assert big_36.m == 5000
-    assert set(big_36.col_degrees().tolist()) == {3}
+def test_bp_regular_ldpc_large_block(big_code):
+    # A rate-1/2 staircase code at n = 10^4 decodes crossover 0.05 with few
+    # block failures.
+    assert big_code.m == 5000
+    assert big_code.rank_certificate == "triangular"
     rng = np.random.default_rng(11)
     fails = 0
     for _ in range(100):
-        e = (rng.random(big_36.n) < 0.05).astype(np.uint8)
-        res = bp_decode(big_36, big_36.syndrome(e), crossover=0.05)
+        e = (rng.random(big_code.n) < 0.05).astype(np.uint8)
+        res = bp_decode(big_code, big_code.syndrome(e), crossover=0.05)
         fails += not (res.converged and np.array_equal(res.error_estimate, e))
     assert fails <= 5
 
 
-def test_bp_crossover_mismatch(big_36):
+def test_bp_crossover_mismatch(big_code):
     # A decoder fed a 10% misestimate of the true flip rate still succeeds.
     for decode_p, seed in ((0.045, 12), (0.055, 13)):
         rng = np.random.default_rng(seed)
         fails = 0
         for _ in range(30):
-            e = (rng.random(big_36.n) < 0.05).astype(np.uint8)
-            res = bp_decode(big_36, big_36.syndrome(e), crossover=decode_p)
+            e = (rng.random(big_code.n) < 0.05).astype(np.uint8)
+            res = bp_decode(big_code, big_code.syndrome(e), crossover=decode_p)
             fails += not (res.converged and np.array_equal(res.error_estimate, e))
         assert fails <= 2
 
 
 def test_bp_damping_converges():
-    code = code_for_rate(600, 0.5, CodeConfig(construction="peg"), np.random.default_rng(8))
+    code = code_for_rate(600, 0.5, CodeConfig(construction="staircase"), np.random.default_rng(8))
     rng = np.random.default_rng(9)
     e = (rng.random(600) < 0.02).astype(np.uint8)
     res = bp_decode(code, code.syndrome(e), crossover=0.02, damping=0.3)
@@ -282,7 +311,7 @@ def test_code_config_validation():
     with pytest.raises(ValueError):
         CodeConfig(construction="polar")
     with pytest.raises(ValueError):
-        CodeConfig(var_degree=1)
+        CodeConfig(construction="peg")
     with pytest.raises(ValueError):
         CodeConfig(info_degrees=((3, 0.5), (12, 0.4)))
     with pytest.raises(ValueError):
@@ -292,27 +321,13 @@ def test_code_config_validation():
 
 
 def test_construction_determinism():
-    for construction, n in (("dense", 40), ("peg", 60), ("staircase", 600)):
+    for construction, n in (("dense", 40), ("staircase", 600)):
         cfg = CodeConfig(construction=construction)
         a = code_for_rate(n, 0.4, cfg, np.random.default_rng(21))
         b = code_for_rate(n, 0.4, cfg, np.random.default_rng(21))
         c = code_for_rate(n, 0.4, cfg, np.random.default_rng(22))
         assert np.array_equal(a.to_dense(), b.to_dense())
         assert not np.array_equal(a.to_dense(), c.to_dense())
-
-
-def test_peg_degree_profile():
-    code = code_for_rate(600, 0.5, CodeConfig(construction="peg", var_degree=3), np.random.default_rng(23))
-    assert set(code.col_degrees().tolist()) == {3}
-    target = 3 * 600 / code.m
-    rows = code.row_degrees()
-    assert rows.min() >= target - 1
-    assert rows.max() <= target + 1
-
-
-def test_peg_infeasible_degree():
-    with pytest.raises(ValueError):
-        code_for_rate(10, 0.35, CodeConfig(construction="peg", var_degree=9), np.random.default_rng(0))
 
 
 def test_staircase_structure():
@@ -352,7 +367,7 @@ def test_staircase_edges_pinned():
 
 
 def test_alist_round_trip():
-    code = code_for_rate(60, 0.5, CodeConfig(construction="peg"), np.random.default_rng(25))
+    code = code_for_rate(60, 0.5, rng=np.random.default_rng(25))
     back = ParityCheck.from_alist(code.to_alist())
     assert (back.m, back.n) == (code.m, code.n)
     assert np.array_equal(back.to_dense(), code.to_dense())

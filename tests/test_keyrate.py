@@ -18,7 +18,6 @@ from qkdpost.keyrate import (
     CURVES,
     bb84_curve,
     bb84_rate,
-    rate_bstep,
     rate_first_arg,
     rate_oneway,
     rate_point,
@@ -65,14 +64,9 @@ def test_uniform_anchor():
 def test_dominance_chain(p):
     first = rate_first_arg(p)
     assert rate_proposed(p) >= first - 1e-12
-    assert rate_proposed(p) >= rate_bstep(p) - 1e-12
+    assert rate_proposed(p) >= rate_second_arg(p) - 1e-12
     assert first >= rate_oneway(p) - 1e-12
     assert first >= rate_vollbrecht(p) - 1e-12
-
-
-@given(bell_diagonals())
-def test_bstep_is_second_argument(p):
-    assert rate_bstep(p) == rate_second_arg(p)
 
 
 def test_bracket_oracle_equivalence():

@@ -304,7 +304,7 @@ def test_decoder_policy():
     assert res.converged
     assert not res.error_estimate.any()
     # An unsatisfiable iteration budget reports failure instead of raising.
-    hard = code_for_rate(18, 0.45, CodeConfig(construction="peg"), np.random.default_rng(37))
+    hard = code_for_rate(18, 0.45, rng=np.random.default_rng(37))
     starved = DecoderPolicy(max_iters=1, retry_iters=1)
     seen_failure = False
     rng = np.random.default_rng(38)
