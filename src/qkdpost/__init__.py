@@ -18,7 +18,7 @@ simulation, and the verification suites.
 __version__ = "0.1.0"
 
 from .channel import BellDiagonal, bb84_family, derived_dists, six_state_point
-from .codes import CodeConfig, ParityCheck, bp_decode, code_for_rate, ml_decode
+from .codes import ParityCheck, bp_decode, code_for_rate, ml_decode
 from .entropy import Dist, binary_entropy, shannon_entropy
 from .keyrate import bb84_curve, bb84_rate, rate_point, sixstate_curve, sweep, tolerable_rate
 from .protocol import (
@@ -35,7 +35,6 @@ from .protocol import (
 __all__ = [
     "__version__",
     "BellDiagonal",
-    "CodeConfig",
     "DecoderPolicy",
     "Dist",
     "ParityCheck",

@@ -13,11 +13,12 @@ plausible vector with a prescribed syndrome under an i.i.d. Bernoulli model:
 Constructions: dense uniform-random with an explicit rank check (small n),
 and a staircase form [S | T] whose lower-triangular tail T makes full row
 rank structural (protocol scale, where elimination-based rank verification
-is too expensive). Staircase information columns take a configurable degree
-profile, and a configurable fraction of tail columns carry a third entry
-below the diagonal; both knobs shape the belief-propagation threshold,
-which must sit comfortably above the session operating point for the
-block-failure rate to stay negligible at the configured rate margins.
+is too expensive). code_for_rate builds dense codes up to 512 columns and
+staircase codes above. Staircase information columns follow one fixed,
+tuned degree profile, and a fixed fraction of tail columns carry a third
+entry below the diagonal; both set the belief-propagation threshold, which
+must sit comfortably above the session operating point for the
+block-failure rate to stay negligible at the session's rate margins.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ import numpy as np
 from .blocks import as_bits
 
 __all__ = [
-    "CodeConfig",
     "DecodeResult",
     "ParityCheck",
     "code_for_rate",
@@ -44,7 +44,7 @@ __all__ = [
 # fraction, plus third entries on some tail columns, pushes the
 # belief-propagation threshold past 0.104 while the degree-2 mass stays
 # stable. Chosen by density evolution over candidate profiles and frozen
-# after Monte Carlo validation; see the repository notes.
+# after Monte Carlo validation. Every seeded staircase code depends on them.
 DEFAULT_INFO_DEGREES: tuple[tuple[int, float], ...] = ((3, 0.7), (12, 0.3))
 DEFAULT_TAIL_DEGREE3 = 0.4
 
@@ -53,6 +53,8 @@ _ML_MAX_N = 24
 _DENSE_LIMIT = 512
 # Random dense draws tried before giving up on full row rank.
 _DENSE_DRAWS = 64
+# Bound on variable-to-check messages, which keeps tanh away from +-1.
+_LLR_CLIP = 25.0
 
 
 def gf2_rank(mat: np.ndarray) -> int:
@@ -99,34 +101,6 @@ class DecodeResult:
     iterations: int
 
 
-@dataclass(frozen=True)
-class CodeConfig:
-    """Construction parameters for code_for_rate.
-
-    construction: "auto" picks dense up to 512 columns, staircase above.
-    "dense" and "staircase" force the respective method.
-    info_degrees: (degree, fraction) profile for staircase information
-    columns; fractions must sum to 1.
-    tail_degree3: fraction of staircase tail columns given a third entry
-    below the diagonal (triangularity, hence full rank, is preserved).
-    """
-
-    construction: str = "auto"
-    info_degrees: tuple[tuple[int, float], ...] = DEFAULT_INFO_DEGREES
-    tail_degree3: float = DEFAULT_TAIL_DEGREE3
-
-    def __post_init__(self):
-        if self.construction not in ("auto", "dense", "staircase"):
-            raise ValueError(f"unknown construction {self.construction!r}")
-        frac = math.fsum(f for _, f in self.info_degrees)
-        if abs(frac - 1.0) > 1e-9:
-            raise ValueError(f"info_degrees fractions sum to {frac}, not 1")
-        if any(d < 1 for d, _ in self.info_degrees):
-            raise ValueError("info_degrees entries must be >= 1")
-        if not 0.0 <= self.tail_degree3 <= 1.0:
-            raise ValueError("tail_degree3 must lie in [0, 1]")
-
-
 class ParityCheck:
     """Immutable full-row-rank binary matrix stored as its nonzero entries.
 
@@ -144,8 +118,12 @@ class ParityCheck:
             raise ValueError(f"unknown rank certificate {rank_certificate!r}")
         ev = np.asarray(edge_var, dtype=np.int64)
         ec = np.asarray(edge_check, dtype=np.int64)
+        if ev.shape != ec.shape:
+            raise ValueError(f"edge arrays differ in shape: {ev.shape} vs {ec.shape}")
         if ec.size and (ec.min() < 0 or ec.max() >= m):
             raise ValueError("row index out of range")
+        if ev.size and (ev.min() < 0 or ev.max() >= n):
+            raise ValueError("column index out of range")
         order = _column_major(ev, ec, m)
         ev, ec = ev[order], ec[order]
         if np.any((ev[1:] == ev[:-1]) & (ec[1:] == ec[:-1])):
@@ -189,56 +167,6 @@ class ParityCheck:
         set_edges = self._edge_check[v[self._edge_var] == 1]
         counts = np.bincount(set_edges, minlength=self.m)
         return (counts & 1).astype(np.uint8)
-
-    # --- serialization (sparse text interchange) ---
-
-    def to_alist(self) -> str:
-        """Sparse adjacency text: dims, max degrees, degree lists, 1-based
-        row indices per column, then column indices per row, zero-padded."""
-        col_deg = self.col_degrees()
-        row_deg = self.row_degrees()
-        max_c = int(col_deg.max(initial=0))
-        max_r = int(row_deg.max(initial=0))
-        lines = [f"{self.n} {self.m}", f"{max_c} {max_r}"]
-        lines.append(" ".join(str(d) for d in col_deg))
-        lines.append(" ".join(str(d) for d in row_deg))
-        for rows in np.split(self._edge_check, np.cumsum(col_deg)[:-1]):
-            entries = [str(r + 1) for r in rows] + ["0"] * (max_c - rows.size)
-            lines.append(" ".join(entries))
-        row_cols = [[] for _ in range(self.m)]
-        for var, check in zip(self._edge_var, self._edge_check):
-            row_cols[check].append(int(var) + 1)
-        for cols in row_cols:
-            entries = [str(c) for c in sorted(cols)] + ["0"] * (max_r - len(cols))
-            lines.append(" ".join(entries))
-        return "\n".join(lines) + "\n"
-
-    @classmethod
-    def from_alist(cls, text: str) -> "ParityCheck":
-        tokens = text.split()
-        pos = 0
-
-        def take(count: int) -> list[int]:
-            nonlocal pos
-            vals = [int(t) for t in tokens[pos : pos + count]]
-            if len(vals) != count:
-                raise ValueError("truncated adjacency text")
-            pos += count
-            return vals
-
-        n, m = take(2)
-        max_c, _max_r = take(2)
-        take(n)  # column degrees, implied by the index lists
-        take(m)  # row degrees
-        cols = []
-        for _ in range(n):
-            entries = take(max_c)
-            cols.append(np.array([e - 1 for e in entries if e > 0], dtype=np.int64))
-        # row lists are redundant; rebuild the certificate by elimination
-        dense = np.zeros((m, n), dtype=np.uint8)
-        for j, rows in enumerate(cols):
-            dense[rows, j] = 1
-        return cls.from_dense(dense)
 
     # --- decoder support ---
 
@@ -296,7 +224,6 @@ def bp_decode(
     t: np.ndarray,
     crossover: float,
     max_iters: int = 200,
-    llr_clip: float = 25.0,
     damping: float = 0.0,
 ) -> DecodeResult:
     """Syndrome-based sum-product decoding on the BSC.
@@ -338,7 +265,7 @@ def bp_decode(
         m_cv = (1.0 - 2.0 * flip) * 2.0 * np.arctanh(np.exp(excl_mag))
         posterior = llr0 + np.bincount(ev, weights=m_cv, minlength=H.n)
         post_edge = posterior[ev]
-        fresh = np.minimum(np.maximum(post_edge - m_cv, -llr_clip), llr_clip)
+        fresh = np.minimum(np.maximum(post_edge - m_cv, -_LLR_CLIP), _LLR_CLIP)
         m_vc = damping * m_vc + (1.0 - damping) * fresh if damping > 0.0 else fresh
         # Syndrome of the hard decision, read from the edges already at hand.
         syndrome = np.bincount(ec[post_edge < 0], minlength=m) & 1
@@ -347,13 +274,11 @@ def bp_decode(
     return DecodeResult((posterior < 0).astype(np.uint8), converged=False, iterations=max_iters)
 
 
-def code_for_rate(
-    n: int,
-    target_rate: float,
-    config: CodeConfig = CodeConfig(),
-    rng: np.random.Generator | None = None,
-) -> ParityCheck:
-    """Build an m = ceil(n*target_rate) parity check, deterministic per rng."""
+def code_for_rate(n: int, target_rate: float, rng: np.random.Generator | None = None) -> ParityCheck:
+    """Build an m = ceil(n*target_rate) parity check, deterministic per rng.
+
+    Dense up to 512 columns, staircase above.
+    """
     if not 0.0 < target_rate < 1.0:
         raise ValueError(f"target rate {target_rate} not in (0, 1)")
     if n < 2:
@@ -361,12 +286,9 @@ def code_for_rate(
     if rng is None:
         rng = np.random.default_rng()
     m = math.ceil(n * target_rate)
-    mode = config.construction
-    if mode == "auto":
-        mode = "dense" if n <= _DENSE_LIMIT else "staircase"
-    if mode == "dense":
+    if n <= _DENSE_LIMIT:
         return _dense_code(m, n, rng)
-    return _staircase_code(m, n, config, rng)
+    return _staircase_code(m, n, rng)
 
 
 def _dense_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
@@ -381,21 +303,21 @@ def _dense_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
     raise ValueError(f"no full-rank dense matrix in {_DENSE_DRAWS} draws")
 
 
-def _staircase_code(m: int, n: int, config: CodeConfig, rng: np.random.Generator) -> ParityCheck:
+def _staircase_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
     """[S | T]: T lower triangular (full rank structurally), S random with
-    balanced row loads and the configured column-degree profile.
+    balanced row loads and the column degrees of DEFAULT_INFO_DEGREES.
 
-    Tail column i holds rows {i, i+1}; a tail_degree3 fraction also gets one
-    extra row drawn from a bounded window below, which stays under the
-    diagonal and keeps the row loads near-uniform.
+    Tail column i holds rows {i, i+1}; a DEFAULT_TAIL_DEGREE3 fraction also
+    gets one extra row drawn from a bounded window below, which stays under
+    the diagonal and keeps the row loads near-uniform.
     """
     k = n - m
     if k < 0:
         raise ValueError("staircase needs m <= n")
     tail_extra = np.full(m, -1, dtype=np.int64)
-    if m > 2 and config.tail_degree3 > 0.0:
+    if m > 2:
         eligible = np.arange(m - 2)
-        count = int(round(config.tail_degree3 * eligible.size))
+        count = int(round(DEFAULT_TAIL_DEGREE3 * eligible.size))
         chosen = rng.choice(eligible, size=count, replace=False)
         window = min(500, m - 2)
         lo = chosen + 2
@@ -404,7 +326,7 @@ def _staircase_code(m: int, n: int, config: CodeConfig, rng: np.random.Generator
     pre_load = np.bincount(tail_extra[tail_extra >= 0], minlength=m).astype(np.int64)
     pre_load += 2
     pre_load[0] -= 1
-    degrees = np.minimum(_profile_degrees(k, config.info_degrees, rng), m)
+    degrees = np.minimum(_profile_degrees(k, rng), m)
     info_rows = np.zeros(0, dtype=np.int64)
     if k:
         info_rows = _balanced_sockets(m, degrees, rng, pre_load)
@@ -504,14 +426,13 @@ def _break_low_degree_cycles(
                     break
 
 
-def _profile_degrees(k: int, profile: tuple[tuple[int, float], ...], rng: np.random.Generator) -> np.ndarray:
+def _profile_degrees(k: int, rng: np.random.Generator) -> np.ndarray:
+    """k information-column degrees in DEFAULT_INFO_DEGREES proportions, shuffled."""
     if k == 0:
         return np.zeros(0, dtype=np.int64)
-    counts = [int(round(frac * k)) for _, frac in profile]
+    counts = [int(round(frac * k)) for _, frac in DEFAULT_INFO_DEGREES]
     counts[int(np.argmax(counts))] += k - sum(counts)
-    if min(counts) < 0:
-        raise ValueError("degree profile rounding produced a negative bucket")
-    degrees = np.repeat([d for d, _ in profile], counts)
+    degrees = np.repeat([d for d, _ in DEFAULT_INFO_DEGREES], counts)
     rng.shuffle(degrees)
     return degrees
 

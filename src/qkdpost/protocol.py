@@ -35,7 +35,7 @@ from scipy.signal import fftconvolve
 
 from .blocks import as_bits, parity_seq, partition, second_bit_seq
 from .channel import BellDiagonal, bb84_family, derived_dists, sample_pair, six_state_point
-from .codes import CodeConfig, DecodeResult, ParityCheck, bp_decode, code_for_rate, ml_decode
+from .codes import DecodeResult, ParityCheck, bp_decode, code_for_rate, ml_decode
 from .entropy import shannon_entropy
 from .keyrate import bb84_rate, rate_proposed
 
@@ -71,6 +71,8 @@ _LABEL_DIRECTION = {
 
 # Decoder validity clamp for degenerate estimates (noiseless or saturated).
 _CROSSOVER_FLOOR = 1e-12
+# Damping of the single BP retry; the first pass is undamped.
+_RETRY_DAMPING = 0.3
 
 
 def _bits_hex(bits: np.ndarray) -> str:
@@ -172,21 +174,18 @@ def parameter_estimation(
 class DecoderPolicy:
     """Decode schedule for both syndrome rounds.
 
-    engine "bp" runs sum-product decoding with the given iteration budget;
-    a non-convergent first pass is retried once with heavier damping and
-    retry_iters iterations (set retry_iters=0 to disable). The retry only
-    fires on detectable failure, meaning a syndrome mismatch; a decode that
-    converges to the wrong coset member is invisible to the decoding party
-    and surfaces later as a key mismatch. engine "ml" decodes exhaustively
-    and is only feasible on toy codes.
+    engine "bp" runs undamped sum-product decoding for max_iters
+    iterations; a non-convergent first pass is retried once with damping
+    0.3 and retry_iters iterations (set retry_iters=0 to disable). The
+    retry only fires on detectable failure, meaning a syndrome mismatch; a
+    decode that converges to the wrong coset member is invisible to the
+    decoding party and surfaces later as a key mismatch. engine "ml"
+    decodes exhaustively and is only feasible on toy codes.
     """
 
     engine: str = "bp"
     max_iters: int = 300
-    llr_clip: float = 25.0
-    damping: float = 0.0
     retry_iters: int = 1200
-    retry_damping: float = 0.3
 
     def __post_init__(self):
         if self.engine not in ("bp", "ml"):
@@ -199,18 +198,9 @@ class DecoderPolicy:
     def decode(self, code: ParityCheck, t: np.ndarray, crossover: float) -> DecodeResult:
         if self.engine == "ml":
             return ml_decode(code, t)
-        result = bp_decode(
-            code, t, crossover, max_iters=self.max_iters, llr_clip=self.llr_clip, damping=self.damping
-        )
+        result = bp_decode(code, t, crossover, max_iters=self.max_iters)
         if not result.converged and self.retry_iters > 0:
-            result = bp_decode(
-                code,
-                t,
-                crossover,
-                max_iters=self.retry_iters,
-                llr_clip=self.llr_clip,
-                damping=self.retry_damping,
-            )
+            result = bp_decode(code, t, crossover, max_iters=self.retry_iters, damping=_RETRY_DAMPING)
         return result
 
 
@@ -373,11 +363,11 @@ class SessionConfig:
     channel is the nominal source; estimation aborts when the sampled error
     rate strays more than abort_tolerance from its bit-flip rate. delta is
     the code-rate margin added to both syndrome rates and doubles as the
-    radius of the default survivor window n * (P_W1(0) -/+ delta); pass
-    n0_bounds to override the window. An upper bound anchored at P_W1(1)
-    instead would sit far below the typical survivor count and reject
-    almost every honest session, so the default anchors both ends at
-    P_W1(0). mapping selects how the scalar estimate is lifted to a
+    radius of the survivor window n * (P_W1(0) -/+ delta). An upper bound
+    anchored at P_W1(1) instead would sit far below the typical survivor
+    count and reject almost every honest session, so the window anchors
+    both ends at P_W1(0). Codes come from code_for_rate and decoding uses
+    the DecoderPolicy defaults. mapping selects how the scalar estimate is lifted to a
     Bell-diagonal point: "six-state" pins all four entries; "bb84" leaves
     the phase split free and takes the rate-minimizing member, which is the
     conservative choice for key length (the reconciliation laws only depend
@@ -388,13 +378,10 @@ class SessionConfig:
     n: int = 50_000
     m: int = 20_000
     delta: float = 0.05
-    n0_bounds: tuple[int, int] | None = None
     abort_tolerance: float = 0.02
     finite_size_margin: float = 0.0
     seed: int = 0
     mapping: str = "six-state"
-    code_config: CodeConfig = CodeConfig()
-    decoder: DecoderPolicy = DecoderPolicy()
 
     def __post_init__(self):
         if self.n < 1:
@@ -409,10 +396,6 @@ class SessionConfig:
             raise ValueError("finite_size_margin must be >= 0")
         if self.mapping not in ("six-state", "bb84"):
             raise ValueError(f"unknown mapping {self.mapping!r}")
-        if self.n0_bounds is not None:
-            lo, hi = self.n0_bounds
-            if not 0 <= lo <= hi <= self.n:
-                raise ValueError(f"n0_bounds ({lo}, {hi}) not within [0, {self.n}]")
 
 
 @dataclass(frozen=True)
@@ -517,26 +500,22 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
     rate2 = shannon_entropy(laws.w2_given_w1_0) + cfg.delta
     crossover1 = min(max(laws.w1_dist(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR)
     crossover2 = min(max(laws.w2_given_w1_0(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR)
-    if cfg.n0_bounds is not None:
-        bounds = cfg.n0_bounds
-    else:
-        center = laws.w1_dist(0)
-        bounds = (
-            max(0, math.floor(cfg.n * (center - cfg.delta))),
-            min(cfg.n, math.ceil(cfg.n * (center + cfg.delta))),
-        )
+    center = laws.w1_dist(0)
+    bounds = (
+        max(0, math.floor(cfg.n * (center - cfg.delta))),
+        min(cfg.n, math.ceil(cfg.n * (center + cfg.delta))),
+    )
 
     x, y = sample_pair(cfg.channel, 2 * cfg.n, rng_data)
-    code1 = code_for_rate(cfg.n, rate1, config=cfg.code_config, rng=rng_code1)
+    code1 = code_for_rate(cfg.n, rate1, rng=rng_code1)
     ir = run_ir(
         x,
         y,
         code1,
-        lambda n0: code_for_rate(n0, rate2, config=cfg.code_config, rng=rng_code2),
+        lambda n0: code_for_rate(n0, rate2, rng=rng_code2),
         bounds,
         crossover1,
         crossover2,
-        policy=cfg.decoder,
         rng=rng_guess,
     )
 

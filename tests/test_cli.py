@@ -5,6 +5,7 @@ covered by the module tests, so these focus on row counts, reproducibility,
 header metadata, and the documented exit codes.
 """
 
+import hashlib
 import json
 import os
 import subprocess
@@ -162,6 +163,21 @@ def test_simulate_code_rate_out_of_range(runner):
     assert result.exit_code == 2
     assert "target rate 1.036" in result.output
     assert "not in (0, 1)" in result.output
+
+
+@pytest.mark.parametrize("protocol,expected", [
+    ("six-state", "470b26c32f7230817f28385400220dfe160a34d8907de47e564288c3cb0e0c50"),
+    ("bb84", "0d34ccbd6954eb30ff4da16f47db2fc82d99022ba89097d4aba12726786ccb49"),
+])
+def test_simulate_stdout_pinned(runner, protocol, expected):
+    # Seeded campaigns on staircase codes are a fixed byte stream; a change
+    # to code construction, decoding or hashing that moves it shows here.
+    result = runner.invoke(cli.main, [
+        "simulate", "--e", "0.05", "--n", "5000", "--m", "2000",
+        "--trials", "3", "--seed", "7", "--protocol", protocol,
+    ])
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == expected
 
 
 @pytest.mark.parametrize("suite,samples", [

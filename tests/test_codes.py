@@ -14,7 +14,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkdpost.codes import (
-    CodeConfig,
     ParityCheck,
     bp_decode,
     code_for_rate,
@@ -54,7 +53,7 @@ def big_code() -> ParityCheck:
     # The construction a session uses at n = 10^4; shared by the large-block
     # BP tests.
     rng = np.random.default_rng(20260819)
-    return code_for_rate(10_000, 0.5, CodeConfig(construction="staircase"), rng)
+    return code_for_rate(10_000, 0.5, rng=rng)
 
 
 def test_gf2_rank():
@@ -71,8 +70,14 @@ def test_parity_check_validation():
         ParityCheck(2, 2, [0, 1], [0, 1], "guessed")
     with pytest.raises(ValueError):
         ParityCheck(2, 2, [0, 0, 1], [0, 0, 1], "eliminated")
-    with pytest.raises(ValueError):
-        ParityCheck(2, 2, [0, 1], [0, 2], "eliminated")
+    for edge_var, edge_check in (
+        ([0, 1], [0, 2]),  # row out of range
+        ([5], [0]),  # column out of range
+        ([-1], [0]),  # negative column
+        ([0, 1], [0]),  # arrays of different lengths
+    ):
+        with pytest.raises(ValueError):
+            ParityCheck(2, 2, edge_var, edge_check, "eliminated")
     unsorted = ParityCheck(4, 2, [1, 0, 0], [0, 3, 1], "eliminated")
     assert unsorted._edge_var.tolist() == [0, 0, 1]
     assert unsorted._edge_check.tolist() == [1, 3, 0]
@@ -196,9 +201,7 @@ def test_ml_rate_margin_proxy():
     # Rate h(p) + 0.1 at n = 20; block error stays under 10% at this seed.
     p = 0.01
     n = 20
-    code = code_for_rate(
-        n, binary_entropy(p) + 0.1, CodeConfig(construction="dense"), np.random.default_rng(4)
-    )
+    code = code_for_rate(n, binary_entropy(p) + 0.1, rng=np.random.default_rng(4))
     assert code.m == 4
     rng = np.random.default_rng(104)
     errs = 0
@@ -275,7 +278,7 @@ def test_bp_crossover_mismatch(big_code):
 
 
 def test_bp_damping_converges():
-    code = code_for_rate(600, 0.5, CodeConfig(construction="staircase"), np.random.default_rng(8))
+    code = code_for_rate(600, 0.5, rng=np.random.default_rng(8))
     rng = np.random.default_rng(9)
     e = (rng.random(600) < 0.02).astype(np.uint8)
     res = bp_decode(code, code.syndrome(e), crossover=0.02, damping=0.3)
@@ -307,31 +310,18 @@ def test_code_for_rate_validation():
         code_for_rate(1, 0.5, rng=rng)
 
 
-def test_code_config_validation():
-    with pytest.raises(ValueError):
-        CodeConfig(construction="polar")
-    with pytest.raises(ValueError):
-        CodeConfig(construction="peg")
-    with pytest.raises(ValueError):
-        CodeConfig(info_degrees=((3, 0.5), (12, 0.4)))
-    with pytest.raises(ValueError):
-        CodeConfig(info_degrees=((0, 1.0),))
-    with pytest.raises(ValueError):
-        CodeConfig(tail_degree3=1.5)
-
-
 def test_construction_determinism():
-    for construction, n in (("dense", 40), ("staircase", 600)):
-        cfg = CodeConfig(construction=construction)
-        a = code_for_rate(n, 0.4, cfg, np.random.default_rng(21))
-        b = code_for_rate(n, 0.4, cfg, np.random.default_rng(21))
-        c = code_for_rate(n, 0.4, cfg, np.random.default_rng(22))
+    # n = 40 builds a dense code, n = 600 a staircase code.
+    for n in (40, 600):
+        a = code_for_rate(n, 0.4, rng=np.random.default_rng(21))
+        b = code_for_rate(n, 0.4, rng=np.random.default_rng(21))
+        c = code_for_rate(n, 0.4, rng=np.random.default_rng(22))
         assert np.array_equal(a.to_dense(), b.to_dense())
         assert not np.array_equal(a.to_dense(), c.to_dense())
 
 
 def test_staircase_structure():
-    code = code_for_rate(1200, 0.4, CodeConfig(construction="staircase"), np.random.default_rng(24))
+    code = code_for_rate(1200, 0.4, rng=np.random.default_rng(24))
     m, n = code.m, code.n
     assert m == 480
     assert code.rank_certificate == "triangular"
@@ -364,12 +354,3 @@ def test_staircase_edges_pinned():
         digest.update(code._edge_var.astype(np.int64).tobytes())
         digest.update(code._edge_check.astype(np.int64).tobytes())
         assert digest.hexdigest() == expected, (n, seed)
-
-
-def test_alist_round_trip():
-    code = code_for_rate(60, 0.5, rng=np.random.default_rng(25))
-    back = ParityCheck.from_alist(code.to_alist())
-    assert (back.m, back.n) == (code.m, code.n)
-    assert np.array_equal(back.to_dense(), code.to_dense())
-    with pytest.raises(ValueError):
-        ParityCheck.from_alist("3 2\n1 1\n")
