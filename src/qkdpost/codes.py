@@ -49,7 +49,7 @@ DEFAULT_INFO_DEGREES: tuple[tuple[int, float], ...] = ((3, 0.7), (12, 0.3))
 DEFAULT_TAIL_DEGREE3 = 0.4
 
 _ML_MAX_N = 24
-# "auto" builds dense codes up to this many columns, staircase codes above.
+# code_for_rate builds dense codes up to this many columns, staircase codes above.
 _DENSE_LIMIT = 512
 # Random dense draws tried before giving up on full row rank.
 _DENSE_DRAWS = 64
@@ -118,8 +118,8 @@ class ParityCheck:
             raise ValueError(f"unknown rank certificate {rank_certificate!r}")
         ev = np.asarray(edge_var, dtype=np.int64)
         ec = np.asarray(edge_check, dtype=np.int64)
-        if ev.shape != ec.shape:
-            raise ValueError(f"edge arrays differ in shape: {ev.shape} vs {ec.shape}")
+        if ev.ndim != 1 or ev.shape != ec.shape:
+            raise ValueError(f"edge arrays must be 1-d of one length: {ev.shape}, {ec.shape}")
         if ec.size and (ec.min() < 0 or ec.max() >= m):
             raise ValueError("row index out of range")
         if ev.size and (ev.min() < 0 or ev.max() >= n):

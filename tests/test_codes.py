@@ -75,6 +75,7 @@ def test_parity_check_validation():
         ([5], [0]),  # column out of range
         ([-1], [0]),  # negative column
         ([0, 1], [0]),  # arrays of different lengths
+        ([[0, 1]], [[0, 1]]),  # not 1-d
     ):
         with pytest.raises(ValueError):
             ParityCheck(2, 2, edge_var, edge_check, "eliminated")
