@@ -22,7 +22,6 @@ __all__ = [
     "parity_seq",
     "second_bit_seq",
     "partition",
-    "subseq",
 ]
 
 
@@ -84,13 +83,3 @@ def partition(w1hat: np.ndarray) -> BlockPartition:
     idx = np.arange(w1hat.size)
     return BlockPartition(t0=idx[w1hat == 0], t1=idx[w1hat == 1])
 
-
-def subseq(s: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Bits of s at the given indices, ascending. Empty idx gives empty output."""
-    s = as_bits(s)
-    idx = np.asarray(idx, dtype=np.int64)
-    if idx.size == 0:
-        return np.zeros(0, dtype=np.uint8)
-    if idx.min() < 0 or idx.max() >= s.size:
-        raise IndexError(f"index set not contained in range({s.size})")
-    return s[np.sort(idx)]

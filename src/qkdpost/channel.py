@@ -49,7 +49,7 @@ class BellDiagonal:
     def __post_init__(self):
         entries = (self.p00, self.p10, self.p01, self.p11)
         for name, value in zip(("p00", "p10", "p01", "p11"), entries):
-            if value < -_SUM_TOL or value > 1.0 + _SUM_TOL:
+            if not -_SUM_TOL <= value <= 1.0 + _SUM_TOL:
                 raise ValueError(f"{name}={value} outside [0, 1]")
         total = math.fsum(entries)
         if abs(total - 1.0) > _SUM_TOL:
@@ -64,10 +64,6 @@ class BellDiagonal:
     def bit_flip_rate(self) -> float:
         """P_X(1) = p10 + p11; the probability Bob's z-basis bit differs."""
         return self.p10 + self.p11
-
-    def x_marginal(self) -> Dist:
-        """P_X over the bit-flip component: (p00+p01, p10+p11)."""
-        return Dist([min(1.0, max(0.0, self.p00 + self.p01)), min(1.0, max(0.0, self.p10 + self.p11))])
 
 
 @dataclass(frozen=True)
@@ -98,7 +94,7 @@ def six_state_point(e: float) -> BellDiagonal:
     All three marginal conditions p10+p11 = p01+p11 = p01+p10 = e hold, which
     forces (1 - 3e/2, e/2, e/2, e/2). Valid for 0 <= e <= 2/3.
     """
-    if e < -_SUM_TOL or e > 2.0 / 3.0 + _SUM_TOL:
+    if not -_SUM_TOL <= e <= 2.0 / 3.0 + _SUM_TOL:
         raise ValueError(f"six-state error rate {e} outside [0, 2/3]")
     e = min(max(e, 0.0), 2.0 / 3.0)
     return BellDiagonal(1.0 - 1.5 * e, 0.5 * e, 0.5 * e, 0.5 * e)
@@ -110,9 +106,9 @@ def bb84_family(e: float, p11: float) -> BellDiagonal:
     BB84 estimation constrains only p10+p11 = e and p01+p11 = e, leaving the
     one-parameter family (1-2e+p11, e-p11, e-p11, p11) with p11 in [0, e].
     """
-    if e < -_SUM_TOL or e > 0.5 + _SUM_TOL:
+    if not -_SUM_TOL <= e <= 0.5 + _SUM_TOL:
         raise ValueError(f"BB84 error rate {e} outside [0, 1/2]")
-    if p11 < -_SUM_TOL or p11 > e + _SUM_TOL:
+    if not -_SUM_TOL <= p11 <= e + _SUM_TOL:
         raise ValueError(f"p11={p11} outside [0, e={e}]")
     e = min(max(e, 0.0), 0.5)
     p11 = min(max(p11, 0.0), e)

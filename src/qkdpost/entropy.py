@@ -1,13 +1,9 @@
 """Scalar information measures over small finite alphabets.
 
-All entropies and divergences are in bits (log base 2); key rates elsewhere in
-the package inherit that unit. The 0*log(0) := 0 convention is handled by an
-explicit branch on exact zeros, never by epsilon-flooring, so exact zeros stay
-exact. Alphabets here are tiny (at most 16 symbols), so distributions are kept
-dense.
-
-The infinity marker returned by :func:`divergence` on a support violation is
-``math.inf``; callers test with ``math.isinf``.
+All entropies are in bits (log base 2); key rates elsewhere in the package
+inherit that unit. The 0*log(0) := 0 convention is handled by an explicit
+branch on exact zeros, never by epsilon-flooring, so exact zeros stay exact.
+Alphabets here are tiny (at most 16 symbols), so distributions are kept dense.
 """
 
 from __future__ import annotations
@@ -16,15 +12,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-import numpy as np
-
 __all__ = [
     "Dist",
     "binary_entropy",
     "shannon_entropy",
-    "divergence",
-    "variational_distance",
-    "type_of",
     "type_deviation_bound",
 ]
 
@@ -58,19 +49,6 @@ class Dist:
     def __call__(self, symbol: int) -> float:
         return self.probs[symbol]
 
-    def as_array(self) -> np.ndarray:
-        return np.array(self.probs, dtype=float)
-
-    @staticmethod
-    def uniform(k: int) -> "Dist":
-        return Dist([1.0 / k] * k)
-
-    @staticmethod
-    def point_mass(symbol: int, k: int) -> "Dist":
-        probs = [0.0] * k
-        probs[symbol] = 1.0
-        return Dist(probs)
-
 
 def binary_entropy(p: float) -> float:
     """h(p) = -p*log2(p) - (1-p)*log2(1-p), with 0*log(0) := 0.
@@ -95,51 +73,6 @@ def shannon_entropy(dist: Dist | Sequence[float]) -> float:
     """H(P) = -sum P(x) log2 P(x) in bits; zero-probability terms contribute 0."""
     probs = dist.probs if isinstance(dist, Dist) else Dist(dist).probs
     return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
-
-
-def divergence(q: Dist | Sequence[float], p: Dist | Sequence[float]) -> float:
-    """D(Q||P) = sum Q(x) log2(Q(x)/P(x)) in bits.
-
-    Returns math.inf when support(Q) is not contained in support(P).
-    """
-    qp = q.probs if isinstance(q, Dist) else Dist(q).probs
-    pp = p.probs if isinstance(p, Dist) else Dist(p).probs
-    if len(qp) != len(pp):
-        raise ValueError("distributions live on different alphabets")
-    terms = []
-    for qx, px in zip(qp, pp):
-        if qx == 0.0:
-            continue
-        if px == 0.0:
-            return math.inf
-        terms.append(qx * math.log2(qx / px))
-    return math.fsum(terms)
-
-
-def variational_distance(q: Dist | Sequence[float], p: Dist | Sequence[float]) -> float:
-    """L1 distance sum |Q(x) - P(x)| (the norm used in the deviation bounds)."""
-    qp = q.probs if isinstance(q, Dist) else Dist(q).probs
-    pp = p.probs if isinstance(p, Dist) else Dist(p).probs
-    if len(qp) != len(pp):
-        raise ValueError("distributions live on different alphabets")
-    return math.fsum(abs(qx - px) for qx, px in zip(qp, pp))
-
-
-def type_of(seq: Sequence[int] | np.ndarray, alphabet_size: int | None = None) -> Dist:
-    """Empirical distribution (the type) of a sequence over {0, ..., k-1}.
-
-    Permutation invariant by construction. alphabet_size defaults to
-    max(seq) + 1 but should be declared by callers whose alphabet may not be
-    fully visited.
-    """
-    arr = np.asarray(seq, dtype=np.int64)
-    if arr.size == 0:
-        raise ValueError("type of an empty sequence is undefined")
-    k = int(arr.max()) + 1 if alphabet_size is None else int(alphabet_size)
-    if arr.min() < 0 or int(arr.max()) >= k:
-        raise ValueError("sequence symbol outside declared alphabet")
-    counts = np.bincount(arr, minlength=k)
-    return Dist(counts / arr.size)
 
 
 def type_deviation_bound(n: int, eps: float, alphabet_size: int) -> float:

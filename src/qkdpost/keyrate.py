@@ -362,29 +362,33 @@ class ThresholdResult:
     scanned_to: float
 
 
-def tolerable_rate(
-    curve, e_max: float = 0.5, step: float = 1e-3, refine: float = 1e-4
-) -> ThresholdResult:
-    """Smallest zero of a raw rate curve on [0, e_max], bisected to refine.
+_SCAN_STEP = 1e-3
+_REFINE = 1e-4
+
+
+def tolerable_rate(curve, e_max: float = 0.5) -> ThresholdResult:
+    """Smallest zero of a raw rate curve on [0, e_max], bisected to _REFINE.
 
     curve maps an error rate to the raw (unclamped) rate; the clamped curve
-    reaches zero exactly where the raw one changes sign.
+    reaches zero exactly where the raw one changes sign. The scan points are
+    the multiples of _SCAN_STEP below e_max, then e_max itself.
     """
     lo = 0.0
     val = curve(lo)
     if val <= 0.0:
         raise ValueError("rate curve must be positive at e = 0")
-    steps = int(math.floor(e_max / step + 1e-9))
+    steps = math.ceil(e_max / _SCAN_STEP - 1e-9)
     hi = None
     for i in range(1, steps + 1):
-        e = min(i * step, e_max)
+        e = min(i * _SCAN_STEP, e_max)
         if curve(e) <= 0.0:
             hi = e
-            lo = e - step
+            # The scan point before this one; e may be e_max, off the grid.
+            lo = i * _SCAN_STEP - _SCAN_STEP
             break
     if hi is None:
         return ThresholdResult(e_star=None, found=False, scanned_to=e_max)
-    while hi - lo > refine:
+    while hi - lo > _REFINE:
         mid = 0.5 * (lo + hi)
         if curve(mid) <= 0.0:
             hi = mid
@@ -395,10 +399,11 @@ def tolerable_rate(
 
 def sweep(emin: float, emax: float, step: float, protocol: str):
     """Deterministic RatePoint rows on the inclusive grid."""
-    if emin >= emax:
-        raise ValueError("emin must be below emax")
-    if step <= 0.0:
-        raise ValueError("step must be positive")
+    # Written so that NaN fails both checks.
+    if not emin < emax:
+        raise ValueError(f"emin={emin} must be below emax={emax}")
+    if not step > 0.0:
+        raise ValueError(f"step={step} must be positive")
     count = int(math.floor((emax - emin) / step + 1e-9)) + 1
     grid = [emin + i * step for i in range(count)]
     if protocol == "six-state":
@@ -408,7 +413,7 @@ def sweep(emin: float, emax: float, step: float, protocol: str):
     raise ValueError(f"unknown protocol {protocol!r}")
 
 
-def render_csv(rows, curves=("proposed", "vollbrecht", "bstep", "oneway"), include_raw=True):
+def render_csv(rows, curves=("proposed", "vollbrecht", "bstep", "oneway")):
     """CSV text: e, clamped curve columns, raw bracket arguments, and the
     minimizing p11 column whenever the rows carry one (constrained families)."""
     for c in curves:
@@ -416,16 +421,13 @@ def render_csv(rows, curves=("proposed", "vollbrecht", "bstep", "oneway"), inclu
             raise ValueError(f"unknown curve {c!r}")
     rows = list(rows)
     with_p11 = bool(rows) and rows[0].p11_star is not None
-    header = ["e", *curves]
-    if include_raw:
-        header += ["first_arg_raw", "second_arg_raw"]
+    header = ["e", *curves, "first_arg_raw", "second_arg_raw"]
     if with_p11:
         header.append("p11_star")
     lines = [",".join(header)]
     for row in rows:
         cells = [f"{row.e:.12g}"] + [f"{row.clamped(c):.12g}" for c in curves]
-        if include_raw:
-            cells += [f"{row.first_arg:.12g}", f"{row.second_arg:.12g}"]
+        cells += [f"{row.first_arg:.12g}", f"{row.second_arg:.12g}"]
         if with_p11:
             cells.append(f"{row.p11_star:.12g}")
         lines.append(",".join(cells))

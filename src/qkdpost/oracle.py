@@ -28,7 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BellDiagonal, derived_dists
+from .channel import BellDiagonal
 from .entropy import Dist, shannon_entropy
 
 __all__ = [
@@ -71,15 +71,15 @@ def _as_matrix(rho) -> np.ndarray:
     return rho
 
 
-def check_density(rho, tol: float = _TOL, trace_one: bool = True) -> np.ndarray:
-    """Validate Hermiticity, positivity, and (optionally) unit trace."""
+def check_density(rho, tol: float = _TOL) -> np.ndarray:
+    """Validate Hermiticity, positivity and unit trace."""
     rho = _as_matrix(rho)
     if np.abs(rho - rho.conj().T).max() > tol:
         raise ValueError("matrix is not Hermitian within tolerance")
     eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -tol:
         raise ValueError(f"matrix has negative eigenvalue {eigs.min()}")
-    if trace_one and abs(np.trace(rho).real - 1.0) > 1e-8:
+    if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValueError(f"trace {np.trace(rho).real}, expected 1")
     return rho
 
@@ -190,32 +190,18 @@ def purify_bell_diagonal(p: BellDiagonal) -> np.ndarray:
 
     The environment basis label 2x+z records which Bell component it
     purifies."""
-    psi = np.zeros(16, dtype=complex)
+    cols = np.zeros((4, 4), dtype=complex)
     for x, z in itertools.product((0, 1), repeat=2):
         weight = (p.p00, p.p10, p.p01, p.p11)[x + 2 * z]
-        if weight <= 0.0:
-            continue
-        psi += math.sqrt(weight) * np.kron(bell_basis_vector(x, z), _unit(4, 2 * x + z))
-    return psi
-
-
-def _unit(dim: int, idx: int) -> np.ndarray:
-    vec = np.zeros(dim, dtype=complex)
-    vec[idx] = 1.0
-    return vec
+        if weight > 0.0:
+            cols[:, 2 * x + z] = math.sqrt(weight) * bell_basis_vector(x, z)
+    return cols.reshape(-1)
 
 
 def purify_state(rho, tol: float = _TOL) -> np.ndarray:
     """Eigen-purification: sum_i sqrt(lambda_i) |v_i>|i>, environment = rank."""
-    rho = check_density(rho, tol)
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    keep = w > tol
-    w, v = w[keep], v[:, keep]
-    d, r = rho.shape[0], int(keep.sum())
-    psi = np.zeros(d * r, dtype=complex)
-    for i in range(r):
-        psi += math.sqrt(w[i]) * np.kron(v[:, i], _unit(r, i))
-    return psi
+    w, v = _support(check_density(rho, tol), tol)
+    return (v * np.sqrt(w)).reshape(-1)
 
 
 def bell_diagonal_entries(sigma) -> tuple[float, float, float, float]:
@@ -331,22 +317,39 @@ def _ccq_entropy(ccq: CcqState, names: set, with_quantum: bool) -> float:
     return h_classical + h_quantum
 
 
-def theorem3_direct(p: BellDiagonal) -> tuple[float, float]:
-    """Both bracket arguments of the closed-form rate, from raw entropies.
+def _measured_block_laws(psi: np.ndarray) -> tuple[Dist, Dist]:
+    """(P_W1, P_W2 | W1=0) for two i.i.d. copies measured in the z basis."""
+    weights = np.einsum("abe,abe->ab", psi, psi.conj()).real
+    p_e = np.array([weights[0, 0] + weights[1, 1], weights[0, 1] + weights[1, 0]])
+    p_e = p_e / p_e.sum()
+    w1 = Dist([p_e[0] ** 2 + p_e[1] ** 2, 2.0 * p_e[0] * p_e[1]])
+    if w1(0) > 0.0:
+        w2 = Dist([p_e[0] ** 2 / w1(0), p_e[1] ** 2 / w1(0)])
+    else:
+        w2 = Dist([1.0, 0.0])
+    return w1, w2
 
-    first  = (1/2)[H(U1 U2 | W1 E1 E2) - H(P_W1) - P_W1(0) H(P_W2|W1=0)]
-    second = (1/2)[H(U2 | W1 U1 E1 E2) - P_W1(0) H(P_W2|W1=0)]
+
+def _brackets(psi: np.ndarray) -> tuple[float, float, Dist, Dist]:
+    """Unhalved bracket quantities of a purification of shape (2, 2, dE),
+    with the block laws (P_W1, P_W2 | W1=0) measured from psi itself:
+
+    first  = H(U1 U2 | W1 E1 E2) - H(P_W1) - P_W1(0) H(P_W2|W1=0)
+    second = H(U2 | W1 U1 E1 E2) - P_W1(0) H(P_W2|W1=0)
     """
-    ccq = assemble_two_copy_ccq(p)
-    d = derived_dists(p)
-    h_w1 = shannon_entropy(d.w1_dist)
-    h_w2 = shannon_entropy(d.w2_given_w1_0)
-    p_w1_0 = d.w1_dist(0)
-    h_uu_we = conditional_entropy(ccq, ("w1", QUANTUM))
-    h_u2_uwe = conditional_entropy(ccq, ("u1", "w1", QUANTUM))
-    first = 0.5 * (h_uu_we - h_w1 - p_w1_0 * h_w2)
-    second = 0.5 * (h_u2_uwe - p_w1_0 * h_w2)
-    return first, second
+    ccq = _two_copy_ccq_from_pure(psi)
+    w1, w2 = _measured_block_laws(psi)
+    h_w2 = shannon_entropy(w2)
+    first = conditional_entropy(ccq, ("w1", QUANTUM)) - shannon_entropy(w1) - w1(0) * h_w2
+    second = conditional_entropy(ccq, ("u1", "w1", QUANTUM)) - w1(0) * h_w2
+    return first, second, w1, w2
+
+
+def theorem3_direct(p: BellDiagonal) -> tuple[float, float]:
+    """Both bracket arguments of the closed-form rate, from raw entropies of
+    two purified copies of p (half of each bracket of _brackets)."""
+    first, second, _, _ = _brackets(purify_bell_diagonal(p).reshape(2, 2, 4))
+    return 0.5 * first, 0.5 * second
 
 
 # --- discrete twirl and the worst-case comparison ---
@@ -366,30 +369,6 @@ def discrete_twirl(sigma) -> np.ndarray:
         u = np.kron(pauli, pauli)
         out += u @ sigma @ u.conj().T
     return out / 4.0
-
-
-def _measured_block_laws(psi: np.ndarray) -> tuple[Dist, Dist]:
-    """(P_W1, P_W2 | W1=0) for two i.i.d. copies measured in the z basis."""
-    weights = np.einsum("abe,abe->ab", psi, psi.conj()).real
-    p_e = np.array([weights[0, 0] + weights[1, 1], weights[0, 1] + weights[1, 0]])
-    p_e = p_e / p_e.sum()
-    w1 = Dist([p_e[0] ** 2 + p_e[1] ** 2, 2.0 * p_e[0] * p_e[1]])
-    if w1(0) > 0.0:
-        w2 = Dist([p_e[0] ** 2 / w1(0), p_e[1] ** 2 / w1(0)])
-    else:
-        w2 = Dist([1.0, 0.0])
-    return w1, w2
-
-
-def _theorem1_brackets(sigma) -> tuple[float, float, Dist, Dist]:
-    psi = purify_state(sigma).reshape(2, 2, -1)
-    ccq = _two_copy_ccq_from_pure(psi)
-    w1, w2 = _measured_block_laws(psi)
-    h_w1 = shannon_entropy(w1)
-    h_w2 = shannon_entropy(w2)
-    first = conditional_entropy(ccq, ("w1", QUANTUM)) - h_w1 - w1(0) * h_w2
-    second = conditional_entropy(ccq, ("u1", "w1", QUANTUM)) - w1(0) * h_w2
-    return first, second, w1, w2
 
 
 @dataclass(frozen=True)
@@ -424,42 +403,34 @@ class WorstCaseRecord:
 def worst_case_check(sigma) -> WorstCaseRecord:
     """Compare both bracket quantities for sigma against its discrete twirl."""
     sigma = check_density(sigma)
-    f_o, s_o, w1_o, w2_o = _theorem1_brackets(sigma)
-    f_t, s_t, w1_t, w2_t = _theorem1_brackets(discrete_twirl(sigma))
+    f_o, s_o, w1_o, w2_o = _brackets(purify_state(sigma).reshape(2, 2, -1))
+    f_t, s_t, w1_t, w2_t = _brackets(purify_state(discrete_twirl(sigma)).reshape(2, 2, -1))
     return WorstCaseRecord(f_o, s_o, f_t, s_t, w1_o, w1_t, w2_o, w2_t)
 
 
 # --- coset decomposition of averaged eavesdropper states ---
 
 
-def _pxz_product(p: BellDiagonal, xbar: tuple, z: tuple) -> float:
+def _env_vector(p: BellDiagonal, xbar: tuple, terms) -> tuple[np.ndarray, float]:
+    """The environment state sum of sign * sqrt(P(xbar, z)) |xbar, z> over
+    the (z, sign) terms, normalized, and its weight sum of P(xbar, z). Each
+    copy's basis label is 2*xbar_i + z_i; a zero weight gives a zero vector."""
     entries = {(0, 0): p.p00, (1, 0): p.p10, (0, 1): p.p01, (1, 1): p.p11}
-    out = 1.0
-    for xi, zi in zip(xbar, z):
-        out *= entries[(xi, zi)]
-    return out
-
-
-def _eve_block_vector(p: BellDiagonal, x: tuple, xbar: tuple) -> np.ndarray:
-    """Normalized environment state given Alice's bits x and discrepancies
-    xbar across a block of copies; per-copy basis label is 2*xbar_i + z_i."""
-    m = len(x)
-    px = 1.0
-    for xi in xbar:
-        px *= (p.p00 + p.p01) if xi == 0 else (p.p10 + p.p11)
-    if px <= 0.0:
-        raise ValueError("conditioning on a zero-probability discrepancy pattern")
-    vec = np.zeros(4**m, dtype=complex)
-    for z in itertools.product((0, 1), repeat=m):
-        w = _pxz_product(p, xbar, z)
+    vec = np.zeros(4 ** len(xbar), dtype=complex)
+    weights = []
+    for z, sign in terms:
+        w = math.prod(entries[xi, zi] for xi, zi in zip(xbar, z))
+        weights.append(w)
         if w <= 0.0:
             continue
         idx = 0
         for xi, zi in zip(xbar, z):
             idx = idx * 4 + (2 * xi + zi)
-        sign = (-1) ** (sum(a * b for a, b in zip(x, z)) & 1)
         vec[idx] = sign * math.sqrt(w)
-    return vec / math.sqrt(px)
+    total = math.fsum(weights)
+    if total > 0.0:
+        vec = vec / math.sqrt(total)
+    return vec, total
 
 
 def _dual_code(code: list, m: int) -> list:
@@ -478,26 +449,17 @@ def _coset_reps(subgroup: list, m: int) -> list:
     return reps
 
 
+def _coset_terms(shift: tuple, j: tuple, dual: list) -> list:
+    """(z, sign) terms of coset j: z = j + c and sign (-1)^(shift . c) for c in dual."""
+    return [
+        (tuple(ji ^ ci for ji, ci in zip(j, c)), (-1) ** (sum(a * b for a, b in zip(shift, c)) & 1))
+        for c in dual
+    ]
+
+
 def theta_vector(p: BellDiagonal, shift: tuple, xbar: tuple, j: tuple, dual: list) -> np.ndarray:
     """Eigenvector of the code-averaged environment state for coset j."""
-    m = len(shift)
-    norm_sq = math.fsum(
-        _pxz_product(p, xbar, tuple(ji ^ ci for ji, ci in zip(j, c))) for c in dual
-    )
-    vec = np.zeros(4**m, dtype=complex)
-    if norm_sq <= 0.0:
-        return vec
-    for c in dual:
-        z = tuple(ji ^ ci for ji, ci in zip(j, c))
-        w = _pxz_product(p, xbar, z)
-        if w <= 0.0:
-            continue
-        idx = 0
-        for xi, zi in zip(xbar, z):
-            idx = idx * 4 + (2 * xi + zi)
-        sign = (-1) ** (sum(a * b for a, b in zip(shift, c)) & 1)
-        vec[idx] = sign * math.sqrt(w)
-    return vec / math.sqrt(norm_sq)
+    return _env_vector(p, xbar, _coset_terms(shift, j, dual))[0]
 
 
 def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
@@ -517,27 +479,24 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
         raise ValueError("code word length mismatch")
     dual = _dual_code(code, m)
     reps = _coset_reps(dual, m)
+    words = list(itertools.product((0, 1), repeat=m))
     worst = 0.0
-    for xbar in itertools.product((0, 1), repeat=m):
-        px = 1.0
-        for xi in xbar:
-            px *= (p.p00 + p.p01) if xi == 0 else (p.p10 + p.p11)
-        if px <= 1e-14:
-            continue
-        lhs = np.zeros((4**m, 4**m), dtype=complex)
+    for xbar in words:
+        # Environment states given Alice's bits x = c + shift, one per code
+        # word; each carries the total weight P(xbar).
+        eve = []
         for c in code:
             x = tuple(ci ^ ai for ci, ai in zip(c, shift))
-            vec = _eve_block_vector(p, x, xbar)
-            lhs += np.outer(vec, vec.conj()) / len(code)
+            signs = [(-1) ** (sum(a * b for a, b in zip(x, z)) & 1) for z in words]
+            eve.append(_env_vector(p, xbar, zip(words, signs)))
+        px = eve[0][1]
+        if px <= 1e-14:
+            continue
+        lhs = sum(np.outer(vec, vec.conj()) for vec, _ in eve) / len(code)
         rhs = np.zeros_like(lhs)
         for j in reps:
-            weight = math.fsum(
-                _pxz_product(p, xbar, tuple(ji ^ ci for ji, ci in zip(j, c))) for c in dual
-            ) / px
-            if weight <= 0.0:
-                continue
-            vec = theta_vector(p, shift, xbar, j, dual)
-            rhs += weight * np.outer(vec, vec.conj())
+            vec, weight = _env_vector(p, xbar, _coset_terms(shift, j, dual))
+            rhs += (weight / px) * np.outer(vec, vec.conj())
         worst = max(worst, float(np.abs(lhs - rhs).max()))
     return worst
 

@@ -388,12 +388,13 @@ class SessionConfig:
             raise ValueError("block count must be >= 1")
         if self.m < 2 or self.m % 2 != 0:
             raise ValueError("estimation sample size must be even and >= 2 (drawn block-wise)")
-        if self.delta <= 0.0:
-            raise ValueError("delta must be > 0")
-        if self.abort_tolerance < 0.0:
-            raise ValueError("abort_tolerance must be >= 0")
-        if self.finite_size_margin < 0.0:
-            raise ValueError("finite_size_margin must be >= 0")
+        # Written so that NaN fails each check.
+        if not self.delta > 0.0:
+            raise ValueError(f"delta={self.delta} must be > 0")
+        if not self.abort_tolerance >= 0.0:
+            raise ValueError(f"abort_tolerance={self.abort_tolerance} must be >= 0")
+        if not self.finite_size_margin >= 0.0:
+            raise ValueError(f"finite_size_margin={self.finite_size_margin} must be >= 0")
         if self.mapping not in ("six-state", "bb84"):
             raise ValueError(f"unknown mapping {self.mapping!r}")
 

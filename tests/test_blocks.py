@@ -1,11 +1,11 @@
-"""Block reduction: parities, second bits, partitions, subsequences."""
+"""Block reduction: parities, second bits and partitions."""
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdpost.blocks import as_bits, parity_seq, partition, second_bit_seq, subseq
+from qkdpost.blocks import as_bits, parity_seq, partition, second_bit_seq
 from qkdpost.channel import derived_dists, sample_pair, six_state_point
 
 
@@ -45,15 +45,6 @@ def test_partition():
     assert p.t0.tolist() == [1]
     assert p.t1.tolist() == [0, 2]
     assert p.n0 == 1
-
-
-def test_subseq():
-    s = [1, 0, 1]
-    assert subseq(s, [0, 2]).tolist() == [1, 1]
-    assert subseq(s, []).tolist() == []
-    assert subseq(s, [0, 1, 2]).tolist() == [1, 0, 1]
-    with pytest.raises(IndexError):
-        subseq(s, [3])
 
 
 bitseqs = st.lists(st.integers(0, 1), min_size=2, max_size=64).filter(lambda s: len(s) % 2 == 0)

@@ -42,9 +42,10 @@ def test_bell_diagonal_validation():
         BellDiagonal(0.5, 0.5, 0.5, -0.5)
     with pytest.raises(ValueError):
         BellDiagonal(0.3, 0.3, 0.3, 0.3)
+    with pytest.raises(ValueError, match="p00=nan"):
+        BellDiagonal(math.nan, 0.5, 0.25, 0.25)
     p = BellDiagonal(0.7, 0.1, 0.1, 0.1)
     assert p.bit_flip_rate() == pytest.approx(0.2)
-    assert p.x_marginal().probs == pytest.approx((0.8, 0.2))
 
 
 def test_six_state_point():
@@ -61,6 +62,8 @@ def test_six_state_point():
         six_state_point(0.7)
     with pytest.raises(ValueError):
         six_state_point(-0.01)
+    with pytest.raises(ValueError, match="error rate nan"):
+        six_state_point(math.nan)
 
 
 def test_bb84_family():
@@ -71,6 +74,10 @@ def test_bb84_family():
         bb84_family(0.1, 0.2)
     with pytest.raises(ValueError):
         bb84_family(0.6, 0.0)
+    with pytest.raises(ValueError, match="p11=nan"):
+        bb84_family(0.1, math.nan)
+    with pytest.raises(ValueError, match="error rate nan"):
+        bb84_family(math.nan, 0.0)
 
 
 @given(

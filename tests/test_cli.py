@@ -86,6 +86,9 @@ def test_keyrate_usage_errors(runner):
         "keyrate", "--protocol", "six-state", "--emin", "0.2", "--emax", "0.1",
     ])
     assert bad_range.exit_code == 2
+    nan_range = runner.invoke(cli.main, ["keyrate", "--protocol", "six-state", "--emax", "nan"])
+    assert nan_range.exit_code == 2
+    assert "emax=nan" in nan_range.output
     missing = runner.invoke(cli.main, ["keyrate", "--protocol", "six-state"])
     assert missing.exit_code == 2
 
@@ -153,6 +156,20 @@ def test_simulate_usage_error(runner):
         "simulate", "--e", "0.9", "--n", "100", "--m", "2000",
     ])
     assert result.exit_code == 2
+
+
+@pytest.mark.parametrize("option,name", [
+    ("--e", "error rate nan"),
+    ("--delta", "delta=nan"),
+    ("--tolerance", "abort_tolerance=nan"),
+    ("--margin", "finite_size_margin=nan"),
+])
+def test_simulate_nan_is_usage_error(runner, option, name):
+    # NaN fails every range check, so no session runs.
+    args = ["simulate", "--e", "0.05", "--n", "100", "--m", "2000"]
+    result = runner.invoke(cli.main, args + [option, "nan"])
+    assert result.exit_code == 2
+    assert name in result.output
 
 
 def test_simulate_code_rate_out_of_range(runner):

@@ -2,7 +2,6 @@
 
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -10,11 +9,8 @@ from hypothesis import strategies as st
 from qkdpost.entropy import (
     Dist,
     binary_entropy,
-    divergence,
     shannon_entropy,
     type_deviation_bound,
-    type_of,
-    variational_distance,
 )
 
 
@@ -27,14 +23,6 @@ def test_dist_validates_sum():
     assert d(0) == 0.25
     assert d(1) == 0.75
     assert len(d) == 2
-
-
-def test_dist_constructors():
-    u = Dist.uniform(4)
-    assert all(abs(u(i) - 0.25) < 1e-15 for i in range(4))
-    p = Dist.point_mass(2, 5)
-    assert p(2) == 1.0
-    assert sum(p(i) for i in range(5)) == 1.0
 
 
 def test_binary_entropy_endpoints_and_symmetry():
@@ -60,34 +48,6 @@ def test_shannon_entropy_values():
     assert shannon_entropy(Dist([1.0, 0.0])) == 0.0
     assert abs(shannon_entropy(Dist([0.25] * 4)) - 2.0) < 1e-15
     assert abs(shannon_entropy([0.5, 0.25, 0.25]) - 1.5) < 1e-15
-
-
-def test_divergence_basic():
-    assert divergence(Dist([0.5, 0.5]), Dist([0.5, 0.5])) == 0.0
-    assert divergence(Dist([1.0, 0.0]), Dist([0.5, 0.5])) == pytest.approx(1.0)
-    assert divergence(Dist([0.5, 0.5]), Dist([1.0, 0.0])) == math.inf
-
-
-def test_pinsker_inequality():
-    # D(q||p) >= ||q-p||_1^2 / (2 ln 2), the step behind the type bound
-    rng = np.random.default_rng(7)
-    for _ in range(200):
-        q = rng.dirichlet(np.ones(4))
-        p = rng.dirichlet(np.ones(4))
-        d = divergence(Dist(q.tolist()), Dist(p.tolist()))
-        l1 = variational_distance(Dist(q.tolist()), Dist(p.tolist()))
-        assert d >= l1 * l1 / (2.0 * math.log(2)) - 1e-12
-
-
-def test_type_of():
-    t = type_of([0, 1, 1, 0, 1], alphabet_size=2)
-    assert t.probs == (0.4, 0.6)
-    t3 = type_of([0, 2, 2], alphabet_size=3)
-    assert t3.probs == (1 / 3, 0.0, 2 / 3)
-    with pytest.raises(ValueError):
-        type_of([], alphabet_size=2)
-    with pytest.raises(ValueError):
-        type_of([0, 3], alphabet_size=2)
 
 
 def test_type_deviation_bound_values():
@@ -123,11 +83,3 @@ def test_shannon_entropy_bounds(weights):
     d = Dist([w / total for w in weights])
     h = shannon_entropy(d)
     assert -1e-12 <= h <= math.log2(len(d)) + 1e-12
-
-
-@given(st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=5))
-def test_divergence_nonnegative(weights):
-    total = sum(weights)
-    q = Dist([w / total for w in weights])
-    u = Dist.uniform(len(q))
-    assert divergence(q, u) >= -1e-12

@@ -200,6 +200,11 @@ def test_threshold_edge_cases():
     assert not res.found
     assert res.e_star is None
     assert res.scanned_to == 0.3
+    # e_max off the 1e-3 scan grid is still the last scan point.
+    res = tolerable_rate(lambda e: 0.3002 - e, e_max=0.3005)
+    assert res.found
+    assert res.e_star == pytest.approx(0.3002, abs=1e-4)
+    assert res.scanned_to == 0.3005
     with pytest.raises(ValueError):
         tolerable_rate(lambda e: -1.0)
 

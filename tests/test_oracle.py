@@ -3,7 +3,8 @@ coset decomposition, and the randomized inequality suite.
 
 Anchors are hand-computable degenerate states; randomized checks run on
 frozen seeds. The closed-form equivalence against the keyrate module lives
-in test_keyrate; here the direct construction itself is exercised.
+in test_keyrate; here the direct construction itself is exercised, and
+test_oracle_stands_alone checks that it never reads the closed-form block laws.
 """
 
 import math
@@ -13,6 +14,7 @@ import pytest
 
 from qkdpost.channel import BellDiagonal, derived_dists
 from qkdpost.entropy import Dist, shannon_entropy
+from qkdpost.keyrate import rate_first_arg, rate_second_arg
 from qkdpost.oracle import (
     QUANTUM,
     CcqState,
@@ -57,8 +59,6 @@ def test_check_density_validation():
         check_density(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError):
         check_density(np.diag([1.0, 1.0]))
-    sub = check_density(np.diag([0.25, 0.25]), trace_one=False)
-    assert sub.shape == (2, 2)
 
 
 def test_von_neumann_entropy():
@@ -207,6 +207,29 @@ def test_theorem3_direct_anchors():
     first, second = theorem3_direct(BellDiagonal(0.25, 0.25, 0.25, 0.25))
     assert first == pytest.approx(-0.75, abs=1e-9)
     assert second == pytest.approx(-0.25, abs=1e-9)
+
+
+def test_oracle_stands_alone(monkeypatch):
+    # The oracle checks the closed forms, so it must reach the same brackets
+    # with the closed-form block laws out of reach.
+    rng = np.random.default_rng(13)
+    points = [random_bell_diagonal(rng) for _ in range(5)]
+    expected = [(rate_first_arg(p), rate_second_arg(p)) for p in points]
+
+    def closed_form_laws(p):
+        raise AssertionError("the oracle read derived_dists")
+
+    monkeypatch.setattr("qkdpost.channel.derived_dists", closed_form_laws)
+    monkeypatch.setattr("qkdpost.oracle.derived_dists", closed_form_laws, raising=False)
+    for p, (first, second) in zip(points, expected):
+        direct_first, direct_second = theorem3_direct(p)
+        assert direct_first == pytest.approx(first, abs=1e-9)
+        assert direct_second == pytest.approx(second, abs=1e-9)
+    rng = np.random.default_rng(14)
+    for _ in range(3):
+        record = worst_case_check(random_density(4, rng))
+        assert record.twirl_not_better
+        assert record.laws_invariant
 
 
 def test_discrete_twirl():

@@ -400,6 +400,9 @@ def test_session_config_validation():
         SessionConfig(channel=channel, abort_tolerance=-0.1)
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, finite_size_margin=-0.1)
+    for name in ("delta", "abort_tolerance", "finite_size_margin"):
+        with pytest.raises(ValueError, match=f"{name}=nan"):
+            SessionConfig(channel=channel, **{name: math.nan})
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, mapping="b92")
 
