@@ -10,10 +10,9 @@ together as the single source of truth for the constraint sets.
 
 The block laws derived here describe length-2 blocks of the bit-flip process:
 W1 is the block parity of the discrepancy pattern, W2 the second-bit
-discrepancy after parity alignment. Degenerate denominators produce
-flagged-undefined sub-results that downstream formulas consume as
-multiply-by-zero => zero, matching the structure of the rate expressions where
-every undefined factor carries a vanishing prefactor.
+discrepancy after parity alignment. With row sums r0 + r1 = 1, their one
+denominator P_W1(0) = r0^2 + r1^2 is at least 1/2; the one that can vanish,
+r0 r1, appears only in the key rates.
 """
 
 from __future__ import annotations
@@ -55,12 +54,6 @@ class BellDiagonal:
         if abs(total - 1.0) > _SUM_TOL:
             raise ValueError(f"entries sum to {total}, not 1")
 
-    def as_dist(self) -> Dist:
-        """The four entries as a distribution in (00, 10, 01, 11) order."""
-        clipped = [max(0.0, v) for v in (self.p00, self.p10, self.p01, self.p11)]
-        total = math.fsum(clipped)
-        return Dist([v / total for v in clipped])
-
     def bit_flip_rate(self) -> float:
         """P_X(1) = p10 + p11; the probability Bob's z-basis bit differs."""
         return self.p10 + self.p11
@@ -70,22 +63,12 @@ class BellDiagonal:
 class DerivedBlockDists:
     """Block laws of the length-2 reduction for one Bell-diagonal channel.
 
-    w1_dist: law of the block discrepancy parity W1 (equals pbar).
+    w1_dist: law of the block discrepancy parity W1 (P_Xbar in the rates).
     w2_given_w1_0: law of the second-bit discrepancy W2 given W1 = 0.
-    pbar: P_Xbar, the two-copy parity law of the bit-flip marginal.
-    pprime: the transformed four-entry law entering the post-alignment rate
-        term, in (00, 10, 01, 11) order; None when pbar(0) = 0, in which case
-        every consumer multiplies it by pbar(0) = 0 and the product is 0.
     """
 
     w1_dist: Dist
     w2_given_w1_0: Dist
-    pbar: Dist
-    pprime: BellDiagonal | None
-
-    @property
-    def pprime_defined(self) -> bool:
-        return self.pprime is not None
 
 
 def six_state_point(e: float) -> BellDiagonal:
@@ -123,14 +106,10 @@ def derived_dists(p: BellDiagonal) -> DerivedBlockDists:
 
     With row sums r0 = p00+p01 and r1 = p10+p11 (the bit-flip marginal):
 
-        pbar(0) = r0^2 + r1^2        pbar(1) = 2 r0 r1
-        w1_dist = pbar
-        w2_given_w1_0 = (r0^2, r1^2) / pbar(0)
-        pprime = (p00^2+p01^2, 2 p00 p01, p10^2+p11^2, 2 p10 p11) / pbar(0)
+        w1_dist = (r0^2 + r1^2, 2 r0 r1)
+        w2_given_w1_0 = (r0^2, r1^2) / (r0^2 + r1^2)
 
-    pbar(0) = 0 can only happen at r0 = r1 = 0, which normalization forbids,
-    but r0*r1 products of tiny negatives are clipped defensively. pprime is
-    flagged undefined (None) when pbar(0) = 0.
+    Row sums that rounding leaves slightly negative are clipped to 0.
     """
     r0 = max(0.0, p.p00 + p.p01)
     r1 = max(0.0, p.p10 + p.p11)
@@ -138,20 +117,9 @@ def derived_dists(p: BellDiagonal) -> DerivedBlockDists:
     pbar1 = 2.0 * r0 * r1
     total = pbar0 + pbar1
     # total = (r0+r1)^2 = 1 up to rounding; renormalize the pair exactly.
-    pbar = Dist([pbar0 / total, pbar1 / total])
-    w1 = pbar
-    if pbar0 > 0.0:
-        w2 = Dist([r0 * r0 / (pbar0), r1 * r1 / (pbar0)])
-        q00 = (p.p00 * p.p00 + p.p01 * p.p01) / pbar0
-        q10 = 2.0 * p.p00 * p.p01 / pbar0
-        q01 = (p.p10 * p.p10 + p.p11 * p.p11) / pbar0
-        q11 = 2.0 * p.p10 * p.p11 / pbar0
-        qs = q00 + q10 + q01 + q11
-        pprime = BellDiagonal(q00 / qs, q10 / qs, q01 / qs, q11 / qs)
-    else:
-        w2 = Dist([1.0, 0.0])
-        pprime = None
-    return DerivedBlockDists(w1_dist=w1, w2_given_w1_0=w2, pbar=pbar, pprime=pprime)
+    w1 = Dist([pbar0 / total, pbar1 / total])
+    w2 = Dist([r0 * r0 / pbar0, r1 * r1 / pbar0])
+    return DerivedBlockDists(w1_dist=w1, w2_given_w1_0=w2)
 
 
 def sample_pair(p: BellDiagonal, length: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -403,23 +403,18 @@ def _break_low_degree_cycles(
             col = rows[col_ptr[target] : col_ptr[target + 1]]
             if target < k:
                 swap_at = int(rng.integers(0, col.size))
+                lo, hi = 0, m
             else:
-                i = target - k
-                movable = [a for a in range(col.size) if int(col[a]) > i + 1]
-                if not movable:
+                # Tail column i holds rows i, i+1 and at most a third row
+                # in [i + 2, m), which sorts last and alone can move.
+                if col.size < 3:
                     continue
-                swap_at = movable[0]
+                swap_at = 2
+                lo = target - k + 2
+                hi = min(lo + 500, m)
             for _ in range(32):
-                if target < k:
-                    candidate = int(rng.integers(0, m))
-                else:
-                    i = target - k
-                    hi = min(i + 2 + 500, m)
-                    if hi <= i + 2:
-                        candidate = -1
-                    else:
-                        candidate = int(rng.integers(i + 2, hi))
-                if candidate >= 0 and candidate not in col:
+                candidate = int(rng.integers(lo, hi))
+                if candidate not in col:
                     new_rows = col.copy()
                     new_rows[swap_at] = candidate
                     col[:] = np.sort(new_rows)

@@ -36,10 +36,11 @@ class Dist:
         p = tuple(float(x) for x in probs)
         if len(p) == 0:
             raise ValueError("distribution needs at least one symbol")
-        if any(x < 0.0 for x in p):
-            raise ValueError(f"negative probability in {p}")
+        # Written so that NaN fails both checks.
+        if not all(x >= 0.0 for x in p):
+            raise ValueError(f"negative or NaN probability in {p}")
         total = math.fsum(p)
-        if abs(total - 1.0) > _SUM_TOL:
+        if not abs(total - 1.0) <= _SUM_TOL:
             raise ValueError(f"probabilities sum to {total}, not 1")
         object.__setattr__(self, "probs", p)
 
@@ -53,17 +54,12 @@ class Dist:
 def binary_entropy(p: float) -> float:
     """h(p) = -p*log2(p) - (1-p)*log2(1-p), with 0*log(0) := 0.
 
-    Accepts p within 1e-12 outside [0,1] (clamped); anything farther out is a
-    domain error.
+    Accepts p within 1e-12 outside [0,1] (clamped); anything farther out,
+    or NaN, is a domain error.
     """
-    if p < 0.0:
-        if p < -_SUM_TOL:
-            raise ValueError(f"binary_entropy argument {p} outside [0, 1]")
-        p = 0.0
-    elif p > 1.0:
-        if p > 1.0 + _SUM_TOL:
-            raise ValueError(f"binary_entropy argument {p} outside [0, 1]")
-        p = 1.0
+    if not -_SUM_TOL <= p <= 1.0 + _SUM_TOL:
+        raise ValueError(f"binary_entropy argument {p} outside [0, 1]")
+    p = min(max(p, 0.0), 1.0)
     if p == 0.0 or p == 1.0:
         return 0.0
     return -p * math.log2(p) - (1.0 - p) * math.log2(1.0 - p)

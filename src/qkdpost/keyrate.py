@@ -5,13 +5,14 @@ The proposed rate is the larger of two bracket arguments:
     first  = 1 - H(P_XZ) + (P_Xbar(1)/2) h((p00 p10 + p01 p11) / (r0 r1))
     second = (P_Xbar(0)/2) (1 - H(P'_XZ))
 
-with r0 = p00+p01, r1 = p10+p11 the bit-flip marginal and P_Xbar, P'_XZ the
-derived two-copy laws. Comparison curves: the Vollbrecht-Verstraete style
-correction (first argument with the entropy of the mean replaced by the
-mean of entropies), the plain advantage-distillation rate (the second
-argument alone), and the one-way baseline 1 - H(P_XZ). Zero-denominator
-terms vanish with their prefactors; that convention lives in
-channel.derived_dists and is reused here.
+with r0 = p00+p01, r1 = p10+p11 the bit-flip marginal, P_Xbar = (r0^2 + r1^2,
+2 r0 r1) the two-copy parity law and P'_XZ = (p00^2+p01^2, 2 p00 p01,
+p10^2+p11^2, 2 p10 p11) / P_Xbar(0) the law of the surviving blocks.
+Comparison curves: the Vollbrecht-Verstraete style correction (first argument
+with the entropy of the mean replaced by the mean of entropies), the plain
+advantage-distillation rate (the second argument alone), and the one-way
+baseline 1 - H(P_XZ). P_Xbar(0) >= 1/2 as r0 + r1 = 1; the one denominator
+that can vanish, r0 r1, also multiplies its terms.
 
 Six-state curves substitute p = six_state_point(e). BB84 curves minimize
 over the free parameter p11 in [0, e] (the channel family the estimate
@@ -36,8 +37,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BellDiagonal, bb84_family, derived_dists, six_state_point
-from .entropy import binary_entropy, shannon_entropy
+from .channel import BellDiagonal, bb84_family, six_state_point
+from .entropy import binary_entropy
 
 __all__ = [
     "CURVES",
@@ -64,15 +65,17 @@ _GRID_POINTS = 2001
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _entropy_xz(p: BellDiagonal) -> float:
-    return shannon_entropy(p.as_dist())
+def _entropy_xz(*entries: float) -> float:
+    clipped = [max(0.0, v) for v in entries]
+    total = math.fsum(clipped)
+    return -math.fsum(q * math.log2(q) for q in (v / total for v in clipped) if q > 0.0)
 
 
 def rate_first_arg(p: BellDiagonal) -> float:
     """1 - H(P_XZ) plus the two-way alignment correction."""
     r0 = p.p00 + p.p01
     r1 = p.p10 + p.p11
-    base = 1.0 - _entropy_xz(p)
+    base = 1.0 - _entropy_xz(p.p00, p.p10, p.p01, p.p11)
     denom = r0 * r1
     if denom <= 0.0:
         return base
@@ -82,11 +85,14 @@ def rate_first_arg(p: BellDiagonal) -> float:
 
 def rate_second_arg(p: BellDiagonal) -> float:
     """Surviving-block fraction times the rate of the transformed channel."""
-    d = derived_dists(p)
-    pbar0 = d.pbar(0)
-    if pbar0 <= 0.0 or d.pprime is None:
-        return 0.0
-    return 0.5 * pbar0 * (1.0 - _entropy_xz(d.pprime))
+    r0 = max(0.0, p.p00 + p.p01)
+    r1 = max(0.0, p.p10 + p.p11)
+    pbar0 = r0 * r0 + r1 * r1
+    q = [(p.p00 * p.p00 + p.p01 * p.p01) / pbar0, 2.0 * p.p00 * p.p01 / pbar0,
+         (p.p10 * p.p10 + p.p11 * p.p11) / pbar0, 2.0 * p.p10 * p.p11 / pbar0]
+    qs = sum(q)
+    # P_Xbar(0) over (r0 + r1)^2, which is 1 up to rounding
+    return 0.5 * (pbar0 / (pbar0 + 2.0 * r0 * r1)) * (1.0 - _entropy_xz(*(v / qs for v in q)))
 
 
 def rate_proposed(p: BellDiagonal) -> float:
@@ -98,7 +104,7 @@ def rate_vollbrecht(p: BellDiagonal) -> float:
     """Correction with per-row entropies in place of the entropy of the mix."""
     r0 = p.p00 + p.p01
     r1 = p.p10 + p.p11
-    base = 1.0 - _entropy_xz(p)
+    base = 1.0 - _entropy_xz(p.p00, p.p10, p.p01, p.p11)
     if r0 * r1 <= 0.0:
         return base
     mean_h = binary_entropy(p.p01 / r0) + binary_entropy(p.p11 / r1)
@@ -106,7 +112,7 @@ def rate_vollbrecht(p: BellDiagonal) -> float:
 
 
 def rate_oneway(p: BellDiagonal) -> float:
-    return 1.0 - _entropy_xz(p)
+    return 1.0 - _entropy_xz(p.p00, p.p10, p.p01, p.p11)
 
 
 _RATE_FNS = {
@@ -193,11 +199,8 @@ def _curves_vec(p00, p10, p01, p11) -> dict[str, np.ndarray]:
     arg = np.where(safe, (p00 * p10 + p01 * p11) / np.where(safe, denom, 1.0), 0.0)
     first = base + np.where(safe, denom * _h_vec(arg), 0.0)
     pbar0 = r0 * r0 + r1 * r1
-    q = np.stack(
-        [p00 * p00 + p01 * p01, 2.0 * p00 * p01, p10 * p10 + p11 * p11, 2.0 * p10 * p11]
-    ) / np.where(pbar0 > 0.0, pbar0, 1.0)
-    h_prime = _plogp(q).sum(axis=0)
-    second = np.where(pbar0 > 0.0, 0.5 * pbar0 * (1.0 - h_prime), 0.0)
+    q = np.stack([p00 * p00 + p01 * p01, 2.0 * p00 * p01, p10 * p10 + p11 * p11, 2.0 * p10 * p11])
+    second = 0.5 * pbar0 * (1.0 - _plogp(q / pbar0).sum(axis=0))
     voll_h = np.where(r0 > 0.0, _h_vec(np.where(r0 > 0.0, p01 / np.where(r0 > 0, r0, 1), 0.0)), 0.0)
     voll_h = voll_h + np.where(
         r1 > 0.0, _h_vec(np.where(r1 > 0.0, p11 / np.where(r1 > 0, r1, 1), 0.0)), 0.0
@@ -397,20 +400,30 @@ def tolerable_rate(curve, e_max: float = 0.5) -> ThresholdResult:
     return ThresholdResult(e_star=0.5 * (lo + hi), found=True, scanned_to=e_max)
 
 
+# Each protocol's error-rate range; at the CLI's default step of 1e-3 a
+# valid range has at most 668 rows.
+_E_RANGE = {"six-state": (2.0 / 3.0, "2/3"), "bb84": (0.5, "1/2")}
+_MAX_ROWS = 10**6
+
+
 def sweep(emin: float, emax: float, step: float, protocol: str):
     """Deterministic RatePoint rows on the inclusive grid."""
-    # Written so that NaN fails both checks.
+    if protocol not in _E_RANGE:
+        raise ValueError(f"unknown protocol {protocol!r}")
+    top, label = _E_RANGE[protocol]
+    # Written so that NaN and infinities fail the checks.
+    for name, value in (("emin", emin), ("emax", emax)):
+        if not 0.0 <= value <= top:
+            raise ValueError(f"{name}={value} outside [0, {label}] for {protocol}")
     if not emin < emax:
         raise ValueError(f"emin={emin} must be below emax={emax}")
-    if not step > 0.0:
-        raise ValueError(f"step={step} must be positive")
-    count = int(math.floor((emax - emin) / step + 1e-9)) + 1
-    grid = [emin + i * step for i in range(count)]
-    if protocol == "six-state":
-        return sixstate_curve(grid)
-    if protocol == "bb84":
-        return bb84_curve(grid)
-    raise ValueError(f"unknown protocol {protocol!r}")
+    if not 0.0 < step < math.inf:
+        raise ValueError(f"step={step} must be positive and finite")
+    span = (emax - emin) / step + 1e-9
+    if not span < _MAX_ROWS:
+        raise ValueError(f"step={step} gives more than {_MAX_ROWS} rows")
+    grid = [emin + i * step for i in range(int(span) + 1)]
+    return (sixstate_curve if protocol == "six-state" else bb84_curve)(grid)
 
 
 def render_csv(rows, curves=("proposed", "vollbrecht", "bstep", "oneway")):

@@ -323,10 +323,8 @@ def _measured_block_laws(psi: np.ndarray) -> tuple[Dist, Dist]:
     p_e = np.array([weights[0, 0] + weights[1, 1], weights[0, 1] + weights[1, 0]])
     p_e = p_e / p_e.sum()
     w1 = Dist([p_e[0] ** 2 + p_e[1] ** 2, 2.0 * p_e[0] * p_e[1]])
-    if w1(0) > 0.0:
-        w2 = Dist([p_e[0] ** 2 / w1(0), p_e[1] ** 2 / w1(0)])
-    else:
-        w2 = Dist([1.0, 0.0])
+    # p_e is normalized, so w1(0) = p_e(0)^2 + p_e(1)^2 >= 1/2
+    w2 = Dist([p_e[0] ** 2 / w1(0), p_e[1] ** 2 / w1(0)])
     return w1, w2
 
 

@@ -100,6 +100,9 @@ def test_derived_dists_against_enumeration():
         assert d.w1_dist(0) == pytest.approx(parity[0], abs=1e-12)
         assert d.w1_dist(1) == pytest.approx(parity[1], abs=1e-12)
         assert d.w2_given_w1_0(1) == pytest.approx(cond[1], abs=1e-12)
+    # deterministic flip: both bits of a block always differ, so parity is 0
+    d = derived_dists(BellDiagonal(0.0, 0.5, 0.0, 0.5))
+    assert d.w1_dist(0) == pytest.approx(1.0)
 
 
 def test_derived_dists_frozen_values():
@@ -107,35 +110,13 @@ def test_derived_dists_frozen_values():
     assert d.w1_dist(1) == pytest.approx(0.18, abs=1e-12)
     eps = 0.1
     assert d.w2_given_w1_0(1) == pytest.approx(eps**2 / ((1 - eps) ** 2 + eps**2), abs=1e-12)
-    assert d.pbar.probs == pytest.approx(d.w1_dist.probs)
+    assert d.w1_dist(0) == pytest.approx((1 - eps) ** 2 + eps**2, abs=1e-12)
 
 
 def test_derived_dists_noiseless():
     d = derived_dists(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-    assert d.pbar.probs == pytest.approx((1.0, 0.0))
-    assert d.pprime_defined
-    q = d.pprime
-    assert (q.p00, q.p10, q.p01, q.p11) == pytest.approx((1.0, 0.0, 0.0, 0.0))
-
-
-def test_pprime_closed_form():
-    p = six_state_point(0.2)
-    d = derived_dists(p)
-    pbar0 = (p.p00 + p.p01) ** 2 + (p.p10 + p.p11) ** 2
-    q = d.pprime
-    assert q.p00 == pytest.approx((p.p00**2 + p.p01**2) / pbar0, abs=1e-12)
-    assert q.p10 == pytest.approx(2 * p.p00 * p.p01 / pbar0, abs=1e-12)
-    assert q.p01 == pytest.approx((p.p10**2 + p.p11**2) / pbar0, abs=1e-12)
-    assert q.p11 == pytest.approx(2 * p.p10 * p.p11 / pbar0, abs=1e-12)
-
-
-def test_pprime_undefined_when_pbar0_vanishes():
-    # requires both row sums 0, impossible for normalized entries; nearest
-    # reachable case is a deterministic flip, where pbar(0)=1/2... so instead
-    # exercise the flag through the constructor-level degenerate path
-    d = derived_dists(BellDiagonal(0.0, 0.5, 0.0, 0.5))
-    assert d.pbar(0) == pytest.approx(1.0)  # both bits always flip: parity 0
-    assert d.pprime_defined
+    assert d.w1_dist.probs == pytest.approx((1.0, 0.0))
+    assert d.w2_given_w1_0.probs == pytest.approx((1.0, 0.0))
 
 
 @st.composite
@@ -153,10 +134,8 @@ def bell_diagonals(draw):
 def test_derived_dists_normalization(p):
     d = derived_dists(p)
     assert abs(d.w1_dist(0) + d.w1_dist(1) - 1.0) <= 1e-12
-    assert abs(d.pbar(0) + d.pbar(1) - 1.0) <= 1e-12
-    if d.pprime_defined:
-        q = d.pprime
-        assert abs(q.p00 + q.p10 + q.p01 + q.p11 - 1.0) <= 1e-12
+    assert abs(d.w2_given_w1_0(0) + d.w2_given_w1_0(1) - 1.0) <= 1e-12
+    assert d.w1_dist(0) >= 0.5 - 1e-12
 
 
 @given(bell_diagonals())
@@ -164,7 +143,7 @@ def test_derived_dists_phase_label_swap_invariance(p):
     swapped = BellDiagonal(p.p01, p.p11, p.p00, p.p10)
     a, b = derived_dists(p), derived_dists(swapped)
     assert a.w1_dist(1) == pytest.approx(b.w1_dist(1), abs=1e-12)
-    assert a.pbar(0) == pytest.approx(b.pbar(0), abs=1e-12)
+    assert a.w2_given_w1_0(1) == pytest.approx(b.w2_given_w1_0(1), abs=1e-12)
 
 
 def test_sample_pair_reproducible_and_correct_rate():

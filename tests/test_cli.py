@@ -89,6 +89,16 @@ def test_keyrate_usage_errors(runner):
     nan_range = runner.invoke(cli.main, ["keyrate", "--protocol", "six-state", "--emax", "nan"])
     assert nan_range.exit_code == 2
     assert "emax=nan" in nan_range.output
+    # Each bad grid is refused by name before any row is built.
+    for args, named in (
+        (["--emax", "inf"], "emax=inf"),
+        (["--emax", "0.1", "--step", "inf"], "step=inf"),
+        (["--emax", "1e6"], "emax=1000000.0"),
+        (["--emax", "0.5", "--step", "1e-9"], "step=1e-09"),
+    ):
+        result = runner.invoke(cli.main, ["keyrate", "--protocol", "six-state", *args])
+        assert result.exit_code == 2, args
+        assert named in result.output, args
     missing = runner.invoke(cli.main, ["keyrate", "--protocol", "six-state"])
     assert missing.exit_code == 2
 

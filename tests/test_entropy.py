@@ -19,6 +19,10 @@ def test_dist_validates_sum():
         Dist([0.5, 0.6])
     with pytest.raises(ValueError):
         Dist([-0.1, 1.1])
+    with pytest.raises(ValueError, match="NaN"):
+        Dist([math.nan, 1.0])
+    with pytest.raises(ValueError, match="NaN"):
+        shannon_entropy([0.5, math.nan])
     d = Dist([0.25, 0.75])
     assert d(0) == 0.25
     assert d(1) == 0.75
@@ -40,6 +44,8 @@ def test_binary_entropy_domain():
         binary_entropy(-0.01)
     with pytest.raises(ValueError):
         binary_entropy(1.01)
+    with pytest.raises(ValueError, match="nan"):
+        binary_entropy(math.nan)
     # tiny negatives from float cancellation are clamped, not rejected
     assert binary_entropy(-1e-13) == 0.0
 

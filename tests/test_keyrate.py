@@ -14,6 +14,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkdpost.channel import BellDiagonal, bb84_family, six_state_point
+from qkdpost.entropy import shannon_entropy
 from qkdpost.keyrate import (
     CURVES,
     bb84_curve,
@@ -84,6 +85,54 @@ def test_six_state_values():
     assert rate_second_arg(p) == pytest.approx(0.3072087963, abs=1e-9)
     assert rate_vollbrecht(p) == pytest.approx(0.5247359377, abs=1e-9)
     assert rate_oneway(p) == pytest.approx(0.4968162683, abs=1e-9)
+
+
+def test_pprime_closed_form():
+    rng = np.random.default_rng(33)
+    for p in [six_state_point(0.2)] + [random_bell_diagonal(rng) for _ in range(5)]:
+        pbar0 = (p.p00 + p.p01) ** 2 + (p.p10 + p.p11) ** 2
+        pprime = [
+            (p.p00**2 + p.p01**2) / pbar0,
+            2 * p.p00 * p.p01 / pbar0,
+            (p.p10**2 + p.p11**2) / pbar0,
+            2 * p.p10 * p.p11 / pbar0,
+        ]
+        expected = 0.5 * pbar0 * (1.0 - shannon_entropy(pprime))
+        assert rate_second_arg(p) == pytest.approx(expected, abs=1e-12)
+
+
+# float.hex of (rate_first_arg, rate_second_arg, rate_vollbrecht, rate_oneway):
+# seven random_bell_diagonal draws of default_rng(41), then six_state_point(0.05),
+# the noiseless point, the deterministic flip, the uniform point and a point
+# with an entry rounding left slightly negative.
+CLOSED_FORM_PINS = [
+    ("-0x1.189be0eeab288p-6", "0x1.8a7b87176a5f4p-5", "-0x1.b3e96ce9a67bep-5", "-0x1.27f2179ee03a8p-3"),
+    ("-0x1.de34e9a6b3f2cp-3", "-0x1.3630843aa457fp-4", "-0x1.172e48da308c8p-2", "-0x1.7eb75e3e7c6a0p-2"),
+    ("-0x1.86e0844631466p-3", "-0x1.9fd664acf9705p-4", "-0x1.03b69c56cc5d3p-2", "-0x1.6d9021685b208p-2"),
+    ("-0x1.1ad2667023748p-2", "-0x1.19ac853f4de2ap-3", "-0x1.8a35795cb1c70p-2", "-0x1.0a14516bf44ccp-1"),
+    ("-0x1.4556219b4ed40p-1", "-0x1.f4f77c7bef257p-3", "-0x1.523a83d3ad48bp-1", "-0x1.c31c3a44653b4p-1"),
+    ("0x1.dc37a53937affp-3", "0x1.0fc6716bb4c11p-3", "0x1.baedbee5bc3e2p-3", "0x1.66670fa348d7cp-3"),
+    ("-0x1.f06c5a485024ep-4", "-0x1.96a1722560180p-8", "-0x1.5bea2f9d8cbaep-3", "-0x1.2440e8ad50c90p-2"),
+    ("0x1.16b09f3639adcp-1", "0x1.3a94f154e2b00p-2", "0x1.0caa3056c5f8dp-1", "0x1.fcbd676235eaep-2"),
+    ("0x1.0000000000000p+0", "0x1.0000000000000p-1", "0x1.0000000000000p+0", "0x1.0000000000000p+0"),
+    ("0x0.0p+0", "0x0.0p+0", "0x0.0p+0", "0x0.0p+0"),
+    ("-0x1.8000000000000p-1", "-0x1.0000000000000p-2", "-0x1.8000000000000p-1", "-0x1.0000000000000p+0"),
+    ("-0x1.5ea3a478bd14ep-3", "-0x1.65aaf51a4b184p-4", "-0x1.dddf5ef53f916p-3", "-0x1.2e8d8cb8e1988p-2"),
+]
+
+
+def test_closed_forms_pinned():
+    rng = np.random.default_rng(41)
+    points = [random_bell_diagonal(rng) for _ in range(7)] + [
+        six_state_point(0.05),
+        BellDiagonal(1.0, 0.0, 0.0, 0.0),
+        BellDiagonal(0.0, 0.5, 0.0, 0.5),
+        BellDiagonal(0.25, 0.25, 0.25, 0.25),
+        BellDiagonal(0.6, 0.3, 0.1 + 1e-13, -1e-13),
+    ]
+    fns = (rate_first_arg, rate_second_arg, rate_vollbrecht, rate_oneway)
+    for p, pinned in zip(points, CLOSED_FORM_PINS, strict=True):
+        assert tuple(f(p).hex() for f in fns) == pinned, p
 
 
 def test_rate_point_accessors():

@@ -1,0 +1,71 @@
+"""The benchmark in perfbench/ wraps and calls qkdpost functions by name.
+
+These checks fail as soon as one of those names is renamed or unbound, which
+otherwise shows only in a traced benchmark run. They import the benchmark's
+modules and build its workloads, but run no operation and write nothing
+under perfbench/.
+"""
+
+import sys
+from pathlib import Path
+
+import pytest
+
+import qkdpost.codes as codes
+import qkdpost.keyrate as keyrate
+import qkdpost.oracle as oracle
+import qkdpost.protocol as protocol
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import layers
+    import tracing
+    import workloads
+
+    return layers, tracing, workloads
+
+
+def _bindings():
+    """Every public function of the modules perfbench patches, by identity."""
+    out = {}
+    for module in (codes, protocol, keyrate, oracle):
+        for name in dir(module):
+            value = getattr(module, name)
+            if callable(value) and not name.startswith("__"):
+                out[module.__name__, name] = value
+    return out
+
+
+def test_tracer_installs_and_restores(perfbench):
+    layers, tracing, _ = perfbench
+    before = _bindings()
+    tracer = tracing.Tracer()
+    layers.install(tracer)
+    try:
+        assert protocol.code_for_rate is not before["qkdpost.protocol", "code_for_rate"]
+        assert keyrate.bb84_rate is not before["qkdpost.keyrate", "bb84_rate"]
+    finally:
+        tracer.uninstall()
+    assert codes.bp_decode is before["qkdpost.codes", "bp_decode"]
+    assert protocol.code_for_rate is before["qkdpost.protocol", "code_for_rate"]
+    after = _bindings()
+    assert all(after[key] is value for key, value in before.items())
+
+
+def test_workloads_build_and_close(perfbench, tmp_path):
+    _, _, workloads = perfbench
+    bp_decode, code_for_rate = codes.bp_decode, protocol.code_for_rate
+    store = workloads.DigestStore(tmp_path / "digests.json", "contract")
+    for workload in workloads.WORKLOADS.values():
+        run = workload(0, 20, store)
+        try:
+            run.inputs(0)
+        finally:
+            run.close()
+    assert codes.bp_decode is bp_decode
+    assert protocol.code_for_rate is code_for_rate
