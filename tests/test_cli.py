@@ -182,6 +182,24 @@ def test_simulate_nan_is_usage_error(runner, option, name):
     assert name in result.output
 
 
+@pytest.mark.parametrize("option,value,name", [
+    ("--delta", "inf", "delta=inf"),
+    ("--delta", "1e308", "delta=1e+308"),
+    ("--tolerance", "inf", "abort_tolerance=inf"),
+    ("--margin", "inf", "finite_size_margin=inf"),
+])
+def test_simulate_unbounded_is_usage_error(runner, option, value, name):
+    # Infinity, or a delta whose survivor window overflows, fails the range
+    # checks too, so no session runs: no overflow traceback, and no report
+    # with a non-JSON Infinity in it.
+    args = ["simulate", "--e", "0.05", "--n", "1000", "--m", "2000", "--trials", "1"]
+    result = runner.invoke(cli.main, args + [option, value])
+    assert result.exit_code == 2
+    assert name in result.output
+    assert "Traceback" not in result.output
+    assert "Infinity" not in result.output
+
+
 def test_simulate_code_rate_out_of_range(runner):
     # At e = 0.3 the round-one code rate exceeds 1: a usage error, no traceback.
     result = runner.invoke(cli.main, [
@@ -256,11 +274,22 @@ def test_version_flag(runner):
     assert "0.1.0" in result.output
 
 
-def test_python_m_entry_point():
+def _run_python(*args: str) -> subprocess.CompletedProcess:
+    """A fresh interpreter with this checkout's package on its path."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    result = subprocess.run(
-        [sys.executable, "-m", "qkdpost", "--version"], capture_output=True, text=True, env=env, timeout=120
-    )
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env, timeout=120)
+
+
+def test_python_m_entry_point():
+    result = _run_python("-m", "qkdpost", "--version")
     assert result.returncode == 0, result.stderr
     assert "0.1.0" in result.stdout
+
+
+def test_import_does_not_load_scipy_signal():
+    # Hashing needs only scipy.fft; scipy.signal would add about a second
+    # to every cold start of the command line.
+    result = _run_python("-c", "import sys, qkdpost, qkdpost.cli; print('scipy.signal' in sys.modules)")
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

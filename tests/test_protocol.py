@@ -11,6 +11,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -121,6 +122,29 @@ def test_toeplitz_matches_explicit_matrix(case):
     assert np.array_equal(toeplitz_hash(seed, value, ell), expected)
 
 
+@pytest.mark.parametrize("n,ell,circular", [
+    (1000, 81, 1080),  # 1080-bit seed is 5-smooth: no padding, wrap at the seed's end
+    (1000, 10, 1024),  # 1009-bit seed is prime: padded
+    (1000, 1000, 2000),  # ell == n, 1999-bit prime seed
+    (1, 1, 1),
+    (2000, 1, 2000),  # ell == 1 on a 5-smooth seed
+    (997, 1, 1000),  # ell == 1 on a prime seed
+])
+def test_toeplitz_circular_length_boundaries(n, ell, circular):
+    # The hash wraps at the circular length; windows next to the wrap must
+    # still equal the explicit matrix, with random and all-ones bits (the
+    # largest sums).
+    assert scipy.fft.next_fast_len(n + ell - 1, real=True) == circular
+    rng = np.random.default_rng(n + ell)
+    rows = np.arange(ell)[:, None] - np.arange(n)[None, :] + n - 1
+    for seed, value in (
+        (rng.integers(0, 2, size=n + ell - 1, dtype=np.uint8), rng.integers(0, 2, size=n, dtype=np.uint8)),
+        (np.ones(n + ell - 1, dtype=np.uint8), np.ones(n, dtype=np.uint8)),
+    ):
+        expected = (np.count_nonzero(seed[rows] & value, axis=1) & 1).astype(np.uint8)
+        assert np.array_equal(toeplitz_hash(seed, value, ell), expected)
+
+
 def test_toeplitz_exact_at_2_20_bits():
     # At 2^20 input bits the float convolution sums reach ~2^19; sampled
     # rows must still equal the exact GF(2) dot product of their window.
@@ -174,6 +198,9 @@ def test_key_length():
     assert abs(ell / (2 * n) - target) <= 1.0 / (2 * n)
     with pytest.raises(ValueError):
         key_length(noiseless, 500, margin=-0.1)
+    for bad in (math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"margin={bad}"):
+            key_length(noiseless, 500, margin=bad)
     with pytest.raises(ValueError):
         key_length(noiseless, 0, margin=0.0)
 
@@ -400,9 +427,12 @@ def test_session_config_validation():
         SessionConfig(channel=channel, abort_tolerance=-0.1)
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, finite_size_margin=-0.1)
+    with pytest.raises(ValueError, match="delta=1.0"):
+        SessionConfig(channel=channel, delta=1.0)
     for name in ("delta", "abort_tolerance", "finite_size_margin"):
-        with pytest.raises(ValueError, match=f"{name}=nan"):
-            SessionConfig(channel=channel, **{name: math.nan})
+        for bad in (math.nan, math.inf):
+            with pytest.raises(ValueError, match=f"{name}={bad}"):
+                SessionConfig(channel=channel, **{name: bad})
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, mapping="b92")
 
