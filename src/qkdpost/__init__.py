@@ -22,7 +22,6 @@ from .codes import ParityCheck, bp_decode, code_for_rate, ml_decode
 from .entropy import Dist, binary_entropy, shannon_entropy
 from .keyrate import bb84_curve, bb84_rate, rate_point, sixstate_curve, sweep, tolerable_rate
 from .protocol import (
-    DecoderPolicy,
     SessionConfig,
     SessionReport,
     key_length,
@@ -35,7 +34,6 @@ from .protocol import (
 __all__ = [
     "__version__",
     "BellDiagonal",
-    "DecoderPolicy",
     "Dist",
     "ParityCheck",
     "SessionConfig",

@@ -55,6 +55,12 @@ _DENSE_LIMIT = 512
 _DENSE_DRAWS = 64
 # Bound on variable-to-check messages, which keeps tanh away from +-1.
 _LLR_CLIP = 25.0
+# Tail column i of a staircase code takes its third row from
+# [i + 2, i + 2 + _TAIL_WINDOW), when drawn and when the cycle breaker
+# redraws it.
+_TAIL_WINDOW = 500
+# Rounds of the best-effort 4-cycle repair in _break_low_degree_cycles.
+_CYCLE_ROUNDS = 16
 
 
 def gf2_rank(mat: np.ndarray) -> int:
@@ -240,6 +246,8 @@ def bp_decode(
         raise ValueError(f"crossover {crossover} not in (0, 1/2)")
     if not 0.0 <= damping < 1.0:
         raise ValueError(f"damping {damping} not in [0, 1)")
+    if max_iters < 1:
+        raise ValueError(f"max_iters {max_iters} must be >= 1")
     t = as_bits(t)
     if t.size != H.m:
         raise ValueError(f"syndrome length {t.size}, expected {H.m}")
@@ -319,9 +327,8 @@ def _staircase_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
         eligible = np.arange(m - 2)
         count = int(round(DEFAULT_TAIL_DEGREE3 * eligible.size))
         chosen = rng.choice(eligible, size=count, replace=False)
-        window = min(500, m - 2)
         lo = chosen + 2
-        hi = np.minimum(chosen + 2 + window, m)
+        hi = np.minimum(lo + _TAIL_WINDOW, m)
         tail_extra[chosen] = lo + (rng.random(count) * (hi - lo)).astype(np.int64)
     pre_load = np.bincount(tail_extra[tail_extra >= 0], minlength=m).astype(np.int64)
     pre_load += 2
@@ -350,7 +357,6 @@ def _break_low_degree_cycles(
     m: int,
     k: int,
     rng: np.random.Generator,
-    rounds: int = 16,
 ):
     """Rewire 4-cycles between columns of degree <= 3, in place, best effort.
 
@@ -361,10 +367,10 @@ def _break_low_degree_cycles(
     only through their third entry, keeping rows i, i+1 fixed so
     triangularity survives.
 
-    The repair is best effort, bounded by `rounds`: each round rewires one
-    column of every shared pair found at its start, a rewiring can create
-    a new shared pair, and a tail-tail pair with no third entry cannot be
-    rewired. Shared pairs can remain (a handful at session scale).
+    The repair is best effort, bounded by _CYCLE_ROUNDS: each round
+    rewires one column of every shared pair found at its start, a rewiring
+    can create a new shared pair, and a tail-tail pair with no third entry
+    cannot be rewired. Shared pairs can remain (a handful at session scale).
     """
     sizes = np.diff(col_ptr)
     low = np.flatnonzero((sizes >= 2) & (sizes <= 3))
@@ -376,7 +382,7 @@ def _break_low_degree_cycles(
     slot = np.arange(owners.size) - np.repeat(np.cumsum(per_col) - per_col, per_col)
     first = col_ptr[owners] + np.array([0, 0, 1])[slot]
     second = col_ptr[owners] + np.array([1, 2, 2])[slot]
-    for _ in range(rounds):
+    for _ in range(_CYCLE_ROUNDS):
         keys = rows[first] * m + rows[second]
         ordered = np.sort(keys)
         shared = ordered[1:][ordered[1:] == ordered[:-1]]
@@ -411,7 +417,7 @@ def _break_low_degree_cycles(
                     continue
                 swap_at = 2
                 lo = target - k + 2
-                hi = min(lo + 500, m)
+                hi = min(lo + _TAIL_WINDOW, m)
             for _ in range(32):
                 candidate = int(rng.integers(lo, hi))
                 if candidate not in col:

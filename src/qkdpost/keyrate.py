@@ -376,6 +376,9 @@ def tolerable_rate(curve, e_max: float = 0.5) -> ThresholdResult:
     reaches zero exactly where the raw one changes sign. The scan points are
     the multiples of _SCAN_STEP below e_max, then e_max itself.
     """
+    # Written so that NaN and infinity fail the check.
+    if not 0.0 <= e_max < math.inf:
+        raise ValueError(f"e_max={e_max} must be finite and >= 0")
     lo = 0.0
     val = curve(lo)
     if val <= 0.0:

@@ -56,6 +56,7 @@ __all__ = [
     "random_density",
 ]
 
+# Hermiticity, eigenvalue and support tolerance of every oracle check.
 _TOL = 1e-10
 _MAX_DIM = 256
 
@@ -71,13 +72,13 @@ def _as_matrix(rho) -> np.ndarray:
     return rho
 
 
-def check_density(rho, tol: float = _TOL) -> np.ndarray:
+def check_density(rho) -> np.ndarray:
     """Validate Hermiticity, positivity and unit trace."""
     rho = _as_matrix(rho)
-    if np.abs(rho - rho.conj().T).max() > tol:
+    if np.abs(rho - rho.conj().T).max() > _TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -tol:
+    if eigs.min() < -_TOL:
         raise ValueError(f"matrix has negative eigenvalue {eigs.min()}")
     if abs(np.trace(rho).real - 1.0) > 1e-8:
         raise ValueError(f"trace {np.trace(rho).real}, expected 1")
@@ -94,24 +95,24 @@ def von_neumann_entropy(rho) -> float:
     return float(-np.sum(eigs * np.log2(eigs))) if eigs.size else 0.0
 
 
-def max_entropy(rho, tol: float = _TOL) -> float:
-    """log2 of the rank (eigenvalues above tol)."""
+def max_entropy(rho) -> float:
+    """log2 of the rank (eigenvalues above _TOL)."""
     rho = _as_matrix(rho)
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    rank = int(np.count_nonzero(eigs > tol))
+    rank = int(np.count_nonzero(eigs > _TOL))
     if rank == 0:
         raise ValueError("zero operator has no rank")
     return math.log2(rank)
 
 
-def _support(rho, tol: float = _TOL):
+def _support(rho):
     """(eigenvalues, isometry onto the support)."""
     w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    keep = w > tol
+    keep = w > _TOL
     return w[keep], v[:, keep]
 
 
-def min_entropy(rho_ab, sigma_b, dims: tuple[int, int], tol: float = _TOL) -> float:
+def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
     """-log2 of the least lambda with lambda*(id_A (x) sigma_B) >= rho_AB.
 
     Solved as the top eigenvalue of the congruence-transformed operator on
@@ -123,12 +124,12 @@ def min_entropy(rho_ab, sigma_b, dims: tuple[int, int], tol: float = _TOL) -> fl
     da, db = dims
     if rho_ab.shape[0] != da * db or sigma_b.shape[0] != db:
         raise ValueError("dimension mismatch between state and conditioning system")
-    ws, vs = _support(sigma_b, tol)
+    ws, vs = _support(sigma_b)
     if ws.size == 0:
         return float("-inf")
     rho_b = partial_trace(rho_ab, (da, db), (1,))
     leak = np.trace(rho_b).real - np.trace(vs.conj().T @ rho_b @ vs).real
-    if leak > tol:
+    if leak > _TOL:
         return float("-inf")
     iso = np.kron(np.eye(da), vs)
     core = iso.conj().T @ rho_ab @ iso
@@ -198,9 +199,9 @@ def purify_bell_diagonal(p: BellDiagonal) -> np.ndarray:
     return cols.reshape(-1)
 
 
-def purify_state(rho, tol: float = _TOL) -> np.ndarray:
+def purify_state(rho) -> np.ndarray:
     """Eigen-purification: sum_i sqrt(lambda_i) |v_i>|i>, environment = rank."""
-    w, v = _support(check_density(rho, tol), tol)
+    w, v = _support(check_density(rho))
     return (v * np.sqrt(w)).reshape(-1)
 
 

@@ -35,7 +35,7 @@ import scipy.fft
 
 from .blocks import as_bits, parity_seq, partition, second_bit_seq
 from .channel import BellDiagonal, bb84_family, derived_dists, sample_pair, six_state_point
-from .codes import DecodeResult, ParityCheck, bp_decode, code_for_rate, ml_decode
+from .codes import DecodeResult, ParityCheck, bp_decode, code_for_rate
 from .entropy import shannon_entropy
 from .keyrate import bb84_rate, rate_proposed
 
@@ -45,7 +45,7 @@ __all__ = [
     "Abort",
     "Message",
     "Transcript",
-    "DecoderPolicy",
+    "bp_with_retry",
     "IrResult",
     "SessionConfig",
     "SessionReport",
@@ -81,22 +81,19 @@ def _bits_hex(bits: np.ndarray) -> str:
 
 @dataclass(frozen=True)
 class Message:
-    """One public-channel transmission."""
+    """One public-channel transmission; its label fixes its direction."""
 
-    direction: str
     label: str
     payload: np.ndarray
 
     def __post_init__(self):
         if self.label not in _LABEL_ORDER:
             raise ValueError(f"unknown message label {self.label!r}")
-        if self.direction != _LABEL_DIRECTION[self.label]:
-            raise ValueError(f"message {self.label!r} cannot travel {self.direction}")
         object.__setattr__(self, "payload", as_bits(self.payload))
 
     def to_dict(self) -> dict:
         return {
-            "direction": self.direction,
+            "direction": _LABEL_DIRECTION[self.label],
             "label": self.label,
             "bits": int(self.payload.size),
             "payload_hex": _bits_hex(self.payload),
@@ -170,38 +167,21 @@ def parameter_estimation(
     return Abort(estimate=estimate, nominal=nominal_e, tolerance=tol)
 
 
-@dataclass(frozen=True)
-class DecoderPolicy:
-    """Decode schedule for both syndrome rounds.
+def bp_with_retry(code: ParityCheck, t: np.ndarray, crossover: float) -> DecodeResult:
+    """The session's decode schedule for both syndrome rounds.
 
-    engine "bp" runs undamped sum-product decoding for max_iters
-    iterations; a non-convergent first pass is retried once with damping
-    0.3 and retry_iters iterations (set retry_iters=0 to disable). The
+    Undamped sum-product decoding for 300 iterations; a pass that does not
+    converge is retried once with damping _RETRY_DAMPING for 1200. The
     retry only fires on detectable failure, meaning a syndrome mismatch; a
     decode that converges to the wrong coset member is invisible to the
-    decoding party and surfaces later as a key mismatch. engine "ml"
-    decodes exhaustively and is only feasible on toy codes.
+    decoding party and surfaces later as a key mismatch. bp_decode is
+    looked up at call time, so a wrapper bound over protocol.bp_decode
+    sees both calls.
     """
-
-    engine: str = "bp"
-    max_iters: int = 300
-    retry_iters: int = 1200
-
-    def __post_init__(self):
-        if self.engine not in ("bp", "ml"):
-            raise ValueError(f"unknown decode engine {self.engine!r}")
-        if self.max_iters < 1:
-            raise ValueError("max_iters must be >= 1")
-        if self.retry_iters < 0:
-            raise ValueError("retry_iters must be >= 0")
-
-    def decode(self, code: ParityCheck, t: np.ndarray, crossover: float) -> DecodeResult:
-        if self.engine == "ml":
-            return ml_decode(code, t)
-        result = bp_decode(code, t, crossover, max_iters=self.max_iters)
-        if not result.converged and self.retry_iters > 0:
-            result = bp_decode(code, t, crossover, max_iters=self.retry_iters, damping=_RETRY_DAMPING)
-        return result
+    result = bp_decode(code, t, crossover, max_iters=300)
+    if not result.converged:
+        result = bp_decode(code, t, crossover, max_iters=1200, damping=_RETRY_DAMPING)
+    return result
 
 
 @dataclass(frozen=True)
@@ -241,7 +221,7 @@ def run_ir(
     n0_bounds: tuple[int, int],
     crossover1: float,
     crossover2: float,
-    policy: DecoderPolicy = DecoderPolicy(),
+    decode: Callable[[ParityCheck, np.ndarray, float], DecodeResult] = bp_with_retry,
     rng: np.random.Generator | None = None,
 ) -> IrResult:
     """Run both reconciliation rounds on raw keys x (Alice) and y (Bob).
@@ -255,8 +235,9 @@ def run_ir(
     syndrome is sent; otherwise Alice sends the syndrome t2 of her
     survivors under code2_factory(n_hat0) and Bob decodes at crossover2.
 
-    rng feeds only the violation-branch guess; decode failures are reported
-    in the result, never raised.
+    decode(code, t, crossover) decodes both rounds; tests pass ml_decode to
+    check against the exact decoder. rng feeds only the violation-branch
+    guess; decode failures are reported in the result, never raised.
     """
     x = as_bits(x)
     y = as_bits(y)
@@ -274,11 +255,11 @@ def run_ir(
     u1 = parity_seq(x)
     v1 = parity_seq(y)
     t1 = code1.syndrome(u1)
-    transcript = Transcript().with_message(Message(ALICE_TO_BOB, "t1", t1))
+    transcript = Transcript().with_message(Message("t1", t1))
 
-    decode1 = policy.decode(code1, t1 ^ code1.syndrome(v1), crossover1)
+    decode1 = decode(code1, t1 ^ code1.syndrome(v1), crossover1)
     w1hat = decode1.error_estimate
-    transcript = transcript.with_message(Message(BOB_TO_ALICE, "w1hat", w1hat))
+    transcript = transcript.with_message(Message("w1hat", w1hat))
 
     u2_hat = second_bit_seq(x, w1hat)
     v2_hat = second_bit_seq(y, w1hat)
@@ -297,10 +278,10 @@ def run_ir(
         if code2.n != n_hat0:
             raise ValueError(f"round-two code has {code2.n} columns, expected {n_hat0}")
         t2 = code2.syndrome(u2_hat[survivors.t0])
-        transcript = transcript.with_message(Message(ALICE_TO_BOB, "t2", t2))
+        transcript = transcript.with_message(Message("t2", t2))
         leak += code2.m
         v2_surv = v2_hat[survivors.t0]
-        decode2 = policy.decode(code2, t2 ^ code2.syndrome(v2_surv), crossover2)
+        decode2 = decode(code2, t2 ^ code2.syndrome(v2_surv), crossover2)
         u2_tilde[survivors.t0] = v2_surv ^ decode2.error_estimate
 
     u_hat = _interleave(u1, u2_hat)
@@ -375,12 +356,13 @@ class SessionConfig:
     radius of the survivor window n * (P_W1(0) -/+ delta). An upper bound
     anchored at P_W1(1) instead would sit far below the typical survivor
     count and reject almost every honest session, so the window anchors
-    both ends at P_W1(0). Codes come from code_for_rate and decoding uses
-    the DecoderPolicy defaults. mapping selects how the scalar estimate is lifted to a
-    Bell-diagonal point: "six-state" pins all four entries; "bb84" leaves
-    the phase split free and takes the rate-minimizing member, which is the
-    conservative choice for key length (the reconciliation laws only depend
-    on the bit-flip marginal, so decoding is mapping-independent).
+    both ends at P_W1(0). Codes come from code_for_rate and both rounds
+    decode with bp_with_retry. mapping selects how the scalar estimate is
+    lifted to a Bell-diagonal point: "six-state" pins all four entries;
+    "bb84" leaves the phase split free and takes the rate-minimizing
+    member, which is the conservative choice for key length (the
+    reconciliation laws only depend on the bit-flip marginal, so decoding
+    is mapping-independent).
     """
 
     channel: BellDiagonal
@@ -458,8 +440,8 @@ class SessionReport:
             "transcript": self.transcript.to_dict(),
         }
 
-    def to_json(self, indent: int | None = 2) -> str:
-        return json.dumps(self.to_dict(), indent=indent)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2)
 
 
 def _estimate_to_point(estimate: float, mapping: str) -> BellDiagonal:
@@ -536,7 +518,7 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
     hash_seed = rng_hash.integers(0, 2, size=2 * cfg.n + ell - 1, dtype=np.uint8)
     key_alice = toeplitz_hash(hash_seed, ir.u_hat, ell)
     key_bob = toeplitz_hash(hash_seed, ir.u_tilde, ell)
-    transcript = ir.transcript.with_message(Message(ALICE_TO_BOB, "hash_seed", hash_seed))
+    transcript = ir.transcript.with_message(Message("hash_seed", hash_seed))
     return SessionReport(
         aborted=False,
         nominal_e=nominal_e,

@@ -256,6 +256,9 @@ def test_threshold_edge_cases():
     assert res.scanned_to == 0.3005
     with pytest.raises(ValueError):
         tolerable_rate(lambda e: -1.0)
+    for bad in (math.inf, math.nan, -0.1):
+        with pytest.raises(ValueError, match=f"e_max={bad}"):
+            tolerable_rate(lambda e: 1.0, e_max=bad)
 
 
 def test_sweep_grid_contract():

@@ -1,11 +1,14 @@
 """Two-way reconciliation sessions end to end.
 
-Small instances use exhaustive ML decoding so every protocol branch is
-checked against direct enumeration; the operating-point runs use the LDPC
-engine at frozen seeds. Hash claims are verified against the explicit
-matrix construction.
+Small instances pass the exact decoder ml_decode to run_ir, so every
+protocol branch is checked against direct enumeration; the operating-point
+runs use the session's BP schedule, bp_with_retry, at frozen seeds, and one
+test pins the bp_decode calls that schedule makes. Hash claims are verified
+against the explicit matrix construction.
 """
 
+import dataclasses
+import functools
 import json
 import math
 
@@ -17,25 +20,23 @@ from hypothesis import strategies as st
 
 from qkdpost.blocks import parity_seq, partition, second_bit_seq
 from qkdpost.channel import BellDiagonal, sample_pair, six_state_point
-from qkdpost.codes import ParityCheck, code_for_rate
+from qkdpost.codes import ParityCheck, bp_decode, code_for_rate, ml_decode
 from qkdpost.entropy import binary_entropy, type_deviation_bound
 from qkdpost.keyrate import rate_proposed
 from qkdpost.protocol import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
     Abort,
-    DecoderPolicy,
     Message,
     SessionConfig,
     Transcript,
+    bp_with_retry,
     key_length,
     parameter_estimation,
     run_full_session,
     run_ir,
     toeplitz_hash,
 )
-
-ML = DecoderPolicy(engine="ml")
 
 
 def dense_code(n: int, rate: float, seed: int) -> ParityCheck:
@@ -251,7 +252,7 @@ def test_run_ir_single_block_error():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=23),
-        (0, n), crossover1=0.1, crossover2=0.01, policy=ML,
+        (0, n), crossover1=0.1, crossover2=0.01, decode=ml_decode,
     )
     assert np.array_equal(ir.transcript.find("w1hat").payload, w1_true)
     assert ir.n_hat0 == 7
@@ -272,7 +273,7 @@ def test_run_ir_bounds_violation_guess():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=26),
-        (n, n), crossover1=0.05, crossover2=0.01, policy=ML,
+        (n, n), crossover1=0.05, crossover2=0.01, decode=ml_decode,
         rng=np.random.default_rng(27),
     )
     assert ir.bounds_violated
@@ -295,7 +296,7 @@ def test_run_ir_no_survivors():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=29),
-        (0, n), crossover1=0.3, crossover2=0.01, policy=ML,
+        (0, n), crossover1=0.3, crossover2=0.01, decode=ml_decode,
     )
     assert ir.n_hat0 == 0
     assert not ir.bounds_violated
@@ -351,27 +352,50 @@ def test_run_ir_operating_point():
         assert ir.leak_bits == code1.m + math.ceil(ir.n_hat0 * rate2)
 
 
-def test_decoder_policy():
-    with pytest.raises(ValueError):
-        DecoderPolicy(engine="viterbi")
-    with pytest.raises(ValueError):
-        DecoderPolicy(max_iters=0)
-    with pytest.raises(ValueError):
-        DecoderPolicy(retry_iters=-1)
+def test_exact_and_starved_decoders():
     code = dense_code(12, 0.5, seed=36)
-    res = ML.decode(code, np.zeros(code.m, dtype=np.uint8), 0.1)
+    res = ml_decode(code, np.zeros(code.m, dtype=np.uint8), 0.1)
     assert res.converged
     assert not res.error_estimate.any()
     # An unsatisfiable iteration budget reports failure instead of raising.
     hard = code_for_rate(18, 0.45, rng=np.random.default_rng(37))
-    starved = DecoderPolicy(max_iters=1, retry_iters=1)
+    starved = functools.partial(bp_decode, max_iters=1)
     seen_failure = False
     rng = np.random.default_rng(38)
     for _ in range(20):
         t = rng.integers(0, 2, size=hard.m, dtype=np.uint8)
-        out = starved.decode(hard, t, 0.3)
+        out = starved(hard, t, 0.3)
         seen_failure |= not out.converged
     assert seen_failure
+
+
+@pytest.mark.parametrize("fail_first", [False, True])
+def test_session_decode_call_pattern(monkeypatch, fail_first):
+    # Each round makes one undamped 300-iteration pass; only an unconverged
+    # pass is followed by exactly one damped 1200-iteration retry. The
+    # benchmark's session check splits a session's BP calls into rounds by
+    # this pattern, seen through the same protocol.bp_decode binding that
+    # is patched here. With fail_first, every undamped pass reports
+    # non-convergence.
+    calls = []
+
+    def recorded(code, t, crossover, **kwargs):
+        calls.append(kwargs)
+        result = bp_decode(code, t, crossover, **kwargs)
+        if fail_first and "damping" not in kwargs:
+            return dataclasses.replace(result, converged=False)
+        return result
+
+    monkeypatch.setattr("qkdpost.protocol.bp_decode", recorded)
+    n = 16
+    code1 = dense_code(n, 0.5, seed=39)
+    x = np.random.default_rng(40).integers(0, 2, size=2 * n, dtype=np.uint8)
+    ir = run_ir(x, x.copy(), code1, lambda n0: dense_code(n0, 0.5, seed=41), (0, n), 0.1, 0.01)
+    first = {"max_iters": 300}
+    retry = {"max_iters": 1200, "damping": 0.3}
+    assert calls == ([first, retry] if fail_first else [first]) * 2
+    assert ir.decode1.converged and ir.decode2.converged
+    assert ir.reconciliation_ok
 
 
 @settings(deadline=None, max_examples=60)
@@ -383,26 +407,23 @@ def test_decoder_policy():
     st.data(),
 )
 def test_converged_decode_matches_syndrome(n, rate, code_seed, crossover, data):
-    # Default BP, exhaustive ML and a starved BP schedule on small codes:
-    # whatever the policy, converged=True means the syndrome is matched.
+    # The session's BP schedule, exhaustive ML and a starved BP on small
+    # codes: whatever the decoder, converged=True means the syndrome is
+    # matched.
     code = code_for_rate(n, rate, rng=np.random.default_rng(code_seed))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=code.m, max_size=code.m))
     t = np.array(bits, dtype=np.uint8)
-    for policy in (DecoderPolicy(), ML, DecoderPolicy(max_iters=1, retry_iters=1)):
-        res = policy.decode(code, t, crossover)
+    for decode in (bp_with_retry, ml_decode, functools.partial(bp_decode, max_iters=1)):
+        res = decode(code, t, crossover)
         if res.converged:
-            assert np.array_equal(code.syndrome(res.error_estimate), t), policy
+            assert np.array_equal(code.syndrome(res.error_estimate), t), decode
 
 
 def test_message_and_transcript_contracts():
     with pytest.raises(ValueError):
-        Message(ALICE_TO_BOB, "t3", np.zeros(4, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Message(BOB_TO_ALICE, "t1", np.zeros(4, dtype=np.uint8))
-    with pytest.raises(ValueError):
-        Message("sideways", "t1", np.zeros(4, dtype=np.uint8))
-    t1 = Message(ALICE_TO_BOB, "t1", np.array([1, 0, 1, 1], dtype=np.uint8))
-    w1 = Message(BOB_TO_ALICE, "w1hat", np.zeros(4, dtype=np.uint8))
+        Message("t3", np.zeros(4, dtype=np.uint8))
+    t1 = Message("t1", np.array([1, 0, 1, 1], dtype=np.uint8))
+    w1 = Message("w1hat", np.zeros(4, dtype=np.uint8))
     with pytest.raises(ValueError):
         Transcript((w1, t1))
     transcript = Transcript((t1, w1))
@@ -412,7 +433,9 @@ def test_message_and_transcript_contracts():
     record = t1.to_dict()
     assert record["bits"] == 4
     assert record["payload_hex"] == "b0"
+    assert list(record) == ["direction", "label", "bits", "payload_hex"]
     assert record["direction"] == ALICE_TO_BOB
+    assert w1.to_dict()["direction"] == BOB_TO_ALICE
 
 
 def test_session_config_validation():
