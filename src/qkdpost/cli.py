@@ -9,10 +9,13 @@ Three subcommands on one console script:
 * ``verify`` runs one of the randomized verification suites and fails the
   process when any assertion exceeds its bound.
 
-Every output embeds the tool version, the canonicalized argument list, and
-the seed, and contains no timestamps, so a rerun with identical arguments
-produces a byte-identical file. Exit codes: 0 success, 1 output I/O
-failure, 2 bad usage, 3 verification failure.
+One writer, ``_write``, turns every command's result into CSV or JSON. Both
+embed the tool version, the command, its arguments as click parsed them
+(all options but ``--out`` and ``--seed``, sorted by name) and the seed,
+and contain no timestamps, so a rerun with identical arguments produces a
+byte-identical file. Exit codes: 0 success, 1 output I/O failure, 2 bad
+usage, 3 verification failure. Sizes out of range are bad usage: --trials,
+--samples, --n and --m each accept at most 10**6.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ import numpy as np
 from . import __version__
 from .channel import bb84_family, sample_pair, six_state_point
 from .entropy import type_deviation_bound
-from .keyrate import CURVES, rate_first_arg, rate_second_arg, render_csv, render_json_rows, sweep
+from .keyrate import rate_first_arg, rate_second_arg, render_json_rows, sweep
 from .oracle import (
     coset_decomposition_check,
     lemma_suite,
@@ -39,31 +42,43 @@ from .protocol import Abort, SessionConfig, parameter_estimation, run_full_sessi
 
 _EXIT_IO = 1
 _EXIT_VERIFY = 3
+# Cap on --trials and --samples, so that a huge count is a usage error
+# rather than an out-of-memory traceback from allocating its arrays.
+_MAX_COUNT = 10**6
 
 
-def _canonical_params(params: dict) -> str:
-    return " ".join(f"{k}={params[k]}" for k in sorted(params))
+def _cell(value) -> str:
+    if isinstance(value, float):
+        return f"{value:.12g}"
+    return value if isinstance(value, str) else str(int(value))
 
 
-def _comment_header(command: str, params: dict, seed: int) -> str:
-    return (
-        f"# qkdpost {__version__}\n"
-        f"# command: {command}\n"
-        f"# args: {_canonical_params(params)}\n"
-        f"# seed: {seed}\n"
-    )
+def _write(payload: dict, table: list[dict], notes: dict | None = None):
+    """Write the running command's result as --format asks, to --out or stdout.
 
-
-def _json_envelope(command: str, params: dict, seed: int) -> dict:
-    return {
-        "version": __version__,
-        "command": command,
-        "args": {k: params[k] for k in sorted(params)},
-        "seed": seed,
-    }
-
-
-def _emit(text: str, out: str | None):
+    args are the options click parsed, minus out and seed. JSON is the
+    envelope {version, command, args, seed} followed by payload's keys. CSV
+    is four ``#`` header lines, one ``# key: value`` line per note (sorted),
+    and table, whose columns are the keys of its first record.
+    """
+    ctx = click.get_current_context()
+    args = {k: v for k, v in sorted(ctx.params.items()) if k not in ("out", "seed")}
+    command, seed, out = ctx.command.name, ctx.params["seed"], ctx.params["out"]
+    if args["format"] == "json":
+        envelope = {"version": __version__, "command": command, "args": args, "seed": seed}
+        text = json.dumps({**envelope, **payload}, indent=2) + "\n"
+    else:
+        columns = list(table[0])
+        lines = [
+            f"# qkdpost {__version__}",
+            f"# command: {command}",
+            "# args: " + " ".join(f"{k}={v}" for k, v in args.items()),
+            f"# seed: {seed}",
+            *(f"# {k}: {_cell(v)}" for k, v in sorted((notes or {}).items())),
+            ",".join(columns),
+            *(",".join(_cell(rec[c]) for c in columns) for rec in table),
+        ]
+        text = "\n".join(lines) + "\n"
     if out is None:
         click.echo(text, nl=False)
         return
@@ -73,6 +88,13 @@ def _emit(text: str, out: str | None):
     except OSError as exc:
         click.echo(f"cannot write {out}: {exc}", err=True)
         sys.exit(_EXIT_IO)
+
+
+def _canonical_curves(ctx, param, value: str) -> str:
+    names = [c.strip() for c in value.split(",") if c.strip()]
+    if not names:
+        raise click.BadParameter("no curves requested")
+    return ",".join(names)
 
 
 @click.group()
@@ -90,61 +112,55 @@ def main():
     "--curves",
     default="proposed,vollbrecht,bstep,oneway",
     show_default=True,
+    callback=_canonical_curves,
     help="Comma-separated curve names.",
 )
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
+@click.option("--format", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Default: stdout.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
-def keyrate(protocol, emin, emax, step, curves, fmt, out, seed):
+def keyrate(protocol, emin, emax, step, curves, format, out, seed):
     """Write the key-rate table on the inclusive grid [emin, emax]."""
-    curve_list = tuple(c.strip() for c in curves.split(",") if c.strip())
-    if not curve_list:
-        raise click.UsageError("no curves requested")
-    for c in curve_list:
-        if c not in CURVES:
-            raise click.UsageError(f"unknown curve {c!r}; choices: {', '.join(CURVES)}")
     try:
-        rows = sweep(emin, emax, step, protocol)
+        rows = render_json_rows(sweep(emin, emax, step, protocol), curves.split(","))
     except ValueError as exc:
         raise click.UsageError(str(exc))
-    params = {
-        "protocol": protocol,
-        "emin": emin,
-        "emax": emax,
-        "step": step,
-        "curves": ",".join(curve_list),
-        "format": fmt,
-    }
-    if fmt == "csv":
-        text = _comment_header("keyrate", params, seed) + render_csv(rows, curve_list)
-    else:
-        payload = _json_envelope("keyrate", params, seed)
-        payload["rows"] = render_json_rows(rows, curve_list)
-        text = json.dumps(payload, indent=2) + "\n"
-    _emit(text, out)
+    _write({"rows": rows}, rows)
+
+
+_SESSION_COLUMNS = (
+    "trial",
+    "trial_seed",
+    "aborted",
+    "estimated_e",
+    "n_hat0",
+    "bounds_violated",
+    "leak_bits",
+    "reconciliation_ok",
+    "key_match",
+    "key_bits",
+    "empirical_key_rate",
+)
 
 
 @main.command()
-@click.option("--e", "error_rate", type=float, required=True, help="Channel error rate.")
+@click.option("--e", type=float, required=True, help="Channel error rate.")
 @click.option("--protocol", type=click.Choice(["six-state", "bb84"]), default="six-state", show_default=True)
 @click.option("--n", type=int, default=50_000, show_default=True, help="Blocks per session.")
 @click.option("--m", type=int, default=20_000, show_default=True, help="Estimation sample size.")
-@click.option("--trials", type=int, default=1, show_default=True)
+@click.option("--trials", type=click.IntRange(1, _MAX_COUNT), default=1, show_default=True)
 @click.option("--delta", type=float, default=0.05, show_default=True, help="Code-rate margin.")
 @click.option("--tolerance", type=float, default=0.02, show_default=True, help="Abort tolerance.")
 @click.option("--margin", type=float, default=0.0, show_default=True, help="Key-rate deduction.")
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="json", show_default=True)
+@click.option("--format", type=click.Choice(["csv", "json"]), default="json", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Default: stdout.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
-def simulate(error_rate, protocol, n, m, trials, delta, tolerance, margin, fmt, out, seed):
+def simulate(e, protocol, n, m, trials, delta, tolerance, margin, format, out, seed):
     """Run seeded end-to-end sessions and summarize the campaign."""
-    if trials < 1:
-        raise click.UsageError("trials must be >= 1")
     try:
         if protocol == "six-state":
-            channel = six_state_point(error_rate)
+            channel = six_state_point(e)
         else:
-            channel = bb84_family(error_rate, 0.5 * error_rate)
+            channel = bb84_family(e, 0.5 * e)
         base_cfg = dict(
             channel=channel,
             n=n,
@@ -180,48 +196,8 @@ def simulate(error_rate, protocol, n, m, trials, delta, tolerance, margin, fmt, 
         "mean_empirical_key_rate": sum(r["empirical_key_rate"] for r in reports) / count,
         "mean_leak_per_bit": sum(r["leak_bits"] for r in reports) / (count * 2 * n),
     }
-    params = {
-        "e": error_rate,
-        "protocol": protocol,
-        "n": n,
-        "m": m,
-        "trials": trials,
-        "delta": delta,
-        "tolerance": tolerance,
-        "margin": margin,
-        "format": fmt,
-    }
-    if fmt == "json":
-        payload = _json_envelope("simulate", params, seed)
-        payload["summary"] = summary
-        payload["reports"] = reports
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        fields = (
-            "trial",
-            "trial_seed",
-            "aborted",
-            "estimated_e",
-            "n_hat0",
-            "bounds_violated",
-            "leak_bits",
-            "reconciliation_ok",
-            "key_match",
-            "key_bits",
-            "empirical_key_rate",
-        )
-        lines = [_comment_header("simulate", params, seed).rstrip("\n")]
-        for key in sorted(summary):
-            lines.append(f"# {key}: {summary[key]:.12g}" if isinstance(summary[key], float) else f"# {key}: {summary[key]}")
-        lines.append(",".join(fields))
-        for r in reports:
-            cells = []
-            for f in fields:
-                v = r[f]
-                cells.append(f"{v:.12g}" if isinstance(v, float) else str(int(v)))
-            lines.append(",".join(cells))
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    table = [{c: r[c] for c in _SESSION_COLUMNS} for r in reports]
+    _write({"summary": summary, "reports": reports}, table, notes=summary)
 
 
 def _suite_theorem3(samples: int, rng: np.random.Generator) -> list[dict]:
@@ -332,30 +308,20 @@ _SUITES = {
 
 @main.command()
 @click.option("--suite", type=click.Choice(sorted(_SUITES)), required=True)
-@click.option("--samples", type=int, default=100, show_default=True)
-@click.option("--format", "fmt", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
+@click.option("--samples", type=click.IntRange(1, _MAX_COUNT), default=100, show_default=True)
+@click.option("--format", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Default: stdout.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=1, show_default=True)
-def verify(suite, samples, fmt, out, seed):
+def verify(suite, samples, format, out, seed):
     """Run a verification suite; nonzero exit when any bound is exceeded."""
-    if samples < 1:
-        raise click.UsageError("samples must be >= 1")
     checks = _SUITES[suite](samples, np.random.default_rng(seed))
     for check in checks:
         check["pass"] = bool(check["deviation"] <= check["bound"])
     passed = all(c["pass"] for c in checks)
-    params = {"suite": suite, "samples": samples, "format": fmt}
-    if fmt == "json":
-        payload = _json_envelope("verify", params, seed)
-        payload["checks"] = checks
-        payload["passed"] = passed
-        text = json.dumps(payload, indent=2) + "\n"
-    else:
-        lines = [_comment_header("verify", params, seed).rstrip("\n")]
-        lines.append("name,deviation,bound,status")
-        for c in checks:
-            lines.append(f"{c['name']},{c['deviation']:.12g},{c['bound']:.12g},{'PASS' if c['pass'] else 'FAIL'}")
-        text = "\n".join(lines) + "\n"
-    _emit(text, out)
+    table = [
+        {"name": c["name"], "deviation": c["deviation"], "bound": c["bound"], "status": "PASS" if c["pass"] else "FAIL"}
+        for c in checks
+    ]
+    _write({"checks": checks, "passed": passed}, table)
     if not passed:
         sys.exit(_EXIT_VERIFY)

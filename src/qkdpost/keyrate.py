@@ -358,49 +358,41 @@ def bb84_curve(e_grid) -> list[RatePoint]:
 @dataclass(frozen=True)
 class ThresholdResult:
     """Zero crossing of a rate curve; found is False when the curve stays
-    positive on the scanned interval."""
+    positive on [0, 1/2]."""
 
     e_star: float | None
     found: bool
-    scanned_to: float
 
 
 _SCAN_STEP = 1e-3
+_SCAN_POINTS = 500  # the scan's last point is 1/2
 _REFINE = 1e-4
 
 
-def tolerable_rate(curve, e_max: float = 0.5) -> ThresholdResult:
-    """Smallest zero of a raw rate curve on [0, e_max], bisected to _REFINE.
+def tolerable_rate(curve) -> ThresholdResult:
+    """Smallest zero of a raw rate curve on [0, 1/2], bisected to _REFINE.
 
     curve maps an error rate to the raw (unclamped) rate; the clamped curve
     reaches zero exactly where the raw one changes sign. The scan points are
-    the multiples of _SCAN_STEP below e_max, then e_max itself.
+    i * _SCAN_STEP for i = 1 .. _SCAN_POINTS.
     """
-    # Written so that NaN and infinity fail the check.
-    if not 0.0 <= e_max < math.inf:
-        raise ValueError(f"e_max={e_max} must be finite and >= 0")
     lo = 0.0
-    val = curve(lo)
-    if val <= 0.0:
+    if curve(lo) <= 0.0:
         raise ValueError("rate curve must be positive at e = 0")
-    steps = math.ceil(e_max / _SCAN_STEP - 1e-9)
-    hi = None
-    for i in range(1, steps + 1):
-        e = min(i * _SCAN_STEP, e_max)
-        if curve(e) <= 0.0:
-            hi = e
-            # The scan point before this one; e may be e_max, off the grid.
-            lo = i * _SCAN_STEP - _SCAN_STEP
+    for i in range(1, _SCAN_POINTS + 1):
+        hi = i * _SCAN_STEP
+        if curve(hi) <= 0.0:
+            lo = hi - _SCAN_STEP
             break
-    if hi is None:
-        return ThresholdResult(e_star=None, found=False, scanned_to=e_max)
+    else:
+        return ThresholdResult(e_star=None, found=False)
     while hi - lo > _REFINE:
         mid = 0.5 * (lo + hi)
         if curve(mid) <= 0.0:
             hi = mid
         else:
             lo = mid
-    return ThresholdResult(e_star=0.5 * (lo + hi), found=True, scanned_to=e_max)
+    return ThresholdResult(e_star=0.5 * (lo + hi), found=True)
 
 
 # Each protocol's error-rate range; at the CLI's default step of 1e-3 a
@@ -429,32 +421,25 @@ def sweep(emin: float, emax: float, step: float, protocol: str):
     return (sixstate_curve if protocol == "six-state" else bb84_curve)(grid)
 
 
-def render_csv(rows, curves=("proposed", "vollbrecht", "bstep", "oneway")):
-    """CSV text: e, clamped curve columns, raw bracket arguments, and the
-    minimizing p11 column whenever the rows carry one (constrained families)."""
-    for c in curves:
-        if c not in CURVES:
-            raise ValueError(f"unknown curve {c!r}")
-    rows = list(rows)
-    with_p11 = bool(rows) and rows[0].p11_star is not None
-    header = ["e", *curves, "first_arg_raw", "second_arg_raw"]
-    if with_p11:
-        header.append("p11_star")
-    lines = [",".join(header)]
-    for row in rows:
-        cells = [f"{row.e:.12g}"] + [f"{row.clamped(c):.12g}" for c in curves]
-        cells += [f"{row.first_arg:.12g}", f"{row.second_arg:.12g}"]
-        if with_p11:
-            cells.append(f"{row.p11_star:.12g}")
-        lines.append(",".join(cells))
+_TABLE_CURVES = ("proposed", "vollbrecht", "bstep", "oneway")
+
+
+def render_csv(rows, curves=_TABLE_CURVES):
+    """CSV text of render_json_rows, every value as .12g."""
+    records = render_json_rows(rows, curves)
+    # An empty table keeps the header of a row without p11_star.
+    header = (records or render_json_rows([RatePoint(0.0, 0.0, 0.0, 0.0, 0.0, 0.0)], curves))[0]
+    lines = [",".join(header), *(",".join(f"{v:.12g}" for v in rec.values()) for rec in records)]
     return "\n".join(lines) + "\n"
 
 
-def render_json_rows(rows, curves=("proposed", "vollbrecht", "bstep", "oneway")):
-    """JSON-ready list of dicts mirroring render_csv."""
+def render_json_rows(rows, curves=_TABLE_CURVES):
+    """The table as records: e, the clamped curves, the raw bracket
+    arguments, and the minimizing p11 whenever a row carries one
+    (constrained families)."""
     for c in curves:
         if c not in CURVES:
-            raise ValueError(f"unknown curve {c!r}")
+            raise ValueError(f"unknown curve {c!r}; choices: {', '.join(CURVES)}")
     out = []
     for row in rows:
         rec = {"e": row.e}

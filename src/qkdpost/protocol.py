@@ -346,6 +346,11 @@ def key_length(p_est: BellDiagonal, n: int, margin: float) -> int:
     return int(math.floor(2 * n * max(0.0, rate)))
 
 
+# Cap on a session's n and m. One session at n = 10**6 takes about 20 s and
+# 0.6 GB on a 2-core machine; far larger sizes fail allocating their arrays.
+_MAX_SIZE = 10**6
+
+
 @dataclass(frozen=True)
 class SessionConfig:
     """Full-session parameters.
@@ -379,6 +384,9 @@ class SessionConfig:
             raise ValueError("block count must be >= 1")
         if self.m < 2 or self.m % 2 != 0:
             raise ValueError("estimation sample size must be even and >= 2 (drawn block-wise)")
+        for name, size in (("n", self.n), ("m", self.m)):
+            if size > _MAX_SIZE:
+                raise ValueError(f"{name}={size} must be at most {_MAX_SIZE}")
         # Written so that NaN and infinity fail each check. delta >= 1 would
         # push a code rate H + delta to 1 or more, leaving no syndrome
         # shorter than the data; the cap also keeps the survivor window's

@@ -225,6 +225,50 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
     assert hashlib.sha256(result.output.encode()).hexdigest() == expected
 
 
+@pytest.mark.parametrize("args,expected", [
+    (["keyrate", "--protocol", "six-state", "--emax", "0.35"],
+     "455962557fb01a602b204480d89997c1defd424b955a4cedd25cd6d5ce46f0cb"),
+    (["keyrate", "--protocol", "six-state", "--emax", "0.35", "--format", "json"],
+     "2d0e020ae5f13c5943b7e8d62d6ade1b0bf4f9de200303bbb5225fdf0395ff4d"),
+    (["keyrate", "--protocol", "bb84", "--emax", "0.25", "--curves", " proposed, oneway"],
+     "318c813576466f0a7f358f313303b3783f9711323af847ac747063545b2bf1b2"),
+    (["simulate", "--e", "0.05", "--n", "3000", "--m", "2000", "--trials", "2", "--seed", "3", "--format", "csv"],
+     "aa233d3695634269ce5dae3ea83973a7fc125daf7eb0a27180dd52c1014e113b"),
+    # Every trial aborts: the summary notes and a table of aborted sessions.
+    (["simulate", "--e", "0.3", "--n", "3000", "--m", "2000", "--trials", "2", "--tolerance", "0.001",
+      "--format", "csv"],
+     "ae837c6338caae1143b51fa2babf13ac927a8e724aed4505411598d35e405d70"),
+    (["verify", "--suite", "coset", "--samples", "3"],
+     "bfbb8d1de4462a9cbd746343c8304d29132487ed96e6719529f9760dfa53ced2"),
+    (["verify", "--suite", "coset", "--samples", "3", "--format", "json"],
+     "a5fbff24d552c5dc4f0c59e443b84e1dc6e02b9c9b69704457b9753b9a469b55"),
+])
+def test_output_pinned(runner, args, expected):
+    # Each command's CSV and JSON layout is a fixed byte stream: the header
+    # lines, the canonical args, the cell formats and the column order.
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 0
+    assert hashlib.sha256(result.output.encode()).hexdigest() == expected
+
+
+@pytest.mark.parametrize("args,name", [
+    (["simulate", "--e", "0.05", "--trials", "10000000000000"], "--trials"),
+    (["simulate", "--e", "0.05", "--trials", "1000001"], "--trials"),
+    (["simulate", "--e", "0.05", "--trials", "0"], "--trials"),
+    (["simulate", "--e", "0.05", "--n", "100000000000"], "n=100000000000"),
+    (["simulate", "--e", "0.05", "--m", "100000000000"], "m=100000000000"),
+    (["verify", "--suite", "hash", "--samples", "100000000000"], "--samples"),
+    (["verify", "--suite", "hash", "--samples", "0"], "--samples"),
+])
+def test_sizes_out_of_range_are_usage_errors(runner, args, name):
+    # A size past its cap is refused before any array is allocated, not
+    # met with an out-of-memory traceback and the I/O-failure exit code.
+    result = runner.invoke(cli.main, args)
+    assert result.exit_code == 2
+    assert name in result.output
+    assert "Traceback" not in result.output
+
+
 @pytest.mark.parametrize("suite,samples", [
     ("theorem3", 15),
     ("lemmas", 15),

@@ -6,7 +6,6 @@ for the two bracket arguments at random channels. Threshold regressions are
 frozen from a bisection refined to 1e-4.
 """
 
-import math
 
 import numpy as np
 import pytest
@@ -245,20 +244,15 @@ def test_threshold_ordering():
 
 
 def test_threshold_edge_cases():
-    res = tolerable_rate(lambda e: 1.0, e_max=0.3)
+    res = tolerable_rate(lambda e: 1.0)
     assert not res.found
     assert res.e_star is None
-    assert res.scanned_to == 0.3
-    # e_max off the 1e-3 scan grid is still the last scan point.
-    res = tolerable_rate(lambda e: 0.3002 - e, e_max=0.3005)
+    # The scan reaches 1/2.
+    res = tolerable_rate(lambda e: 0.4999 - e)
     assert res.found
-    assert res.e_star == pytest.approx(0.3002, abs=1e-4)
-    assert res.scanned_to == 0.3005
+    assert res.e_star == pytest.approx(0.4999, abs=1e-4)
     with pytest.raises(ValueError):
         tolerable_rate(lambda e: -1.0)
-    for bad in (math.inf, math.nan, -0.1):
-        with pytest.raises(ValueError, match=f"e_max={bad}"):
-            tolerable_rate(lambda e: 1.0, e_max=bad)
 
 
 def test_sweep_grid_contract():

@@ -2,8 +2,10 @@
 
 These checks fail as soon as one of those names is renamed or unbound, which
 otherwise shows only in a traced benchmark run. They import the benchmark's
-modules and build its workloads, but run no operation and write nothing
-under perfbench/.
+modules and build its workloads, and run one keyrate operation (about 0.5 s)
+through the benchmark's own check, so a change to the tables, render_csv or
+tolerable_rate that the benchmark would refuse fails here too. They write
+nothing under perfbench/.
 """
 
 import sys
@@ -69,3 +71,20 @@ def test_workloads_build_and_close(perfbench, tmp_path):
             run.close()
     assert codes.bp_decode is bp_decode
     assert protocol.code_for_rate is code_for_rate
+
+
+def test_keyrate_operation_passes_its_check(perfbench, tmp_path):
+    _, _, workloads = perfbench
+    store = workloads.DigestStore(tmp_path / "digests.json", "contract")
+    run = workloads.Keyrate(0, 20, store)
+    try:
+        outputs, _ = run.execute(None)
+        run.check(0, None, outputs)
+    finally:
+        run.close()
+    # The digests the check records: render_csv of both tables and the four
+    # thresholds, which must not move.
+    assert store.fresh == {
+        "keyrate/table": "59f7d7203d3cd145ea620bc60eb87b6f606962b4e10a76fb380243a1ae2a9dfb",
+        "keyrate/thresholds": "edf2f764b5b4a714a5afbdf96f679f41542efa8d37d9a9fdc9c74a350f0c6e23",
+    }

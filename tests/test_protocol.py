@@ -458,6 +458,10 @@ def test_session_config_validation():
                 SessionConfig(channel=channel, **{name: bad})
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, mapping="b92")
+    SessionConfig(channel=channel, n=10**6, m=10**6)
+    for name in ("n", "m"):
+        with pytest.raises(ValueError, match=f"{name}=1000002 must be at most 1000000"):
+            SessionConfig(channel=channel, **{name: 10**6 + 2})
 
 
 def test_full_session_noiseless():
