@@ -16,8 +16,9 @@ of the package obtains from closed forms, so the two routes can be compared:
 * an entropy-inequality suite (monotonicity, a chain-rule instance, the
   removal bound, the fidelity-distance sandwich) on randomized inputs.
 
-All computations stay at dimension <= 256 and use eigendecompositions of
-Hermitian matrices as the single numeric kernel. Entropies are in bits.
+All computations stay at dimension <= 256. Every entropy and support comes
+from eigendecompositions of Hermitian matrices; fidelity alone takes the
+general eigenvalues of rho*sigma. Entropies are in bits.
 """
 
 from __future__ import annotations
@@ -43,14 +44,12 @@ __all__ = [
     "purify_bell_diagonal",
     "purify_state",
     "bell_basis_vector",
-    "bell_diagonal_entries",
     "assemble_two_copy_ccq",
     "conditional_entropy",
     "theorem3_direct",
     "discrete_twirl",
     "worst_case_check",
     "coset_decomposition_check",
-    "theta_vector",
     "lemma_suite",
     "random_bell_diagonal",
     "random_density",
@@ -72,9 +71,18 @@ def _as_matrix(rho) -> np.ndarray:
     return rho
 
 
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of two matrices by one broadcast product (the same products,
+    without np.kron's per-call shape handling)."""
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def check_density(rho) -> np.ndarray:
-    """Validate Hermiticity, positivity and unit trace."""
+    """Validate finiteness, Hermiticity, positivity and unit trace."""
     rho = _as_matrix(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
     if np.abs(rho - rho.conj().T).max() > _TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     eigs = np.linalg.eigvalsh(rho)
@@ -131,9 +139,9 @@ def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
     leak = np.trace(rho_b).real - np.trace(vs.conj().T @ rho_b @ vs).real
     if leak > _TOL:
         return float("-inf")
-    iso = np.kron(np.eye(da), vs)
+    iso = _kron(np.eye(da), vs)
     core = iso.conj().T @ rho_ab @ iso
-    scale = np.kron(np.eye(da), np.diag(ws**-0.5))
+    scale = _kron(np.eye(da), np.diag(ws**-0.5))
     lam = float(np.linalg.eigvalsh(scale @ core @ scale).max())
     if lam <= 0.0:
         return float("inf")
@@ -205,16 +213,6 @@ def purify_state(rho) -> np.ndarray:
     return (v * np.sqrt(w)).reshape(-1)
 
 
-def bell_diagonal_entries(sigma) -> tuple[float, float, float, float]:
-    """Diagonal of sigma in the Bell basis, ordered (p00, p10, p01, p11)."""
-    sigma = _as_matrix(sigma)
-    vals = []
-    for x, z in ((0, 0), (1, 0), (0, 1), (1, 1)):
-        b = bell_basis_vector(x, z)
-        vals.append(float((b.conj() @ sigma @ b).real))
-    return tuple(vals)
-
-
 @dataclass(frozen=True)
 class CcqState:
     """Classical registers plus one quantum system, block by block.
@@ -251,9 +249,12 @@ def _two_copy_ccq_from_pure(psi: np.ndarray) -> CcqState:
     if psi.ndim != 3 or psi.shape[:2] != (2, 2):
         raise ValueError(f"expected shape (2, 2, dE), got {psi.shape}")
     d_e = psi.shape[2]
+    # vecs[a1, b1, a2, b2] = psi[a1, b1] (x) psi[a2, b2], and their projectors
+    vecs = (psi[:, :, None, None, :, None] * psi[None, None, :, :, None, :]).reshape(2, 2, 2, 2, -1)
+    projectors = vecs[..., :, None] * vecs.conj()[..., None, :]
     accum: dict[tuple[int, int, int], np.ndarray] = {}
     for a1, b1, a2, b2 in itertools.product((0, 1), repeat=4):
-        vec = np.kron(psi[a1, b1], psi[a2, b2])
+        vec = vecs[a1, b1, a2, b2]
         weight = float(np.vdot(vec, vec).real)
         if weight <= 1e-300:
             continue
@@ -262,7 +263,7 @@ def _two_copy_ccq_from_pure(psi: np.ndarray) -> CcqState:
         u2 = a2 if w1 == 0 else 0
         key = (u1, u2, w1)
         accum.setdefault(key, np.zeros((d_e * d_e, d_e * d_e), dtype=complex))
-        accum[key] += np.outer(vec, vec.conj())
+        accum[key] += projectors[a1, b1, a2, b2]
     blocks = {}
     for key, op in accum.items():
         prob = float(np.trace(op).real)
@@ -339,8 +340,9 @@ def _brackets(psi: np.ndarray) -> tuple[float, float, Dist, Dist]:
     ccq = _two_copy_ccq_from_pure(psi)
     w1, w2 = _measured_block_laws(psi)
     h_w2 = shannon_entropy(w2)
-    first = conditional_entropy(ccq, ("w1", QUANTUM)) - shannon_entropy(w1) - w1(0) * h_w2
-    second = conditional_entropy(ccq, ("u1", "w1", QUANTUM)) - w1(0) * h_w2
+    joint = _ccq_entropy(ccq, set(ccq.registers), True)
+    first = joint - _ccq_entropy(ccq, {"w1"}, True) - shannon_entropy(w1) - w1(0) * h_w2
+    second = joint - _ccq_entropy(ccq, {"u1", "w1"}, True) - w1(0) * h_w2
     return first, second, w1, w2
 
 
@@ -357,15 +359,22 @@ _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
+def _twirl_unitary(s: int, t: int) -> np.ndarray:
+    pauli = np.linalg.matrix_power(_PAULI_X, s) @ np.linalg.matrix_power(_PAULI_Z, t)
+    return _kron(pauli, pauli)
+
+
+# X^s Z^t (x) X^s Z^t for (s, t) = 00, 01, 10, 11
+_TWIRL_UNITARIES = tuple(_twirl_unitary(s, t) for s, t in itertools.product((0, 1), repeat=2))
+
+
 def discrete_twirl(sigma) -> np.ndarray:
     """Average over correlated X^s Z^t on both qubits; output Bell-diagonal."""
     sigma = _as_matrix(sigma)
     if sigma.shape[0] != 4:
         raise ValueError("discrete twirl acts on two-qubit states")
     out = np.zeros_like(sigma)
-    for s, t in itertools.product((0, 1), repeat=2):
-        pauli = np.linalg.matrix_power(_PAULI_X, s) @ np.linalg.matrix_power(_PAULI_Z, t)
-        u = np.kron(pauli, pauli)
+    for u in _TWIRL_UNITARIES:
         out += u @ sigma @ u.conj().T
     return out / 4.0
 
@@ -456,11 +465,6 @@ def _coset_terms(shift: tuple, j: tuple, dual: list) -> list:
     ]
 
 
-def theta_vector(p: BellDiagonal, shift: tuple, xbar: tuple, j: tuple, dual: list) -> np.ndarray:
-    """Eigenvector of the code-averaged environment state for coset j."""
-    return _env_vector(p, xbar, _coset_terms(shift, j, dual))[0]
-
-
 def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
     """Max entrywise deviation between the code-averaged environment state
     and its coset eigendecomposition, over all discrepancy patterns.
@@ -525,6 +529,8 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
     All instances are exact (no smoothing): each reported number should be
     <= 0 up to numerical noise, and the suite's consumers assert <= 1e-9.
     """
+    if samples < 1:
+        raise ValueError(f"samples must be at least 1, got {samples}")
     worst = {
         "monotonicity": 0.0,
         "chain_rule": 0.0,
@@ -541,7 +547,7 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
         for x in range(2):
             proj = np.zeros((2, 2), dtype=complex)
             proj[x, x] = 1.0
-            rho_xbc += probs[x] * np.kron(proj, rho_bc_parts[x])
+            rho_xbc += probs[x] * _kron(proj, rho_bc_parts[x])
         rho_bc = probs[0] * rho_bc_parts[0] + probs[1] * rho_bc_parts[1]
         sigma_c = random_density(2, rng)
         lhs = min_entropy(rho_xbc, sigma_c, dims=(4, 2))
@@ -557,7 +563,7 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
         wb, vb = _support(rho_b)
         rank_b = wb.size
         proj_b = vb @ vb.conj().T
-        sigma_bc = np.kron(proj_b / rank_b, sigma_c)
+        sigma_bc = _kron(proj_b / rank_b, sigma_c)
         h_bc = min_entropy(rho_abc, sigma_bc, dims=(2, 4))
         worst["chain_rule"] = max(worst["chain_rule"], (h_c - math.log2(rank_b)) - h_bc)
 
@@ -587,6 +593,6 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
         rho_a = partial_trace(rho_ab, (2, 2), (0,))
         rho_b = partial_trace(rho_ab, (2, 2), (1,))
         rank_a = int(np.count_nonzero(np.linalg.eigvalsh(rho_a) > _TOL))
-        gap = np.linalg.eigvalsh(rank_a * np.kron(np.eye(2), rho_b) - rho_ab).min()
+        gap = np.linalg.eigvalsh(rank_a * _kron(np.eye(2), rho_b) - rho_ab).min()
         worst["operator_bound"] = max(worst["operator_bound"], -float(gap))
     return worst

@@ -242,6 +242,13 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
      "bfbb8d1de4462a9cbd746343c8304d29132487ed96e6719529f9760dfa53ced2"),
     (["verify", "--suite", "coset", "--samples", "3", "--format", "json"],
      "a5fbff24d552c5dc4f0c59e443b84e1dc6e02b9c9b69704457b9753b9a469b55"),
+    # The oracle's suites: any change to its numerics moves these bytes.
+    (["verify", "--suite", "theorem3", "--samples", "20", "--format", "json"],
+     "552687f31aee81235bc4cddd58cf2d301f54be0d8097e902960ea5042e6db1db"),
+    (["verify", "--suite", "twirl", "--samples", "20", "--format", "json"],
+     "9bf07ab3e7c1ec3eeb781ee8bc4b119635a1472922bddd2714c921b4f71a8764"),
+    (["verify", "--suite", "lemmas", "--samples", "20", "--format", "json"],
+     "4112f82b27ce71a898ad4dc0d475aa3cb50cbef8c7ec37bdf3475997d8b6801b"),
 ])
 def test_output_pinned(runner, args, expected):
     # Each command's CSV and JSON layout is a fixed byte stream: the header

@@ -7,6 +7,7 @@ in test_keyrate; here the direct construction itself is exercised, and
 test_oracle_stands_alone checks that it never reads the closed-form block laws.
 """
 
+import itertools
 import math
 
 import numpy as np
@@ -18,9 +19,11 @@ from qkdpost.keyrate import rate_first_arg, rate_second_arg
 from qkdpost.oracle import (
     QUANTUM,
     CcqState,
+    _coset_terms,
+    _env_vector,
+    _kron,
     assemble_two_copy_ccq,
     bell_basis_vector,
-    bell_diagonal_entries,
     check_density,
     conditional_entropy,
     coset_decomposition_check,
@@ -35,7 +38,6 @@ from qkdpost.oracle import (
     random_bell_diagonal,
     random_density,
     theorem3_direct,
-    theta_vector,
     trace_norm,
     von_neumann_entropy,
     worst_case_check,
@@ -52,6 +54,12 @@ def bell_density(p: BellDiagonal) -> np.ndarray:
     return out
 
 
+def bell_entries(sigma: np.ndarray) -> tuple:
+    """Diagonal of sigma in the Bell basis, ordered (p00, p10, p01, p11)."""
+    vecs = [bell_basis_vector(x, z) for x, z in ((0, 0), (1, 0), (0, 1), (1, 1))]
+    return tuple(float((b.conj() @ sigma @ b).real) for b in vecs)
+
+
 def test_check_density_validation():
     with pytest.raises(ValueError):
         check_density(np.array([[0.0, 1.0], [0.0, 1.0]]))
@@ -59,6 +67,24 @@ def test_check_density_validation():
         check_density(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError):
         check_density(np.diag([1.0, 1.0]))
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
+def test_non_finite_density_is_a_clear_error(bad):
+    rho = random_density(4, np.random.default_rng(15))
+    rho[1, 2] = bad
+    for call in (check_density, purify_state, worst_case_check):
+        with pytest.raises(ValueError, match="non-finite"):
+            call(rho)
+
+
+def test_kron_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(16)
+    for shape_a, shape_b in (((2, 2), (4, 4)), ((2, 2), (2, 3)), ((4, 4), (2, 2))):
+        a = random_density(max(shape_a), rng)[: shape_a[0], : shape_a[1]]
+        b = random_density(max(shape_b), rng)[: shape_b[0], : shape_b[1]]
+        for left in (a, np.eye(*shape_a)):
+            assert _kron(left, b).tobytes() == np.kron(left, b).tobytes()
 
 
 def test_von_neumann_entropy():
@@ -136,7 +162,7 @@ def test_purify_bell_diagonal():
         assert np.vdot(psi, psi).real == pytest.approx(1.0, abs=1e-12)
         sigma = partial_trace(np.outer(psi, psi.conj()), (4, 4), (0,))
         entries = (p.p00, p.p10, p.p01, p.p11)
-        assert np.allclose(bell_diagonal_entries(sigma), entries, atol=1e-12)
+        assert np.allclose(bell_entries(sigma), entries, atol=1e-12)
 
 
 def test_purify_bell_diagonal_noiseless():
@@ -167,6 +193,25 @@ def test_two_copy_ccq_structure():
             prob for key, (prob, _) in ccq.blocks.items() if key[2] == value
         )
         assert marginal == pytest.approx(w1_law(value), abs=1e-12)
+
+
+def test_two_copy_ccq_matches_kron_reference():
+    # The outcome vectors come from one broadcast product; the blocks must
+    # equal, byte for byte, a sum of np.kron/np.outer terms in outcome order.
+    p = random_bell_diagonal(np.random.default_rng(17))
+    psi = purify_bell_diagonal(p).reshape(2, 2, 4)
+    expected = {}
+    for a1, b1, a2, b2 in itertools.product((0, 1), repeat=4):
+        vec = np.kron(psi[a1, b1], psi[a2, b2])
+        w1 = a1 ^ b1 ^ a2 ^ b2
+        key = (a1 ^ a2, a2 if w1 == 0 else 0, w1)
+        expected.setdefault(key, np.zeros((16, 16), dtype=complex))
+        expected[key] += np.outer(vec, vec.conj())
+    blocks = assemble_two_copy_ccq(p).blocks
+    assert set(blocks) == set(expected)
+    for key, (prob, op) in blocks.items():
+        assert prob == float(np.trace(expected[key]).real)
+        assert op.tobytes() == (expected[key] / prob).tobytes()
 
 
 def test_two_copy_ccq_noiseless():
@@ -238,9 +283,7 @@ def test_discrete_twirl():
     assert np.allclose(discrete_twirl(fixed), fixed, atol=1e-12)
     sigma = random_density(4, rng)
     twirled = discrete_twirl(sigma)
-    assert np.allclose(
-        bell_diagonal_entries(twirled), bell_diagonal_entries(sigma), atol=1e-12
-    )
+    assert np.allclose(bell_entries(twirled), bell_entries(sigma), atol=1e-12)
     assert np.allclose(discrete_twirl(twirled), twirled, atol=1e-12)
     with pytest.raises(ValueError):
         discrete_twirl(np.eye(2) / 2.0)
@@ -282,7 +325,7 @@ def test_theta_vectors_orthogonal_across_cosets():
     dual = [(0, 0), (1, 1)]
     reps = [(0, 0), (0, 1)]
     for xbar in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        vecs = [theta_vector(p, (1, 0), xbar, j, dual) for j in reps]
+        vecs = [_env_vector(p, xbar, _coset_terms((1, 0), j, dual))[0] for j in reps]
         for v in vecs:
             norm = np.vdot(v, v).real
             assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
@@ -297,6 +340,12 @@ def test_lemma_suite():
     }
     for name, value in worst.items():
         assert value <= 1e-9, name
+
+
+@pytest.mark.parametrize("samples", [0, -1])
+def test_lemma_suite_rejects_empty_sample(samples):
+    with pytest.raises(ValueError, match="samples"):
+        lemma_suite(samples, np.random.default_rng(10))
 
 
 def test_random_density():
