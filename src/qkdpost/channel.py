@@ -93,12 +93,15 @@ def bb84_family(e: float, p11: float) -> BellDiagonal:
         raise ValueError(f"BB84 error rate {e} outside [0, 1/2]")
     if not -_SUM_TOL <= p11 <= e + _SUM_TOL:
         raise ValueError(f"p11={p11} outside [0, e={e}]")
-    e = min(max(e, 0.0), 0.5)
+    return BellDiagonal(*_bb84_entries(min(max(e, 0.0), 0.5), p11))
+
+
+def _bb84_entries(e: float, p11: float) -> tuple[float, float, float, float]:
+    """Entries (p00, p10, p01, p11) of bb84_family for e in [0, 1/2], with
+    p11 clamped into [0, e] and p00 clamped at 0; the key rates evaluate
+    these without building a BellDiagonal."""
     p11 = min(max(p11, 0.0), e)
-    p00 = 1.0 - 2.0 * e + p11
-    if p00 < -_SUM_TOL:
-        raise ValueError(f"p00={p00} negative for e={e}, p11={p11}")
-    return BellDiagonal(max(p00, 0.0), e - p11, e - p11, p11)
+    return max(1.0 - 2.0 * e + p11, 0.0), e - p11, e - p11, p11
 
 
 def derived_dists(p: BellDiagonal) -> DerivedBlockDists:

@@ -21,13 +21,17 @@ objective is not assumed unimodal, the refinement only polishes the best
 grid bracket. Minimizing the raw rate and clamping afterwards equals
 minimizing the clamped rate, since clamping is monotone.
 
-Scalar entry points take a validated BellDiagonal. The BB84 grid runs on a
-private vectorized core kept consistent with the scalar path by tests.
-bb84_curve solves a whole e-grid and all four minimized curves at once: one
-grid pass over (e, p11), then golden-section polishing as array operations
-on every (e, curve) bracket. bb84_rate, which serves one error rate at a
-time (threshold searches, the session's BB84 mapping), shares the grid pass
-but polishes with the scalar closed forms, which is faster for one bracket.
+Scalar entry points take a validated BellDiagonal and hand its four entries
+to private closed forms. The BB84 grid runs on a private vectorized core
+kept consistent with the scalar path by tests; it evaluates only the curves
+asked of it, and of each curve only the terms it needs (base entropy, first
+argument, second argument, Vollbrecht). bb84_curve solves a whole e-grid and
+all four minimized curves at once: one grid pass over (e, p11), then
+golden-section polishing as array operations on every (e, curve) bracket.
+bb84_rate, which serves one error rate and one curve at a time (threshold
+searches, the session's BB84 mapping), grids that curve alone and polishes
+with the scalar closed forms on the family's entries, which is faster for
+one bracket than building a BellDiagonal per step.
 """
 
 from __future__ import annotations
@@ -37,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .channel import BellDiagonal, bb84_family, six_state_point
+from .channel import BellDiagonal, _bb84_entries, six_state_point
 from .entropy import binary_entropy
 
 __all__ = [
@@ -66,62 +70,86 @@ _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
 def _entropy_xz(*entries: float) -> float:
-    clipped = [max(0.0, v) for v in entries]
+    clipped = [v if v > 0.0 else 0.0 for v in entries]
     total = math.fsum(clipped)
-    return -math.fsum(q * math.log2(q) for q in (v / total for v in clipped) if q > 0.0)
+    return -math.fsum([q * math.log2(q) for q in [v / total for v in clipped] if q > 0.0])
+
+
+# Closed forms on the entries (p00, p10, p01, p11); the rate_* functions
+# below are their BellDiagonal entry points.
+
+
+def _first_arg(p00: float, p10: float, p01: float, p11: float) -> float:
+    r0 = p00 + p01
+    r1 = p10 + p11
+    base = 1.0 - _entropy_xz(p00, p10, p01, p11)
+    denom = r0 * r1
+    if denom <= 0.0:
+        return base
+    arg = (p00 * p10 + p01 * p11) / denom
+    return base + denom * binary_entropy(min(max(arg, 0.0), 1.0))
+
+
+def _second_arg(p00: float, p10: float, p01: float, p11: float) -> float:
+    r0 = max(0.0, p00 + p01)
+    r1 = max(0.0, p10 + p11)
+    pbar0 = r0 * r0 + r1 * r1
+    q = [(p00 * p00 + p01 * p01) / pbar0, 2.0 * p00 * p01 / pbar0,
+         (p10 * p10 + p11 * p11) / pbar0, 2.0 * p10 * p11 / pbar0]
+    qs = sum(q)
+    # P_Xbar(0) over (r0 + r1)^2, which is 1 up to rounding
+    return 0.5 * (pbar0 / (pbar0 + 2.0 * r0 * r1)) * (1.0 - _entropy_xz(*[v / qs for v in q]))
+
+
+def _proposed(p00: float, p10: float, p01: float, p11: float) -> float:
+    return max(_first_arg(p00, p10, p01, p11), _second_arg(p00, p10, p01, p11))
+
+
+def _vollbrecht(p00: float, p10: float, p01: float, p11: float) -> float:
+    r0 = p00 + p01
+    r1 = p10 + p11
+    base = 1.0 - _entropy_xz(p00, p10, p01, p11)
+    if r0 * r1 <= 0.0:
+        return base
+    mean_h = binary_entropy(p01 / r0) + binary_entropy(p11 / r1)
+    return base + 0.5 * r0 * r1 * mean_h
+
+
+def _oneway(p00: float, p10: float, p01: float, p11: float) -> float:
+    return 1.0 - _entropy_xz(p00, p10, p01, p11)
 
 
 def rate_first_arg(p: BellDiagonal) -> float:
     """1 - H(P_XZ) plus the two-way alignment correction."""
-    r0 = p.p00 + p.p01
-    r1 = p.p10 + p.p11
-    base = 1.0 - _entropy_xz(p.p00, p.p10, p.p01, p.p11)
-    denom = r0 * r1
-    if denom <= 0.0:
-        return base
-    arg = (p.p00 * p.p10 + p.p01 * p.p11) / denom
-    return base + denom * binary_entropy(min(max(arg, 0.0), 1.0))
+    return _first_arg(p.p00, p.p10, p.p01, p.p11)
 
 
 def rate_second_arg(p: BellDiagonal) -> float:
     """Surviving-block fraction times the rate of the transformed channel."""
-    r0 = max(0.0, p.p00 + p.p01)
-    r1 = max(0.0, p.p10 + p.p11)
-    pbar0 = r0 * r0 + r1 * r1
-    q = [(p.p00 * p.p00 + p.p01 * p.p01) / pbar0, 2.0 * p.p00 * p.p01 / pbar0,
-         (p.p10 * p.p10 + p.p11 * p.p11) / pbar0, 2.0 * p.p10 * p.p11 / pbar0]
-    qs = sum(q)
-    # P_Xbar(0) over (r0 + r1)^2, which is 1 up to rounding
-    return 0.5 * (pbar0 / (pbar0 + 2.0 * r0 * r1)) * (1.0 - _entropy_xz(*(v / qs for v in q)))
+    return _second_arg(p.p00, p.p10, p.p01, p.p11)
 
 
 def rate_proposed(p: BellDiagonal) -> float:
     """max of the two bracket arguments; callers clamp at 0 for curves."""
-    return max(rate_first_arg(p), rate_second_arg(p))
+    return _proposed(p.p00, p.p10, p.p01, p.p11)
 
 
 def rate_vollbrecht(p: BellDiagonal) -> float:
     """Correction with per-row entropies in place of the entropy of the mix."""
-    r0 = p.p00 + p.p01
-    r1 = p.p10 + p.p11
-    base = 1.0 - _entropy_xz(p.p00, p.p10, p.p01, p.p11)
-    if r0 * r1 <= 0.0:
-        return base
-    mean_h = binary_entropy(p.p01 / r0) + binary_entropy(p.p11 / r1)
-    return base + 0.5 * r0 * r1 * mean_h
+    return _vollbrecht(p.p00, p.p10, p.p01, p.p11)
 
 
 def rate_oneway(p: BellDiagonal) -> float:
-    return 1.0 - _entropy_xz(p.p00, p.p10, p.p01, p.p11)
+    return _oneway(p.p00, p.p10, p.p01, p.p11)
 
 
-_RATE_FNS = {
-    "proposed": rate_proposed,
-    "first_arg": rate_first_arg,
-    "second_arg": rate_second_arg,
-    "vollbrecht": rate_vollbrecht,
-    "bstep": rate_second_arg,
-    "oneway": rate_oneway,
+_CLOSED_FORMS = {
+    "proposed": _proposed,
+    "first_arg": _first_arg,
+    "second_arg": _second_arg,
+    "vollbrecht": _vollbrecht,
+    "bstep": _second_arg,
+    "oneway": _oneway,
 }
 
 
@@ -177,47 +205,82 @@ def sixstate_curve(e_grid) -> list[RatePoint]:
 # --- vectorized core for the BB84 family grid ---
 
 
+# The two kernels below compute np.clip and np.where with out= buffers;
+# each element goes through the same operations as in those forms, which
+# keeps every pinned rate bit for bit.
+
+
 def _h_vec(x: np.ndarray) -> np.ndarray:
-    x = np.clip(x, 1e-300, 1.0)
-    y = np.clip(1.0 - x, 1e-300, 1.0)
-    out = -(x * np.log2(x) + y * np.log2(y))
-    return np.where((x <= 1e-12) | (y <= 1e-12), 0.0, out)
+    x = np.maximum(x, 1e-300)
+    np.minimum(x, 1.0, out=x)
+    y = np.subtract(1.0, x)
+    np.maximum(y, 1e-300, out=y)
+    np.minimum(y, 1.0, out=y)
+    zero = x <= 1e-12
+    zero |= y <= 1e-12
+    out = np.log2(x)
+    out *= x
+    ly = np.log2(y)
+    ly *= y
+    out += ly
+    np.negative(out, out=out)
+    np.copyto(out, 0.0, where=zero)
+    return out
 
 
 def _plogp(x: np.ndarray) -> np.ndarray:
-    return np.where(x > 0.0, -x * np.log2(np.clip(x, 1e-300, None)), 0.0)
+    """-x log2 x, and 0 wherever x is not positive."""
+    out = np.maximum(x, 1e-300)
+    np.log2(out, out=out)
+    out *= x
+    np.negative(out, out=out)
+    not_pos = x > 0.0
+    np.logical_not(not_pos, out=not_pos)
+    np.copyto(out, 0.0, where=not_pos)
+    return out
 
 
-def _curves_vec(p00, p10, p01, p11) -> dict[str, np.ndarray]:
-    """Raw curve values on arrays of Bell-diagonal entries."""
-    h_xz = _plogp(p00) + _plogp(p10) + _plogp(p01) + _plogp(p11)
-    base = 1.0 - h_xz
+# The curves that proposed and bstep are built from; every other curve is
+# computed as itself. first_arg and vollbrecht add to the oneway base.
+_BUILT_FROM = {"proposed": ("first_arg", "second_arg"), "bstep": ("second_arg",)}
+
+
+def _curves_vec(p00, p10, p01, p11, curves) -> dict[str, np.ndarray]:
+    """Raw values of the named curves on arrays of Bell-diagonal entries,
+    computing only the terms those curves need."""
+    need = {term for c in curves for term in _BUILT_FROM.get(c, (c,))}
     r0 = p00 + p01
     r1 = p10 + p11
-    denom = r0 * r1
-    safe = denom > 0.0
-    arg = np.where(safe, (p00 * p10 + p01 * p11) / np.where(safe, denom, 1.0), 0.0)
-    first = base + np.where(safe, denom * _h_vec(arg), 0.0)
-    pbar0 = r0 * r0 + r1 * r1
-    q = np.stack([p00 * p00 + p01 * p01, 2.0 * p00 * p01, p10 * p10 + p11 * p11, 2.0 * p10 * p11])
-    second = 0.5 * pbar0 * (1.0 - _plogp(q / pbar0).sum(axis=0))
-    voll_h = np.where(r0 > 0.0, _h_vec(np.where(r0 > 0.0, p01 / np.where(r0 > 0, r0, 1), 0.0)), 0.0)
-    voll_h = voll_h + np.where(
-        r1 > 0.0, _h_vec(np.where(r1 > 0.0, p11 / np.where(r1 > 0, r1, 1), 0.0)), 0.0
-    )
-    voll = base + np.where(safe, 0.5 * denom * voll_h, 0.0)
-    return {
-        "proposed": np.maximum(first, second),
-        "first_arg": first,
-        "second_arg": second,
-        "vollbrecht": voll,
-        "bstep": second,
-        "oneway": base,
-    }
+    vals = {}
+    if need & {"oneway", "first_arg", "vollbrecht"}:
+        vals["oneway"] = base = 1.0 - (_plogp(p00) + _plogp(p10) + _plogp(p01) + _plogp(p11))
+        denom = r0 * r1
+        safe = denom > 0.0
+    if "first_arg" in need:
+        arg = np.where(safe, (p00 * p10 + p01 * p11) / np.where(safe, denom, 1.0), 0.0)
+        vals["first_arg"] = base + np.where(safe, denom * _h_vec(arg), 0.0)
+    if "second_arg" in need:
+        pbar0 = r0 * r0 + r1 * r1
+        h_q = (_plogp((p00 * p00 + p01 * p01) / pbar0) + _plogp(2.0 * p00 * p01 / pbar0)
+               + _plogp((p10 * p10 + p11 * p11) / pbar0) + _plogp(2.0 * p10 * p11 / pbar0))
+        vals["second_arg"] = 0.5 * pbar0 * (1.0 - h_q)
+    if "vollbrecht" in need:
+        voll_h = np.where(r0 > 0.0, _h_vec(np.where(r0 > 0.0, p01 / np.where(r0 > 0, r0, 1), 0.0)), 0.0)
+        voll_h = voll_h + np.where(
+            r1 > 0.0, _h_vec(np.where(r1 > 0.0, p11 / np.where(r1 > 0, r1, 1), 0.0)), 0.0
+        )
+        vals["vollbrecht"] = base + np.where(safe, 0.5 * denom * voll_h, 0.0)
+    if "proposed" in curves:
+        vals["proposed"] = np.maximum(vals["first_arg"], vals["second_arg"])
+    if "bstep" in curves:
+        vals["bstep"] = vals["second_arg"]
+    return {c: vals[c] for c in curves}
 
 
-def _bb84_entries(e, t):
-    return 1.0 - 2.0 * e + t, e - t, e - t, t
+def _bb84_entries_vec(e, t):
+    """_bb84_entries on arrays, unclamped: grid and polish points lie in [0, e]."""
+    off = e - t
+    return 1.0 - 2.0 * e + t, off, off, t
 
 
 # The curves bb84_curve minimizes over p11; first/second follow the proposed
@@ -243,7 +306,7 @@ def _bb84_grid(es: np.ndarray, curves) -> np.ndarray:
         e = es[rows, None]
         t = steps * (e / (_GRID_POINTS - 1))
         t[:, -1] = e[:, 0]
-        vals = _curves_vec(*_bb84_entries(e, t))
+        vals = _curves_vec(*_bb84_entries_vec(e, t), curves)
         r = np.arange(t.shape[0])
         for k, curve in enumerate(curves):
             best = np.argmin(vals[curve], axis=1)
@@ -264,12 +327,13 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
         raise ValueError(f"unknown curve {which!r}")
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"BB84 error rate {e} outside [0, 1/2]")
+    closed_form = _CLOSED_FORMS[which]
     if e == 0.0:
-        return _RATE_FNS[which](bb84_family(0.0, 0.0)), 0.0
+        return closed_form(*_bb84_entries(0.0, 0.0)), 0.0
     grid_val, grid_t, lo, hi = _bb84_grid(np.array([e]), (which,))[:, 0, 0].tolist()
 
     def f(t: float) -> float:
-        return _RATE_FNS[which](bb84_family(e, t))
+        return closed_form(*_bb84_entries(e, t))
 
     a, b = lo, hi
     x1 = b - _GOLDEN * (b - a)
@@ -297,7 +361,7 @@ def _bb84_polish(e: np.ndarray, curve: np.ndarray, a: np.ndarray, b: np.ndarray)
     Returns the final point of each bracket and its value."""
 
     def f(idx, t):
-        vals = _curves_vec(*_bb84_entries(e[idx], t))
+        vals = _curves_vec(*_bb84_entries_vec(e[idx], t), _MINIMIZED)
         return np.choose(curve[idx], [vals[c] for c in _MINIMIZED])
 
     a, b = a.copy(), b.copy()
@@ -344,7 +408,7 @@ def bb84_curve(e_grid) -> list[RatePoint]:
     grid_won = grid_val <= val
     val = np.where(grid_won, grid_val, val)
     t_star = np.where(grid_won, grid_t, t_star)
-    at_star = _curves_vec(*_bb84_entries(es, t_star[0]))
+    at_star = _curves_vec(*_bb84_entries_vec(es, t_star[0]), ("first_arg", "second_arg"))
     return [
         RatePoint(e=e_i, first_arg=first, second_arg=second, vollbrecht=voll, bstep=bstep,
                   oneway=oneway, p11_star=p11)
@@ -374,21 +438,29 @@ def tolerable_rate(curve) -> ThresholdResult:
 
     curve maps an error rate to the raw (unclamped) rate; the clamped curve
     reaches zero exactly where the raw one changes sign. The scan points are
-    i * _SCAN_STEP for i = 1 .. _SCAN_POINTS.
+    i * _SCAN_STEP for i = 1 .. _SCAN_POINTS. A NaN rate is an error, since
+    it has no sign.
     """
+
+    def nonpositive(e: float) -> bool:
+        rate = curve(e)
+        if math.isnan(rate):
+            raise ValueError(f"rate curve returned NaN at e = {e}")
+        return rate <= 0.0
+
     lo = 0.0
-    if curve(lo) <= 0.0:
+    if nonpositive(lo):
         raise ValueError("rate curve must be positive at e = 0")
     for i in range(1, _SCAN_POINTS + 1):
         hi = i * _SCAN_STEP
-        if curve(hi) <= 0.0:
+        if nonpositive(hi):
             lo = hi - _SCAN_STEP
             break
     else:
         return ThresholdResult(e_star=None, found=False)
     while hi - lo > _REFINE:
         mid = 0.5 * (lo + hi)
-        if curve(mid) <= 0.0:
+        if nonpositive(mid):
             hi = mid
         else:
             lo = mid

@@ -71,6 +71,16 @@ def _as_matrix(rho) -> np.ndarray:
     return rho
 
 
+def _finite(rho) -> np.ndarray:
+    """_as_matrix for a public entry point, rejecting NaN and infinite
+    entries: LAPACK fails on some placements and on others (a NaN on the
+    diagonal) returns finite, wrong eigenvalues."""
+    rho = _as_matrix(rho)
+    if not np.isfinite(rho).all():
+        raise ValueError("matrix has non-finite entries")
+    return rho
+
+
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """np.kron of two matrices by one broadcast product (the same products,
     without np.kron's per-call shape handling)."""
@@ -80,9 +90,7 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def check_density(rho) -> np.ndarray:
     """Validate finiteness, Hermiticity, positivity and unit trace."""
-    rho = _as_matrix(rho)
-    if not np.isfinite(rho).all():
-        raise ValueError("matrix has non-finite entries")
+    rho = _finite(rho)
     if np.abs(rho - rho.conj().T).max() > _TOL:
         raise ValueError("matrix is not Hermitian within tolerance")
     eigs = np.linalg.eigvalsh(rho)
@@ -95,7 +103,11 @@ def check_density(rho) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-sum lambda log2 lambda over the eigenvalues; zeros contribute 0."""
-    rho = _as_matrix(rho)
+    return _spectral_entropy(_finite(rho))
+
+
+def _spectral_entropy(rho: np.ndarray) -> float:
+    """von_neumann_entropy of a matrix built here from finite inputs."""
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     if eigs.min() < -_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs.min()}")
@@ -105,7 +117,7 @@ def von_neumann_entropy(rho) -> float:
 
 def max_entropy(rho) -> float:
     """log2 of the rank (eigenvalues above _TOL)."""
-    rho = _as_matrix(rho)
+    rho = _finite(rho)
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     rank = int(np.count_nonzero(eigs > _TOL))
     if rank == 0:
@@ -127,8 +139,8 @@ def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
     the support of sigma_B. Returns -inf when rho's B-marginal leaks outside
     that support (the defining infimum is then empty).
     """
-    rho_ab = _as_matrix(rho_ab)
-    sigma_b = _as_matrix(sigma_b)
+    rho_ab = _finite(rho_ab)
+    sigma_b = _finite(sigma_b)
     da, db = dims
     if rho_ab.shape[0] != da * db or sigma_b.shape[0] != db:
         raise ValueError("dimension mismatch between state and conditioning system")
@@ -152,15 +164,15 @@ def fidelity(rho, sigma) -> float:
     """Tr sqrt(sqrt(rho) sigma sqrt(rho)), via the eigenvalues of rho*sigma
     (same spectrum, no explicit square roots). Valid for subnormalized
     operators as well."""
-    rho = _as_matrix(rho)
-    sigma = _as_matrix(sigma)
+    rho = _finite(rho)
+    sigma = _finite(sigma)
     eigs = np.linalg.eigvals(rho @ sigma)
     return float(np.sum(np.sqrt(np.clip(eigs.real, 0.0, None))))
 
 
 def trace_norm(op) -> float:
     """Sum of absolute eigenvalues (Hermitian input)."""
-    op = _as_matrix(op)
+    op = _finite(op)
     return float(np.abs(np.linalg.eigvalsh((op + op.conj().T) / 2.0)).sum())
 
 
@@ -315,7 +327,7 @@ def _ccq_entropy(ccq: CcqState, names: set, with_quantum: bool) -> float:
     h_quantum = 0.0
     for members, p_g in zip(groups.values(), probs):
         mix = sum(p * op for p, op in members) / p_g
-        h_quantum += p_g * von_neumann_entropy(mix)
+        h_quantum += p_g * _spectral_entropy(mix)
     return h_classical + h_quantum
 
 
@@ -370,7 +382,7 @@ _TWIRL_UNITARIES = tuple(_twirl_unitary(s, t) for s, t in itertools.product((0, 
 
 def discrete_twirl(sigma) -> np.ndarray:
     """Average over correlated X^s Z^t on both qubits; output Bell-diagonal."""
-    sigma = _as_matrix(sigma)
+    sigma = _finite(sigma)
     if sigma.shape[0] != 4:
         raise ValueError("discrete twirl acts on two-qubit states")
     out = np.zeros_like(sigma)

@@ -119,15 +119,6 @@ class Transcript:
                 raise ValueError(f"message {msg.label!r} out of protocol order")
             last = pos
 
-    def labels(self) -> tuple[str, ...]:
-        return tuple(m.label for m in self.messages)
-
-    def find(self, label: str) -> Message | None:
-        for msg in self.messages:
-            if msg.label == label:
-                return msg
-        return None
-
     def with_message(self, message: Message) -> "Transcript":
         return Transcript(self.messages + (message,))
 

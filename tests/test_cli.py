@@ -249,6 +249,10 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
      "9bf07ab3e7c1ec3eeb781ee8bc4b119635a1472922bddd2714c921b4f71a8764"),
     (["verify", "--suite", "lemmas", "--samples", "20", "--format", "json"],
      "4112f82b27ce71a898ad4dc0d475aa3cb50cbef8c7ec37bdf3475997d8b6801b"),
+    # Every BB84 curve to 1/2: the grid, the polish and the p11 argmin.
+    (["keyrate", "--protocol", "bb84", "--emax", "0.5", "--curves",
+      "proposed,first_arg,second_arg,vollbrecht,bstep,oneway", "--format", "json"],
+     "b7ee0fcaafba7c5dfb67fd393a346bb17cb35fa384f2c6cd9fde767adb170d84"),
 ])
 def test_output_pinned(runner, args, expected):
     # Each command's CSV and JSON layout is a fixed byte stream: the header

@@ -237,6 +237,24 @@ def test_thresholds():
         assert res.e_star == pytest.approx(expected, abs=2e-3)
 
 
+THRESHOLD_PINS = [
+    (lambda e: rate_oneway(six_state_point(e)), "0x1.027ef9db22d0ep-3"),
+    (lambda e: rate_proposed(six_state_point(e)), "0x1.72c083126e978p-3"),
+    (lambda e: rate_vollbrecht(six_state_point(e)), "0x1.23645a1cac084p-3"),
+    (lambda e: bb84_rate(e, "oneway")[0], "0x1.c2b020c49ba5ep-4"),
+    (lambda e: bb84_rate(e, "proposed")[0], "0x1.203126e978d50p-3"),
+    (lambda e: bb84_rate(e, "vollbrecht")[0], "0x1.e47ae147ae148p-4"),
+    (lambda e: bb84_rate(e, "bstep")[0], "0x1.203126e978d50p-3"),
+]
+
+
+def test_thresholds_pinned():
+    # Bit for bit: any change to a closed form, the BB84 grid or its polish
+    # that moves a scan or bisection sign moves these.
+    for curve, pinned in THRESHOLD_PINS:
+        assert tolerable_rate(curve).e_star.hex() == pinned
+
+
 def test_threshold_ordering():
     proposed = tolerable_rate(lambda e: rate_proposed(six_state_point(e)))
     voll = tolerable_rate(lambda e: rate_vollbrecht(six_state_point(e)))
@@ -253,6 +271,19 @@ def test_threshold_edge_cases():
     assert res.e_star == pytest.approx(0.4999, abs=1e-4)
     with pytest.raises(ValueError):
         tolerable_rate(lambda e: -1.0)
+
+
+@pytest.mark.parametrize("curve,where", [
+    (lambda e: float("nan"), "e = 0.0"),
+    # in the scan
+    (lambda e: float("nan") if e >= 0.05 else 1.0, "e = 0.05"),
+    # in the bisection: the scan brackets the zero at 0.1 in [0.099, 0.1]
+    (lambda e: float("nan") if 0.0992 < e < 0.0998 else 0.1 - e, "e = 0.0995"),
+], ids=["everywhere", "scan", "bisection"])
+def test_threshold_rejects_nan(curve, where):
+    # NaN has no sign, so it must not read as a rate that stays positive.
+    with pytest.raises(ValueError, match=f"NaN at {where}"):
+        tolerable_rate(curve)
 
 
 def test_sweep_grid_contract():

@@ -78,6 +78,30 @@ def test_non_finite_density_is_a_clear_error(bad):
             call(rho)
 
 
+NON_FINITE_CALLS = {
+    "von_neumann_entropy": lambda m: von_neumann_entropy(m),
+    "max_entropy": lambda m: max_entropy(m),
+    "trace_norm": lambda m: trace_norm(m),
+    "min_entropy": lambda m: min_entropy(m, np.eye(2) / 2, dims=(2, 2)),
+    "min_entropy_sigma": lambda m: min_entropy(np.eye(8) / 8, m, dims=(2, 4)),
+    "fidelity": lambda m: fidelity(m, np.eye(4) / 4),
+    "fidelity_sigma": lambda m: fidelity(np.eye(4) / 4, m),
+    "discrete_twirl": lambda m: discrete_twirl(m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_FINITE_CALLS))
+def test_non_finite_input_is_a_clear_error(name):
+    # Off the diagonal LAPACK raises LinAlgError or returns NaN; a NaN on the
+    # diagonal gave finite, wrong eigenvalues; the twirl returned all NaN.
+    for pos, bad in (((0, 1), float("nan")), ((0, 0), float("nan")), ((2, 3), float("nan")),
+                     ((1, 1), float("inf")), ((3, 0), complex(0.0, float("nan")))):
+        m = np.eye(4, dtype=complex) / 4
+        m[pos] = bad
+        with pytest.raises(ValueError, match="non-finite"):
+            NON_FINITE_CALLS[name](m)
+
+
 def test_kron_matches_numpy_bit_for_bit():
     rng = np.random.default_rng(16)
     for shape_a, shape_b in (((2, 2), (4, 4)), ((2, 2), (2, 3)), ((4, 4), (2, 2))):

@@ -39,6 +39,15 @@ from qkdpost.protocol import (
 )
 
 
+def _labels(transcript):
+    return tuple(m.label for m in transcript.messages)
+
+
+def _message(transcript, label):
+    """The transcript's message with this label, or None."""
+    return next((m for m in transcript.messages if m.label == label), None)
+
+
 def dense_code(n: int, rate: float, seed: int) -> ParityCheck:
     # code_for_rate builds dense codes at the small n used here.
     return code_for_rate(n, rate, rng=np.random.default_rng(seed))
@@ -221,7 +230,7 @@ def test_run_ir_noiseless():
     assert not ir.bounds_violated
     assert ir.decode1.iterations == 0
     assert not ir.decode1.error_estimate.any()
-    assert ir.transcript.labels() == ("t1", "w1hat", "t2")
+    assert _labels(ir.transcript) == ("t1", "w1hat", "t2")
     assert ir.leak_bits == code1.m + math.ceil(n * 0.2)
     expected = np.empty(2 * n, dtype=np.uint8)
     expected[0::2] = parity_seq(x)
@@ -254,7 +263,7 @@ def test_run_ir_single_block_error():
         lambda n0: dense_code(n0, 0.5, seed=23),
         (0, n), crossover1=0.1, crossover2=0.01, decode=ml_decode,
     )
-    assert np.array_equal(ir.transcript.find("w1hat").payload, w1_true)
+    assert np.array_equal(_message(ir.transcript, "w1hat").payload, w1_true)
     assert ir.n_hat0 == 7
     assert ir.reconciliation_ok
     u_true = np.empty(2 * n, dtype=np.uint8)
@@ -278,7 +287,7 @@ def test_run_ir_bounds_violation_guess():
     )
     assert ir.bounds_violated
     assert ir.decode2 is None
-    assert ir.transcript.labels() == ("t1", "w1hat")
+    assert _labels(ir.transcript) == ("t1", "w1hat")
     assert ir.leak_bits == code1.m
     assert not ir.reconciliation_ok
 
@@ -301,7 +310,7 @@ def test_run_ir_no_survivors():
     assert ir.n_hat0 == 0
     assert not ir.bounds_violated
     assert ir.decode2 is None
-    assert ir.transcript.labels() == ("t1", "w1hat")
+    assert _labels(ir.transcript) == ("t1", "w1hat")
     assert ir.leak_bits == n
     assert ir.reconciliation_ok
     assert not ir.u_hat[1::2].any()
@@ -427,9 +436,9 @@ def test_message_and_transcript_contracts():
     with pytest.raises(ValueError):
         Transcript((w1, t1))
     transcript = Transcript((t1, w1))
-    assert transcript.labels() == ("t1", "w1hat")
-    assert transcript.find("t1") is t1
-    assert transcript.find("t2") is None
+    assert _labels(transcript) == ("t1", "w1hat")
+    assert _message(transcript, "t1") is t1
+    assert _message(transcript, "t2") is None
     record = t1.to_dict()
     assert record["bits"] == 4
     assert record["payload_hex"] == "b0"
@@ -474,7 +483,7 @@ def test_full_session_noiseless():
     assert report.key_match
     assert report.n_hat0 == 2000
     assert report.decode1_converged and report.decode2_converged
-    assert report.transcript.labels() == ("t1", "w1hat", "t2", "hash_seed")
+    assert _labels(report.transcript) == ("t1", "w1hat", "t2", "hash_seed")
     assert report.leak_bits == 2 * math.ceil(2000 * 0.05)
     assert report.key_alice.size == 4000
     assert abs(report.empirical_key_rate - 1.0) <= 1.0 / 4000
@@ -500,7 +509,7 @@ def test_full_session_abort():
     assert report.key_alice.size == 0
     assert report.key_bob.size == 0
     assert report.leak_bits == 0
-    assert report.transcript.labels() == ()
+    assert _labels(report.transcript) == ()
     assert not report.key_match
     assert report.empirical_key_rate == 0.0
     assert report.decode1_converged is None
@@ -534,8 +543,8 @@ def test_full_session_operating_point():
     assert report.reconciliation_ok
     assert report.key_match
     assert abs(report.n_hat0 / 50_000 - 0.905) <= 0.01
-    t1 = report.transcript.find("t1")
-    t2 = report.transcript.find("t2")
+    t1 = _message(report.transcript, "t1")
+    t2 = _message(report.transcript, "t2")
     assert report.leak_bits == t1.payload.size + t2.payload.size
     rate = rate_proposed(six_state_point(report.estimated_e))
     assert abs(report.empirical_key_rate - rate) <= 1.0 / (2 * 50_000)
