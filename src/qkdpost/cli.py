@@ -7,7 +7,9 @@ Three subcommands on one console script:
 * ``simulate`` runs seeded end-to-end sessions and writes per-session
   reports plus a campaign summary.
 * ``verify`` runs one of the randomized verification suites and fails the
-  process when any assertion exceeds its bound.
+  process when any assertion exceeds its bound. ``SUITES`` maps each suite
+  name to its function; the acceptance criteria and unit tests call the
+  same functions at their own seeds and sample counts.
 
 One writer, ``_write``, turns every command's result into CSV or JSON. Both
 embed the tool version, the command, its arguments as click parsed them
@@ -233,8 +235,8 @@ def _suite_twirl(samples: int, rng: np.random.Generator) -> list[dict]:
             abs(rec.w2_original(0) - rec.w2_twirled(0)),
         )
     return [
-        {"name": "first_bracket_twirl_excess", "deviation": max(first_excess, 0.0), "bound": 1e-9},
-        {"name": "second_bracket_twirl_excess", "deviation": max(second_excess, 0.0), "bound": 1e-9},
+        {"name": "first_bracket_twirl_excess", "deviation": first_excess, "bound": 1e-9},
+        {"name": "second_bracket_twirl_excess", "deviation": second_excess, "bound": 1e-9},
         {"name": "block_law_invariance", "deviation": law_dev, "bound": 1e-12},
     ]
 
@@ -250,7 +252,9 @@ def _suite_coset(samples: int, rng: np.random.Generator) -> list[dict]:
 
 
 def _suite_types(samples: int, rng: np.random.Generator) -> list[dict]:
-    m, tol, e = 10_000, 0.02, 0.05
+    # The session's default m. At m = 10 000 the type bound is 1, which no
+    # abort fraction can exceed; here it is 2.25e-3.
+    m, tol, e = 20_000, 0.02, 0.05
     channel = six_state_point(e)
     aborts = 0
     for _ in range(samples):
@@ -296,7 +300,9 @@ def _suite_hash(samples: int, rng: np.random.Generator) -> list[dict]:
     ]
 
 
-_SUITES = {
+# Each suite takes (samples, rng) and returns its checks, one dict of name,
+# deviation and bound per check.
+SUITES = {
     "theorem3": _suite_theorem3,
     "lemmas": _suite_lemmas,
     "twirl": _suite_twirl,
@@ -307,14 +313,14 @@ _SUITES = {
 
 
 @main.command()
-@click.option("--suite", type=click.Choice(sorted(_SUITES)), required=True)
+@click.option("--suite", type=click.Choice(sorted(SUITES)), required=True)
 @click.option("--samples", type=click.IntRange(1, _MAX_COUNT), default=100, show_default=True)
 @click.option("--format", type=click.Choice(["csv", "json"]), default="csv", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Default: stdout.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=1, show_default=True)
 def verify(suite, samples, format, out, seed):
     """Run a verification suite; nonzero exit when any bound is exceeded."""
-    checks = _SUITES[suite](samples, np.random.default_rng(seed))
+    checks = SUITES[suite](samples, np.random.default_rng(seed))
     for check in checks:
         check["pass"] = bool(check["deviation"] <= check["bound"])
     passed = all(c["pass"] for c in checks)

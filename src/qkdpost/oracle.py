@@ -404,21 +404,6 @@ class WorstCaseRecord:
     w2_original: Dist
     w2_twirled: Dist
 
-    @property
-    def twirl_not_better(self) -> bool:
-        return (
-            self.first_twirled <= self.first_original + 1e-9
-            and self.second_twirled <= self.second_original + 1e-9
-        )
-
-    @property
-    def laws_invariant(self) -> bool:
-        dev = max(
-            abs(self.w1_original(0) - self.w1_twirled(0)),
-            abs(self.w2_original(0) - self.w2_twirled(0)),
-        )
-        return dev <= 1e-12
-
 
 def worst_case_check(sigma) -> WorstCaseRecord:
     """Compare both bracket quantities for sigma against its discrete twirl."""

@@ -397,7 +397,8 @@ class SessionReport:
     """Immutable record of one session.
 
     leak_bits is exactly |t1| + |t2|; empirical_key_rate is
-    len(key_alice) / (2n). bounds_violated and the decode flags separate a
+    len(key_alice) / (2n); key_match needs a nonempty key, so a 0-bit key
+    never counts as matched. bounds_violated and the decode flags separate a
     survivor-window rejection from a plain decode failure; decode flags are
     None for rounds that never ran. estimated_e sits next to the nominal
     rate so calibration drift is visible in the report itself.
@@ -528,7 +529,7 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
         key_alice=key_alice,
         key_bob=key_bob,
         reconciliation_ok=ir.reconciliation_ok,
-        key_match=bool(np.array_equal(key_alice, key_bob)),
+        key_match=key_alice.size > 0 and bool(np.array_equal(key_alice, key_bob)),
         empirical_key_rate=key_alice.size / ir.u_hat.size,
         n_hat0=ir.n_hat0,
         bounds_violated=ir.bounds_violated,

@@ -2,11 +2,13 @@
 
 Each test evaluates one numbered criterion at its stated tolerance, prints a
 single PASS/FAIL line (visible with -s or on failure), and then asserts.
-Randomized criteria run at frozen seeds; the hashing criterion's literal
-per-pair 3-sigma bound leaves no multiplicity allowance for the maximum
-over all 1023 difference classes, so its seed is pinned to a calibrated
-draw rather than an arbitrary one (see the collision test in test_protocol
-for the corrected-slack variant).
+Randomized criteria run at frozen seeds. Criteria 01, 05, 07 and 09 run
+``verify``'s suites (``qkdpost.cli.SUITES``) at their own seeds and sample
+counts and hold each deviation to the bound stated here. The hashing
+criterion's literal per-pair 3-sigma bound leaves no multiplicity allowance
+for the maximum over all 1023 difference classes, so its seed is pinned to a
+calibrated draw rather than an arbitrary one (the ``hash`` suite's own bound
+carries that allowance).
 """
 
 import math
@@ -16,6 +18,7 @@ import numpy as np
 
 from qkdpost.blocks import parity_seq
 from qkdpost.channel import bb84_family, sample_pair, six_state_point
+from qkdpost.cli import SUITES
 from qkdpost.codes import ParityCheck, bp_decode, code_for_rate, gf2_rank, ml_decode
 from qkdpost.entropy import binary_entropy
 from qkdpost.keyrate import (
@@ -24,19 +27,11 @@ from qkdpost.keyrate import (
     rate_first_arg,
     rate_oneway,
     rate_proposed,
-    rate_second_arg,
     rate_vollbrecht,
     sixstate_curve,
     tolerable_rate,
 )
-from qkdpost.oracle import (
-    coset_decomposition_check,
-    lemma_suite,
-    random_bell_diagonal,
-    random_density,
-    theorem3_direct,
-    worst_case_check,
-)
+from qkdpost.oracle import lemma_suite
 from qkdpost.protocol import key_length, run_ir, toeplitz_hash
 
 
@@ -44,16 +39,18 @@ def report(num: int, ok: bool, detail: str) -> None:
     print(f"criterion {num:02d} {'PASS' if ok else 'FAIL'}: {detail}", flush=True)
 
 
+def deviations(suite: str, samples: int, seed: int) -> dict[str, float]:
+    """Each check's deviation from one run of a ``verify`` suite; the
+    criterion applies its own bounds."""
+    checks = SUITES[suite](samples, np.random.default_rng(seed))
+    return {check["name"]: check["deviation"] for check in checks}
+
+
 def test_criterion_01_closed_form_vs_density_matrix_oracle():
     start = time.time()
-    rng = np.random.default_rng(41)
-    dev_first = dev_second = 0.0
-    for _ in range(100):
-        p = random_bell_diagonal(rng)
-        direct_first, direct_second = theorem3_direct(p)
-        dev_first = max(dev_first, abs(rate_first_arg(p) - direct_first))
-        dev_second = max(dev_second, abs(rate_second_arg(p) - direct_second))
+    dev = deviations("theorem3", 100, 41)
     elapsed = time.time() - start
+    dev_first, dev_second = dev["first_argument_vs_oracle"], dev["second_argument_vs_oracle"]
     ok = dev_first <= 1e-9 and dev_second <= 1e-9 and elapsed <= 30.0
     report(1, ok, f"bracket deviations {dev_first:.2e}/{dev_second:.2e}, {elapsed:.1f}s")
     assert dev_first <= 1e-9
@@ -107,22 +104,10 @@ def test_criterion_04_unit_rate_at_zero_error():
 
 def test_criterion_05_twirled_state_is_worst_case():
     start = time.time()
-    rng = np.random.default_rng(42)
-    excess = -math.inf
-    law_dev = 0.0
-    for _ in range(100):
-        rec = worst_case_check(random_density(4, rng))
-        excess = max(
-            excess,
-            rec.first_twirled - rec.first_original,
-            rec.second_twirled - rec.second_original,
-        )
-        law_dev = max(
-            law_dev,
-            abs(rec.w1_original(0) - rec.w1_twirled(0)),
-            abs(rec.w2_original(0) - rec.w2_twirled(0)),
-        )
+    dev = deviations("twirl", 100, 42)
     elapsed = time.time() - start
+    excess = max(dev["first_bracket_twirl_excess"], dev["second_bracket_twirl_excess"])
+    law_dev = dev["block_law_invariance"]
     ok = excess <= 1e-9 and law_dev <= 1e-12 and elapsed <= 120.0
     report(5, ok, f"worst bracket excess {excess:.2e}, law deviation {law_dev:.2e}, {elapsed:.1f}s")
     assert excess <= 1e-9
@@ -143,13 +128,7 @@ def test_criterion_06_entropy_lemma_suite():
 
 
 def test_criterion_07_coset_mixture_identity():
-    rng = np.random.default_rng(43)
-    code = [(0, 0), (1, 1)]
-    worst = 0.0
-    for _ in range(50):
-        p = random_bell_diagonal(rng)
-        for shift in ((0, 0), (0, 1), (1, 0), (1, 1)):
-            worst = max(worst, coset_decomposition_check(p, code, shift))
+    worst = deviations("coset", 50, 43)["coset_mixture_identity"]
     ok = worst <= 1e-10
     report(7, ok, f"max entrywise deviation {worst:.2e}")
     assert worst <= 1e-10
@@ -204,17 +183,8 @@ def test_criterion_08_end_to_end_reconciliation():
 
 
 def test_criterion_09_two_universal_collision_bound():
-    bits, ell, samples = 10, 4, 1000
-    rng = np.random.default_rng(6)
-    seeds = rng.integers(0, 2, size=(samples, bits + ell - 1), dtype=np.uint8)
-    i_idx = np.arange(ell)[:, None]
-    j_idx = np.arange(bits)[None, :]
-    toeplitz = seeds[:, i_idx - j_idx + bits - 1]
-    worst = 0.0
-    for diff in range(1, 2**bits):
-        d = np.array([(diff >> (bits - 1 - k)) & 1 for k in range(bits)], dtype=np.uint8)
-        collisions = float(np.mean(~((toeplitz @ d) & 1).any(axis=1)))
-        worst = max(worst, collisions)
+    ell, samples = 4, 1000
+    worst = deviations("hash", samples, 6)["max_collision_fraction"]
     bound = 2.0**-ell + 3.0 * (2.0**-ell * (1.0 - 2.0**-ell) / samples) ** 0.5
     ok = worst <= bound
     report(9, ok, f"worst pair collision fraction {worst:.4f} <= {bound:.4f}")

@@ -12,6 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from click.testing import CliRunner
 
@@ -253,6 +254,11 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
     (["keyrate", "--protocol", "bb84", "--emax", "0.5", "--curves",
       "proposed,first_arg,second_arg,vollbrecht,bstep,oneway", "--format", "json"],
      "b7ee0fcaafba7c5dfb67fd393a346bb17cb35fa384f2c6cd9fde767adb170d84"),
+    # The hash suite's collision statistics; the types suite's bound at m = 20 000.
+    (["verify", "--suite", "hash", "--samples", "200", "--format", "json"],
+     "85831b68ed0a1a1062b96b717a56c18126f08f15898b0eab1cc7dcfb6200bc0c"),
+    (["verify", "--suite", "types", "--samples", "20", "--format", "json"],
+     "fa4a80824e47b070975b56c7b9ba098790cf0da02ca28c6250855bf2e0cd2bf2"),
 ])
 def test_output_pinned(runner, args, expected):
     # Each command's CSV and JSON layout is a fixed byte stream: the header
@@ -298,6 +304,12 @@ def test_verify_suites_pass(runner, suite, samples):
     assert all(row.endswith(",PASS") for row in rows[1:])
 
 
+def test_types_suite_can_fail():
+    # An abort fraction never exceeds 1, so a bound of 1 would pass every run.
+    (check,) = cli.SUITES["types"](1, np.random.default_rng(0))
+    assert check["bound"] < 1.0
+
+
 def test_verify_json(runner):
     result = runner.invoke(cli.main, [
         "verify", "--suite", "coset", "--samples", "3", "--format", "json",
@@ -315,7 +327,7 @@ def test_verify_unknown_suite(runner):
 
 def test_verify_failure_exit_code(runner, monkeypatch):
     monkeypatch.setitem(
-        cli._SUITES, "coset",
+        cli.SUITES, "coset",
         lambda samples, rng: [{"name": "forced", "deviation": 1.0, "bound": 1e-9}],
     )
     result = runner.invoke(cli.main, ["verify", "--suite", "coset"])

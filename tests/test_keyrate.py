@@ -2,8 +2,10 @@
 
 Hand-derived anchor points pin the algebra at degenerate inputs; the
 density-matrix construction in qkdpost.oracle supplies an independent value
-for the two bracket arguments at random channels. Threshold regressions are
-frozen from a bisection refined to 1e-4.
+for the two bracket arguments at random channels. That closed-form-vs-oracle
+loop lives once, in ``verify``'s theorem3 suite (``qkdpost.cli.SUITES``),
+which test_bracket_oracle_equivalence runs at its own seed. Threshold
+regressions are frozen from a bisection refined to 1e-4.
 """
 
 
@@ -13,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkdpost.channel import BellDiagonal, bb84_family, six_state_point
+from qkdpost.cli import SUITES
 from qkdpost.entropy import shannon_entropy
 from qkdpost.keyrate import (
     CURVES,
@@ -30,7 +33,7 @@ from qkdpost.keyrate import (
     sweep,
     tolerable_rate,
 )
-from qkdpost.oracle import random_bell_diagonal, theorem3_direct
+from qkdpost.oracle import random_bell_diagonal
 
 
 @st.composite
@@ -70,12 +73,8 @@ def test_dominance_chain(p):
 
 
 def test_bracket_oracle_equivalence():
-    rng = np.random.default_rng(31)
-    for _ in range(20):
-        p = random_bell_diagonal(rng)
-        direct_first, direct_second = theorem3_direct(p)
-        assert rate_first_arg(p) == pytest.approx(direct_first, abs=1e-9)
-        assert rate_second_arg(p) == pytest.approx(direct_second, abs=1e-9)
+    for check in SUITES["theorem3"](20, np.random.default_rng(31)):
+        assert check["deviation"] <= check["bound"], check["name"]
 
 
 def test_six_state_values():

@@ -2,9 +2,11 @@
 coset decomposition, and the randomized inequality suite.
 
 Anchors are hand-computable degenerate states; randomized checks run on
-frozen seeds. The closed-form equivalence against the keyrate module lives
-in test_keyrate; here the direct construction itself is exercised, and
-test_oracle_stands_alone checks that it never reads the closed-form block laws.
+frozen seeds. The randomized closed-form-vs-oracle, twirl and coset loops
+live once, in ``verify``'s suites (``qkdpost.cli.SUITES``); test_keyrate and
+the twirl tests here run them at their own seeds. Here the direct
+construction itself is exercised, and test_oracle_stands_alone checks that
+it never reads the closed-form block laws.
 """
 
 import itertools
@@ -14,6 +16,7 @@ import numpy as np
 import pytest
 
 from qkdpost.channel import BellDiagonal, derived_dists
+from qkdpost.cli import SUITES
 from qkdpost.entropy import Dist, shannon_entropy
 from qkdpost.keyrate import rate_first_arg, rate_second_arg
 from qkdpost.oracle import (
@@ -294,11 +297,8 @@ def test_oracle_stands_alone(monkeypatch):
         direct_first, direct_second = theorem3_direct(p)
         assert direct_first == pytest.approx(first, abs=1e-9)
         assert direct_second == pytest.approx(second, abs=1e-9)
-    rng = np.random.default_rng(14)
-    for _ in range(3):
-        record = worst_case_check(random_density(4, rng))
-        assert record.twirl_not_better
-        assert record.laws_invariant
+    for check in SUITES["twirl"](3, np.random.default_rng(14)):
+        assert check["deviation"] <= check["bound"], check["name"]
 
 
 def test_discrete_twirl():
@@ -317,16 +317,13 @@ def test_worst_case_fixed_point():
     record = worst_case_check(bell_density(random_bell_diagonal(np.random.default_rng(6))))
     assert record.first_twirled == pytest.approx(record.first_original, abs=1e-9)
     assert record.second_twirled == pytest.approx(record.second_original, abs=1e-9)
-    assert record.twirl_not_better
-    assert record.laws_invariant
+    assert record.w1_twirled(0) == pytest.approx(record.w1_original(0), abs=1e-12)
+    assert record.w2_twirled(0) == pytest.approx(record.w2_original(0), abs=1e-12)
 
 
 def test_worst_case_random_states():
-    rng = np.random.default_rng(7)
-    for _ in range(25):
-        record = worst_case_check(random_density(4, rng))
-        assert record.twirl_not_better
-        assert record.laws_invariant
+    for check in SUITES["twirl"](25, np.random.default_rng(7)):
+        assert check["deviation"] <= check["bound"], check["name"]
 
 
 def test_coset_decomposition():

@@ -490,13 +490,17 @@ def test_full_session_noiseless():
 
 
 def test_full_session_margin_deduction():
-    cfg = SessionConfig(
-        channel=BellDiagonal(1.0, 0.0, 0.0, 0.0),
-        n=2000, m=2000, seed=5, finite_size_margin=0.25,
-    )
-    report = run_full_session(cfg)
-    assert report.key_alice.size == 3000
-    assert abs(report.empirical_key_rate - 0.75) <= 1.0 / 4000
+    for margin, key_bits in ((0.25, 3000), (1.0, 0)):
+        cfg = SessionConfig(
+            channel=BellDiagonal(1.0, 0.0, 0.0, 0.0),
+            n=2000, m=2000, seed=5, finite_size_margin=margin,
+        )
+        report = run_full_session(cfg)
+        assert report.reconciliation_ok
+        assert report.key_alice.size == key_bits
+        assert abs(report.empirical_key_rate - key_bits / 4000) <= 1.0 / 4000
+        # Two empty keys are equal, but no key was matched.
+        assert report.key_match == (key_bits > 0)
 
 
 def test_full_session_abort():
