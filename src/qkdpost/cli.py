@@ -274,17 +274,26 @@ def _suite_hash(samples: int, rng: np.random.Generator) -> list[dict]:
     The slack covers the maximum of 1023 per-difference binomials, which
     concentrates at sqrt(2 ln 1023) standard deviations above the collision
     probability; two more keep the false-failure rate per run below 1e-3.
+    Below 3 samples that bound reaches 1, which no collision fraction can
+    exceed, so fewer samples are refused.
     """
     bits, ell = 10, 4
+    classes = 2**bits - 1
+    z_max = (2.0 * np.log(classes)) ** 0.5 + 2.0
+    variance = 2.0**-ell * (1 - 2.0**-ell)
+    bound = 2.0**-ell + z_max * (variance / samples) ** 0.5
+    if bound >= 1.0:
+        fewest = int(z_max**2 * variance / (1 - 2.0**-ell) ** 2) + 1
+        raise ValueError(
+            f"--samples {samples} puts the collision bound at {bound:.3f}, which no "
+            f"collision fraction can exceed; use --samples {fewest} or more"
+        )
     seeds = rng.integers(0, 2, size=(samples, bits + ell - 1), dtype=np.uint8)
     # toeplitz[s, i, j] = seeds[s, i - j + bits - 1]
     i_idx = np.arange(ell)[:, None]
     j_idx = np.arange(bits)[None, :]
     toeplitz = seeds[:, i_idx - j_idx + bits - 1]
     worst = 0.0
-    classes = 2**bits - 1
-    z_max = (2.0 * np.log(classes)) ** 0.5 + 2.0
-    sigma = (2.0**-ell * (1 - 2.0**-ell) / samples) ** 0.5
     convention_dev = 0.0
     for diff in range(1, 2**bits):
         d = np.array([(diff >> (bits - 1 - k)) & 1 for k in range(bits)], dtype=np.uint8)
@@ -295,7 +304,7 @@ def _suite_hash(samples: int, rng: np.random.Generator) -> list[dict]:
             expected = toeplitz_hash(seeds[diff % samples], d, ell)
             convention_dev = max(convention_dev, float(np.abs(outputs[diff % samples] - expected).max()))
     return [
-        {"name": "max_collision_fraction", "deviation": worst, "bound": 2.0**-ell + z_max * sigma},
+        {"name": "max_collision_fraction", "deviation": worst, "bound": bound},
         {"name": "matrix_convention_vs_hash", "deviation": convention_dev, "bound": 0.0},
     ]
 
@@ -320,7 +329,10 @@ SUITES = {
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=1, show_default=True)
 def verify(suite, samples, format, out, seed):
     """Run a verification suite; nonzero exit when any bound is exceeded."""
-    checks = SUITES[suite](samples, np.random.default_rng(seed))
+    try:
+        checks = SUITES[suite](samples, np.random.default_rng(seed))
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
     for check in checks:
         check["pass"] = bool(check["deviation"] <= check["bound"])
     passed = all(c["pass"] for c in checks)

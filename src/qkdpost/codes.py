@@ -8,7 +8,10 @@ plausible vector with a prescribed syndrome under an i.i.d. Bernoulli model:
   below 1/2 (minimum Hamming weight in the coset, lexicographic ties). The
   correctness oracle; n <= 24.
 * bp_decode: syndrome-based sum-product belief propagation with a flooding
-  schedule, the practical engine for sparse matrices at large n.
+  schedule, the practical engine for sparse matrices at large n. One
+  kernel decodes one syndrome or a (B, m) stack of them on one code; a row
+  of a stack retires at the iteration its syndrome matches, and every row
+  gets bit for bit what its own one-row call returns.
 
 Constructions: dense uniform-random with an explicit rank check (small n),
 and a staircase form [S | T] whose lower-triangular tail T makes full row
@@ -89,22 +92,33 @@ def gf2_rank(mat: np.ndarray) -> int:
     return rank
 
 
-def _column_major(cols: np.ndarray, rows: np.ndarray, m: int) -> np.ndarray:
-    """Stable order of entries by column, then row (rows in [0, m)).
+def _ranges(ends: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Indices ends[i] - lengths[i], ..., ends[i] - 1 for every i, in order."""
+    at = np.repeat(ends - np.cumsum(lengths), lengths)
+    at += np.arange(at.size)
+    return at
 
-    The same permutation as np.lexsort((rows, cols)), from one sort of a
-    single int64 key, which is several times faster.
-    """
-    return np.argsort(cols * m + rows, kind="stable")
+
+def _in_runs(ordered: np.ndarray) -> np.ndarray:
+    """Mask of the entries of a sorted array that equal a neighbour."""
+    same = ordered[1:] == ordered[:-1]
+    mask = np.zeros(ordered.size, dtype=bool)
+    mask[1:] = same
+    mask[:-1] |= same
+    return mask
 
 
 @dataclass(frozen=True)
 class DecodeResult:
-    """Decoder output; converged guarantees the syndrome is matched."""
+    """Decoder output; converged guarantees the syndrome is matched.
+
+    For a (B, m) syndrome stack, error_estimate is (B, n) and converged and
+    iterations are length-B arrays, row by row.
+    """
 
     error_estimate: np.ndarray
-    converged: bool
-    iterations: int
+    converged: bool | np.ndarray
+    iterations: int | np.ndarray
 
 
 class ParityCheck:
@@ -130,10 +144,14 @@ class ParityCheck:
             raise ValueError("row index out of range")
         if ev.size and (ev.min() < 0 or ev.max() >= n):
             raise ValueError("column index out of range")
-        order = _column_major(ev, ec, m)
-        ev, ec = ev[order], ec[order]
-        if np.any((ev[1:] == ev[:-1]) & (ec[1:] == ec[:-1])):
-            raise ValueError("duplicate row index within a column")
+        keys = ev * m + ec
+        # Edges that already arrive column-major without a repeat (as every
+        # construction here delivers them) keep their order.
+        if np.any(keys[1:] <= keys[:-1]):
+            order = np.argsort(keys, kind="stable")
+            ev, ec = ev[order], ec[order]
+            if np.any((ev[1:] == ev[:-1]) & (ec[1:] == ec[:-1])):
+                raise ValueError("duplicate row index within a column")
         self.m = int(m)
         self.n = int(n)
         self.rank_certificate = rank_certificate
@@ -236,11 +254,19 @@ def bp_decode(
 
     Priors favor the all-zero error; check nodes flip sign where the target
     syndrome bit is 1. The exclusion product at each check runs in the
-    log-magnitude domain with explicit sign counts so degree-40 checks stay
-    finite. Flooding schedule, early stop on syndrome match; non-convergence
-    is a flagged result. damping blends each variable-to-check update with
-    the previous message (0 = off), which settles oscillating small
-    structures at some cost in speed.
+    log-magnitude domain with explicit sign parities so degree-40 checks
+    stay finite. Flooding schedule, early stop on syndrome match;
+    non-convergence is a flagged result. damping blends each
+    variable-to-check update with the previous message (0 = off), which
+    settles oscillating small structures at some cost in speed.
+
+    t is one syndrome of length m, or a (B, m) stack of syndromes decoded
+    together on H. Each row of a stack runs exactly the arithmetic of its
+    own one-row call: it retires at the iteration where its syndrome
+    matches (an all-zero row retires before the first), so every row's
+    estimate, flag and iteration count equal those of decoding it alone.
+    A stack returns a (B, n) estimate and length-B converged and iterations
+    arrays; a single syndrome returns scalars.
     """
     if not 0.0 < crossover < 0.5:
         raise ValueError(f"crossover {crossover} not in (0, 1/2)")
@@ -248,38 +274,113 @@ def bp_decode(
         raise ValueError(f"damping {damping} not in [0, 1)")
     if max_iters < 1:
         raise ValueError(f"max_iters {max_iters} must be >= 1")
-    t = as_bits(t)
-    if t.size != H.m:
-        raise ValueError(f"syndrome length {t.size}, expected {H.m}")
-    if not t.any():
-        return DecodeResult(np.zeros(H.n, dtype=np.uint8), converged=True, iterations=0)
+    t = np.asarray(t)
+    if t.ndim not in (1, 2) or t.shape[-1] != H.m:
+        raise ValueError(f"syndrome shape {t.shape}, expected ({H.m},) or (B, {H.m})")
+    stack = as_bits(t.reshape(-1)).reshape(t.shape if t.ndim == 2 else (1, H.m))
+    estimate, converged, iterations = _bp_stack(H, stack, crossover, max_iters, damping)
+    if t.ndim == 2:
+        return DecodeResult(estimate, converged, iterations)
+    return DecodeResult(estimate[0], bool(converged[0]), int(iterations[0]))
 
+
+def _bp_stack(
+    H: ParityCheck, synd: np.ndarray, crossover: float, max_iters: int, damping: float
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The sum-product kernel behind bp_decode, on a (B, m) syndrome stack.
+
+    The live rows' edge messages sit back to back in flat buffers; live row
+    r reads checks r*m + edge_check and variables r*n + edge_var, so every
+    bincount sums each check and each variable in the same edge order as a
+    one-row decode. A row that matches its syndrome retires and the rows
+    behind it move up, which keeps the live rows a prefix of every buffer
+    and of the offset index arrays (built once, and not at all for one
+    row). The buffers are allocated once and updated in place.
+    """
+    rows, m = synd.shape
+    n = H.n
     ev, ec = H._edge_var, H._edge_check
-    m = H.m
+    edges = ev.size
+    estimate = np.zeros((rows, n), dtype=np.uint8)
+    converged = np.ones(rows, dtype=bool)
+    iterations = np.zeros(rows, dtype=np.int64)
+    live = np.flatnonzero(synd.any(axis=1))
+    if live.size == 0:
+        return estimate, converged, iterations
+    target = synd[live]
+    # Column j of live row r owns the col_degree[r*n + j] edges that end
+    # before col_end[r*n + j].
+    col_degree = np.tile(np.bincount(ev, minlength=n), live.size)
+    col_end = np.cumsum(col_degree)
+    if live.size > 1:
+        ec = (ec + m * np.arange(live.size)[:, None]).ravel()
+        ev = (ev + n * np.arange(live.size)[:, None]).ravel()
     llr0 = math.log((1.0 - crossover) / crossover)
-    target = t.astype(np.int64)
     m_vc = np.full(ev.size, llr0)
-    posterior = np.zeros(H.n)
+    # mag: tanh(m_vc / 2), then log|.|; m_cv: check-to-variable messages;
+    # fresh: posterior at each edge, then the next variable messages.
+    mag, m_cv, fresh = np.empty(ev.size), np.empty(ev.size), np.empty(ev.size)
+    neg = np.empty(ev.size, dtype=bool)
+    flip = np.empty(ev.size, dtype=np.uint8)
+    sign = np.empty(ev.size, dtype=np.uint64)
+    count = 0
     for it in range(1, max_iters + 1):
-        tanh_half = np.tanh(m_vc / 2.0)
-        mag = np.log(np.maximum(np.abs(tanh_half), 1e-300))
-        neg = tanh_half < 0
-        mag_tot = np.bincount(ec, weights=mag, minlength=m)
+        if count != live.size:
+            count = live.size
+            size = count * edges
+            ecl, evl, targets = ec[:size], ev[:size], target.ravel()
+            vc, mg, cv, fr = m_vc[:size], mag[:size], m_cv[:size], fresh[:size]
+            ng, fl, sg = neg[:size], flip[:size], sign[:size]
+        np.multiply(vc, 0.5, out=mg)
+        np.tanh(mg, out=mg)
+        np.less(mg, 0.0, out=ng)
+        np.abs(mg, out=mg)
+        np.maximum(mg, 1e-300, out=mg)
+        np.log(mg, out=mg)
+        mag_tot = np.bincount(ecl, weights=mg, minlength=count * m)
         # A check message is negative when the target bit plus the other
-        # edges' negative signs is odd.
-        neg_tot = np.bincount(ec[neg], minlength=m) + target
-        excl_mag = np.minimum(mag_tot[ec] - mag, -1e-16)
-        flip = (neg_tot[ec] - neg) & 1
-        m_cv = (1.0 - 2.0 * flip) * 2.0 * np.arctanh(np.exp(excl_mag))
-        posterior = llr0 + np.bincount(ev, weights=m_cv, minlength=H.n)
-        post_edge = posterior[ev]
-        fresh = np.minimum(np.maximum(post_edge - m_cv, -_LLR_CLIP), _LLR_CLIP)
-        m_vc = damping * m_vc + (1.0 - damping) * fresh if damping > 0.0 else fresh
-        # Syndrome of the hard decision, read from the edges already at hand.
-        syndrome = np.bincount(ec[post_edge < 0], minlength=m) & 1
-        if not np.count_nonzero(syndrome != target):
-            return DecodeResult((posterior < 0).astype(np.uint8), converged=True, iterations=it)
-    return DecodeResult((posterior < 0).astype(np.uint8), converged=False, iterations=max_iters)
+        # edges' negative signs is odd: the check's parity XOR the edge's own.
+        parity = np.bincount(ecl, weights=ng, minlength=count * m).astype(np.int64) & 1
+        parity = parity.astype(np.uint8) ^ targets
+        parity.take(ecl, out=fl, mode="clip")
+        fl ^= ng
+        mag_tot.take(ecl, out=cv, mode="clip")
+        np.subtract(cv, mg, out=cv)
+        np.minimum(cv, -1e-16, out=cv)
+        np.exp(cv, out=cv)
+        np.arctanh(cv, out=cv)
+        np.add(cv, cv, out=cv)
+        # (1 - 2*flip) * 2 * arctanh(.), exactly: flip the sign bit.
+        np.left_shift(fl, np.uint64(63), out=sg, dtype=np.uint64)
+        np.bitwise_xor(cv.view(np.uint64), sg, out=cv.view(np.uint64))
+        posterior = np.bincount(evl, weights=cv, minlength=count * n)
+        posterior += llr0
+        posterior.take(evl, out=fr, mode="clip")
+        np.subtract(fr, cv, out=fr)
+        np.maximum(fr, -_LLR_CLIP, out=fr)
+        np.minimum(fr, _LLR_CLIP, out=fr)
+        if damping > 0.0:
+            np.multiply(vc, damping, out=vc)
+            np.multiply(fr, 1.0 - damping, out=fr)
+            np.add(vc, fr, out=vc)
+        else:
+            m_vc, fresh = fresh, m_vc
+            vc, fr = fr, vc
+        # Syndrome of the hard decision, from the edges of its set bits.
+        ones = np.flatnonzero(posterior < 0)
+        at = _ranges(col_end[ones], col_degree[ones])
+        syndrome = np.bincount(ecl[at], minlength=count * m) & 1
+        matched = (syndrome.reshape(count, m) == target).all(axis=1)
+        if not (matched.any() or it == max_iters):
+            continue
+        estimate[live] = posterior.reshape(count, n) < 0
+        converged[live] = matched
+        iterations[live] = it
+        if matched.all() or it == max_iters:
+            break
+        live, target = live[~matched], target[~matched]
+        m_vc[: live.size * edges] = vc.reshape(count, edges)[~matched].ravel()
+    return estimate, converged, iterations
 
 
 def code_for_rate(n: int, target_rate: float, rng: np.random.Generator | None = None) -> ParityCheck:
@@ -337,16 +438,27 @@ def _staircase_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
     info_rows = np.zeros(0, dtype=np.int64)
     if k:
         info_rows = _balanced_sockets(m, degrees, rng, pre_load)
-    steps = np.arange(m - 1)
+    # Column-major with rows ascending, the layout the cycle breaker edits:
+    # each info column's rows sorted in place, then tail column i as
+    # i, i + 1 and its extra row (which lies below both), the last column
+    # as m - 1 alone.
+    offsets = np.concatenate([[0], np.cumsum(degrees)])
+    for d in np.unique(degrees).tolist():
+        at = offsets[:-1][degrees == d, None] + np.arange(d)
+        info_rows[at] = np.sort(info_rows[at], axis=1)
     extra = np.flatnonzero(tail_extra >= 0)
-    edge_var = np.concatenate(
-        [np.repeat(np.arange(k), degrees), k + steps, k + steps, k + extra, [n - 1]]
-    )
-    edge_check = np.concatenate([info_rows, steps, steps + 1, tail_extra[extra], [m - 1]])
-    # column-major with rows ascending, the layout the cycle breaker edits
-    order = _column_major(edge_var, edge_check, m)
-    edge_var, edge_check = edge_var[order], edge_check[order]
-    col_ptr = np.concatenate([[0], np.cumsum(np.bincount(edge_var, minlength=n))])
+    tail_degrees = np.full(m, 2, dtype=np.int64)
+    tail_degrees[extra] = 3
+    tail_degrees[m - 1] = 1
+    tail_at = np.cumsum(tail_degrees) - tail_degrees
+    tail_rows = np.empty(int(tail_degrees.sum()), dtype=np.int64)
+    tail_rows[tail_at] = np.arange(m)
+    tail_rows[tail_at[:-1] + 1] = np.arange(1, m)
+    tail_rows[tail_at[extra] + 2] = tail_extra[extra]
+    col_degrees = np.concatenate([degrees, tail_degrees])
+    edge_var = np.repeat(np.arange(n), col_degrees)
+    edge_check = np.concatenate([info_rows, tail_rows])
+    col_ptr = np.concatenate([[0], np.cumsum(col_degrees)])
     _break_low_degree_cycles(col_ptr, edge_check, m, k, rng)
     return ParityCheck(m, n, edge_var, edge_check, rank_certificate="triangular")
 
@@ -379,23 +491,32 @@ def _break_low_degree_cycles(
     # Row pairs (0, 1), (0, 2), (1, 2) of each column, column by column.
     per_col = np.where(sizes[low] == 3, 3, 1)
     owners = np.repeat(low, per_col)
-    slot = np.arange(owners.size) - np.repeat(np.cumsum(per_col) - per_col, per_col)
+    pair_ptr = np.zeros(sizes.size + 1, dtype=np.int64)
+    pair_ptr[low + 1] = per_col
+    np.cumsum(pair_ptr, out=pair_ptr)
+    slot = np.arange(owners.size) - pair_ptr[owners]
     first = col_ptr[owners] + np.array([0, 0, 1])[slot]
     second = col_ptr[owners] + np.array([1, 2, 2])[slot]
+    keys = rows[first] * m + rows[second]
+    # Pair positions in (key, position) order, and their keys; a round's
+    # rewired pairs are taken out and put back at their new keys. The
+    # unstable sort is several times faster than a stable one; the few runs
+    # of equal keys are then put in position order.
+    order = np.argsort(keys)
+    ordered = keys[order]
+    at = np.flatnonzero(_in_runs(ordered))
+    order[at] = order[at][np.lexsort((order[at], ordered[at]))]
     for _ in range(_CYCLE_ROUNDS):
-        keys = rows[first] * m + rows[second]
-        ordered = np.sort(keys)
-        shared = ordered[1:][ordered[1:] == ordered[:-1]]
-        if shared.size == 0:
+        shared = _in_runs(ordered)
+        if not shared.any():
             return
-        # Only the few pairs on a shared key need the stable (key, position)
-        # order that decides which pair is repaired first.
-        at = np.flatnonzero(np.isin(keys, shared))
-        at = at[np.argsort(keys[at], kind="stable")]
-        for p1, p2 in zip(at[:-1], at[1:]):
-            if keys[p1] != keys[p2]:
+        at = order[shared]
+        at_keys, at_owners = keys[at].tolist(), owners[at].tolist()
+        rewired = []
+        for i in range(at.size - 1):
+            if at_keys[i] != at_keys[i + 1]:
                 continue
-            j1, j2 = int(owners[p1]), int(owners[p2])
+            j1, j2 = at_owners[i], at_owners[i + 1]
             if j1 == j2:
                 continue
             if j2 < k:
@@ -418,13 +539,32 @@ def _break_low_degree_cycles(
                 swap_at = 2
                 lo = target - k + 2
                 hi = min(lo + _TAIL_WINDOW, m)
+            held = col.tolist()
             for _ in range(32):
                 candidate = int(rng.integers(lo, hi))
-                if candidate not in col:
-                    new_rows = col.copy()
-                    new_rows[swap_at] = candidate
-                    col[:] = np.sort(new_rows)
+                if candidate not in held:
+                    held[swap_at] = candidate
+                    col[:] = sorted(held)
+                    rewired.append(target)
                     break
+        if not rewired:
+            continue
+        cols = np.unique(rewired)
+        moved = _ranges(pair_ptr[cols + 1], pair_ptr[cols + 1] - pair_ptr[cols])
+        keys[moved] = rows[first[moved]] * m + rows[second[moved]]
+        gone = np.zeros(keys.size, dtype=bool)
+        gone[moved] = True
+        kept = ~gone[order]
+        order, ordered = order[kept], ordered[kept]
+        # Each moved pair goes before the first kept pair with a larger
+        # (key, position); positions ascend within a run of equal keys.
+        moved = moved[np.lexsort((moved, keys[moved]))]
+        back = np.searchsorted(ordered, keys[moved])
+        ends = np.searchsorted(ordered, keys[moved], side="right")
+        for i in np.flatnonzero(ends > back).tolist():
+            back[i] += np.searchsorted(order[back[i] : ends[i]], moved[i])
+        order = np.insert(order, back, moved)
+        ordered = np.insert(ordered, back, keys[moved])
 
 
 def _profile_degrees(k: int, rng: np.random.Generator) -> np.ndarray:
@@ -467,12 +607,18 @@ def _balanced_sockets(m: int, degrees: np.ndarray, rng: np.random.Generator, pre
     offsets = np.concatenate([[0], np.cumsum(degrees)]).astype(np.int64)
     col_of_edge = np.repeat(np.arange(degrees.size), degrees)
     for _ in range(64):
-        order = _column_major(col_of_edge, sockets, m)
-        same_col = col_of_edge[order][1:] == col_of_edge[order][:-1]
-        same_sock = sockets[order][1:] == sockets[order][:-1]
-        dup_positions = order[1:][same_col & same_sock]
-        if dup_positions.size == 0:
+        keys = col_of_edge * m + sockets
+        ordered = np.sort(keys)
+        repeated = ordered[1:][ordered[1:] == ordered[:-1]]
+        if repeated.size == 0:
             return sockets
+        # Only the columns holding a repeated row have duplicates; their
+        # entries in (column, row, position) order decide which entries
+        # move, and in what order.
+        cols = np.unique(repeated // m)
+        at = _ranges(offsets[cols + 1], degrees[cols])
+        order = at[np.argsort(keys[at], kind="stable")]
+        dup_positions = order[1:][keys[order[1:]] == keys[order[:-1]]]
         for pos in dup_positions:
             other = int(rng.integers(0, total))
             sockets[pos], sockets[other] = sockets[other], sockets[pos]

@@ -310,6 +310,18 @@ def test_types_suite_can_fail():
     assert check["bound"] < 1.0
 
 
+@pytest.mark.parametrize("samples", ["1", "2"])
+def test_hash_suite_refuses_a_bound_of_one(runner, samples):
+    # At 1 or 2 samples the collision bound is at least 1, so the check
+    # could never fail; the refusal names the fewest samples that work.
+    result = runner.invoke(cli.main, ["verify", "--suite", "hash", "--samples", samples])
+    assert result.exit_code == 2
+    assert "use --samples 3 or more" in result.output
+    assert "Traceback" not in result.output
+    (collisions, _) = cli.SUITES["hash"](3, np.random.default_rng(0))
+    assert collisions["bound"] < 1.0
+
+
 def test_verify_json(runner):
     result = runner.invoke(cli.main, [
         "verify", "--suite", "coset", "--samples", "3", "--format", "json",

@@ -10,7 +10,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdpost.codes import (
@@ -238,21 +238,135 @@ def test_bp_validation():
 
 
 def test_bp_never_beats_ml():
-    # Paired draws on one small code: exact ML bounds BP from below, and any
-    # converged BP output must reproduce the target syndrome.
+    # Paired draws on one small code, decoded by BP as one stack: exact ML
+    # bounds BP from below, and any converged BP output must reproduce the
+    # target syndrome.
     code = code_for_rate(18, 0.45, rng=np.random.default_rng(7))
-    rng = np.random.default_rng(0)
+    errors = (np.random.default_rng(0).random((1000, 18)) < 0.08).astype(np.uint8)
+    syndromes = np.array([code.syndrome(e) for e in errors])
+    rb = bp_decode(code, syndromes, crossover=0.08)
     bp_err = ml_err = 0
-    for _ in range(1000):
-        e = (rng.random(18) < 0.08).astype(np.uint8)
-        t = code.syndrome(e)
-        rb = bp_decode(code, t, crossover=0.08)
+    for e, t, est, converged in zip(errors, syndromes, rb.error_estimate, rb.converged):
         rm = ml_decode(code, t, crossover=0.08)
-        if rb.converged:
-            assert np.array_equal(code.syndrome(rb.error_estimate), t)
-        bp_err += not (rb.converged and np.array_equal(rb.error_estimate, e))
+        if converged:
+            assert np.array_equal(code.syndrome(est), t)
+        bp_err += not (converged and np.array_equal(est, e))
         ml_err += not np.array_equal(rm.error_estimate, e)
     assert 0 < ml_err <= bp_err < 1000
+
+
+def _decode_digest(results) -> str:
+    """sha256 over each result's (error_estimate, converged, iterations)."""
+    digest = hashlib.sha256()
+    for res in results:
+        digest.update(np.asarray(res.error_estimate, dtype=np.uint8).tobytes())
+        digest.update(bytes([bool(res.converged)]))
+        digest.update(int(res.iterations).to_bytes(4, "little"))
+    return digest.hexdigest()
+
+
+def test_bp_small_decodes_pinned():
+    # Rewrites of the BP kernel must not move one output bit: 360 decodes
+    # on three small codes, default, starved (max_iters = 1) and damped.
+    def results():
+        for m, n, seed in ((3, 8, 50), (5, 12, 51), (8, 20, 52)):
+            code = random_dense(m, n, seed)
+            draw = np.random.default_rng(seed + 100)
+            for kwargs in ({}, {"max_iters": 1}, {"max_iters": 7, "damping": 0.3}):
+                for _ in range(40):
+                    e = (draw.random(n) < 0.15).astype(np.uint8)
+                    yield bp_decode(code, code.syndrome(e), 0.12, **kwargs)
+
+    expected = "abdc344d3cf48f7c6f85dd9af7d03154d4c0270410d81e814089834b9e9e6337"
+    assert _decode_digest(results()) == expected
+
+
+def test_bp_large_decodes_pinned(big_code):
+    # Three decodes that never converge (two damped) carry every message
+    # rounding into their final estimate; the fourth converges.
+    draw = np.random.default_rng(60)
+    results = []
+    for p, kwargs in (
+        (0.12, {"max_iters": 40, "damping": 0.3}),
+        (0.12, {"max_iters": 40, "damping": 0.7}),
+        (0.12, {"max_iters": 300}),
+        (0.05, {}),
+    ):
+        e = (draw.random(big_code.n) < p).astype(np.uint8)
+        results.append(bp_decode(big_code, big_code.syndrome(e), 0.11, **kwargs))
+    assert [(r.converged, r.iterations) for r in results] == [
+        (False, 40), (False, 40), (False, 300), (True, 8)
+    ]
+    expected = "ac128515d126f45c030fa65ba381616ef0b0b4301858231492e273cb2166b18b"
+    assert _decode_digest(results) == expected
+
+
+@st.composite
+def decode_stacks(draw):
+    """(code, (B, m) syndromes, crossover, max_iters, damping) on a small
+    full-rank code; rows mix zero syndromes, error syndromes and arbitrary
+    ones."""
+    m = draw(st.integers(1, 6))
+    n = draw(st.integers(m + 1, 14))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    while True:
+        mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        if gf2_rank(mat) == m:
+            break
+    code = ParityCheck.from_dense(mat)
+    rows = []
+    for kind in draw(st.lists(st.sampled_from(["zero", "error", "any"]), min_size=1, max_size=12)):
+        if kind == "zero":
+            rows.append(np.zeros(m, dtype=np.uint8))
+        elif kind == "error":
+            rows.append(code.syndrome((rng.random(n) < 0.15).astype(np.uint8)))
+        else:
+            rows.append(rng.integers(0, 2, size=m, dtype=np.uint8))
+    crossover = draw(st.floats(0.01, 0.45))
+    max_iters = draw(st.sampled_from([1, 2, 5, 40]))
+    damping = draw(st.sampled_from([0.0, 0.3, 0.8]))
+    return code, np.array(rows), crossover, max_iters, damping
+
+
+@settings(deadline=None, max_examples=150)
+@given(decode_stacks())
+def test_bp_stack_equals_rows(case):
+    # A stack decodes each row exactly as its own one-row call would.
+    code, syndromes, crossover, max_iters, damping = case
+    stacked = bp_decode(code, syndromes, crossover, max_iters=max_iters, damping=damping)
+    assert stacked.error_estimate.shape == (len(syndromes), code.n)
+    assert stacked.converged.shape == stacked.iterations.shape == (len(syndromes),)
+    for i, t in enumerate(syndromes):
+        single = bp_decode(code, t, crossover, max_iters=max_iters, damping=damping)
+        assert isinstance(single.converged, bool) and isinstance(single.iterations, int)
+        assert stacked.error_estimate[i].tobytes() == single.error_estimate.tobytes()
+        assert stacked.converged[i] == single.converged
+        assert stacked.iterations[i] == single.iterations
+
+
+def test_bp_stack_rows_retire_at_different_iterations():
+    code = code_for_rate(18, 0.45, rng=np.random.default_rng(7))
+    rng = np.random.default_rng(3)
+    syndromes = np.array([code.syndrome((rng.random(18) < 0.1).astype(np.uint8)) for _ in range(200)])
+    stacked = bp_decode(code, syndromes, 0.1, max_iters=60)
+    assert len(set(stacked.iterations.tolist())) >= 5
+    assert not stacked.converged.all() and stacked.converged.any()
+    for i in range(0, 200, 7):
+        single = bp_decode(code, syndromes[i], 0.1, max_iters=60)
+        assert np.array_equal(stacked.error_estimate[i], single.error_estimate)
+        assert (stacked.converged[i], stacked.iterations[i]) == (single.converged, single.iterations)
+
+
+def test_bp_stack_validation():
+    code = random_dense(4, 10, seed=6)
+    with pytest.raises(ValueError, match="syndrome shape"):
+        bp_decode(code, np.zeros((3, 5), dtype=np.uint8), crossover=0.1)
+    with pytest.raises(ValueError, match="syndrome shape"):
+        bp_decode(code, np.zeros((2, 3, 4), dtype=np.uint8), crossover=0.1)
+    with pytest.raises(ValueError):
+        bp_decode(code, np.full((2, 4), 2, dtype=np.uint8), crossover=0.1)
+    empty = bp_decode(code, np.zeros((0, 4), dtype=np.uint8), crossover=0.1)
+    assert empty.error_estimate.shape == (0, 10) and empty.converged.size == 0
 
 
 def test_bp_regular_ldpc_large_block(big_code):
@@ -340,6 +454,22 @@ def test_staircase_structure():
     assert frac3 == pytest.approx(0.7, abs=0.02)
     tail_degrees = code.col_degrees()[n - m:]
     assert set(tail_degrees.tolist()) <= {1, 2, 3}
+
+
+def test_constructions_pinned():
+    # Dense (n = 12, 512) and staircase (n = 600 up to a session's 50 000)
+    # codes from one generator: sha256 of every edge array and of the
+    # generator's state afterwards, so a rewrite of the construction or the
+    # cycle breaker that moves one edge or one draw shows here.
+    rng = np.random.default_rng(70)
+    digest = hashlib.sha256()
+    for n in (12, 512, 600, 5000, 50_000):
+        for rate in (0.3, 0.5):
+            code = code_for_rate(n, rate, rng=rng)
+            digest.update(code._edge_var.astype(np.int64).tobytes())
+            digest.update(code._edge_check.astype(np.int64).tobytes())
+    digest.update(repr(rng.bit_generator.state).encode())
+    assert digest.hexdigest() == "d1f1c030c7f6b882b02f15af452fdd91492d6e7ac7e38dd82b1f8979c420729b"
 
 
 def test_staircase_edges_pinned():
