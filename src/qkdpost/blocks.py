@@ -2,9 +2,10 @@
 
 Raw keys of length 2n are viewed as n blocks of two bits. The reduction maps
 each block (a1, a2) to a parity bit a1 XOR a2 and a second bit that survives
-only where a supplied discrepancy-parity estimate is 0; the surviving and
-discarded block indices form the T0/T1 partition. Discarded second bits are
-stored as literal zeros so downstream hashing always sees full-length arrays.
+only where a supplied discrepancy-parity estimate is 0; the surviving block
+indices are T0, the blocks the second reconciliation round works on.
+Discarded second bits are stored as literal zeros so downstream hashing
+always sees full-length arrays.
 
 Bit sequences are numpy uint8 arrays with values in {0, 1}. Indices are
 0-based everywhere in code; any rendering for people is the caller's problem.
@@ -12,12 +13,9 @@ Bit sequences are numpy uint8 arrays with values in {0, 1}. Indices are
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 __all__ = [
-    "BlockPartition",
     "as_bits",
     "parity_seq",
     "second_bit_seq",
@@ -40,24 +38,6 @@ def as_bits(values) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class BlockPartition:
-    """Disjoint sorted index sets t0/t1 covering range(n)."""
-
-    t0: np.ndarray
-    t1: np.ndarray
-
-    def __post_init__(self):
-        n = self.t0.size + self.t1.size
-        combined = np.concatenate([self.t0, self.t1])
-        if not np.array_equal(np.sort(combined), np.arange(n)):
-            raise ValueError("t0 and t1 must partition range(n)")
-
-    @property
-    def n0(self) -> int:
-        return int(self.t0.size)
-
-
 def parity_seq(s: np.ndarray) -> np.ndarray:
     """Per-block parity: output i = s[2i] XOR s[2i+1]. Length must be even."""
     s = as_bits(s)
@@ -77,9 +57,6 @@ def second_bit_seq(s: np.ndarray, w1hat: np.ndarray) -> np.ndarray:
     return second & (1 - w1hat)
 
 
-def partition(w1hat: np.ndarray) -> BlockPartition:
-    """Split block indices by parity estimate: t0 where 0, t1 where 1."""
-    w1hat = as_bits(w1hat)
-    idx = np.arange(w1hat.size)
-    return BlockPartition(t0=idx[w1hat == 0], t1=idx[w1hat == 1])
-
+def partition(w1hat: np.ndarray) -> np.ndarray:
+    """T0: the ascending indices of the blocks whose parity estimate is 0."""
+    return np.flatnonzero(as_bits(w1hat) == 0)

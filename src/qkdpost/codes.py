@@ -177,9 +177,6 @@ class ParityCheck:
         mat[self._edge_check, self._edge_var] = 1
         return mat
 
-    def col_degrees(self) -> np.ndarray:
-        return np.bincount(self._edge_var, minlength=self.n).astype(np.int64)
-
     def row_degrees(self) -> np.ndarray:
         return np.bincount(self._edge_check, minlength=self.m).astype(np.int64)
 
@@ -383,7 +380,7 @@ def _bp_stack(
     return estimate, converged, iterations
 
 
-def code_for_rate(n: int, target_rate: float, rng: np.random.Generator | None = None) -> ParityCheck:
+def code_for_rate(n: int, target_rate: float, rng: np.random.Generator) -> ParityCheck:
     """Build an m = ceil(n*target_rate) parity check, deterministic per rng.
 
     Dense up to 512 columns, staircase above.
@@ -392,8 +389,6 @@ def code_for_rate(n: int, target_rate: float, rng: np.random.Generator | None = 
         raise ValueError(f"target rate {target_rate} not in (0, 1)")
     if n < 2:
         raise ValueError("need at least two columns")
-    if rng is None:
-        rng = np.random.default_rng()
     m = math.ceil(n * target_rate)
     if n <= _DENSE_LIMIT:
         return _dense_code(m, n, rng)
@@ -498,19 +493,17 @@ def _break_low_degree_cycles(
     first = col_ptr[owners] + np.array([0, 0, 1])[slot]
     second = col_ptr[owners] + np.array([1, 2, 2])[slot]
     keys = rows[first] * m + rows[second]
-    # Pair positions in (key, position) order, and their keys; a round's
-    # rewired pairs are taken out and put back at their new keys. The
-    # unstable sort is several times faster than a stable one; the few runs
-    # of equal keys are then put in position order.
+    # Pair positions sorted by key, and their keys; a round's rewired pairs
+    # are taken out and put back at their new keys. Only the shared pairs
+    # need (key, position) order, and a round puts them in it.
     order = np.argsort(keys)
     ordered = keys[order]
-    at = np.flatnonzero(_in_runs(ordered))
-    order[at] = order[at][np.lexsort((order[at], ordered[at]))]
     for _ in range(_CYCLE_ROUNDS):
         shared = _in_runs(ordered)
         if not shared.any():
             return
         at = order[shared]
+        at = at[np.lexsort((at, ordered[shared]))]
         at_keys, at_owners = keys[at].tolist(), owners[at].tolist()
         rewired = []
         for i in range(at.size - 1):
@@ -556,13 +549,8 @@ def _break_low_degree_cycles(
         gone[moved] = True
         kept = ~gone[order]
         order, ordered = order[kept], ordered[kept]
-        # Each moved pair goes before the first kept pair with a larger
-        # (key, position); positions ascend within a run of equal keys.
-        moved = moved[np.lexsort((moved, keys[moved]))]
+        moved = moved[np.argsort(keys[moved])]
         back = np.searchsorted(ordered, keys[moved])
-        ends = np.searchsorted(ordered, keys[moved], side="right")
-        for i in np.flatnonzero(ends > back).tolist():
-            back[i] += np.searchsorted(order[back[i] : ends[i]], moved[i])
         order = np.insert(order, back, moved)
         ordered = np.insert(ordered, back, keys[moved])
 
@@ -585,8 +573,8 @@ def _balanced_sockets(m: int, degrees: np.ndarray, rng: np.random.Generator, pre
     assignment tops rows up toward a common total. Duplicate checks within
     one column are repaired by random swaps; across columns, rare shared
     pairs are tolerated (the cycle-count impact at session scale is
-    negligible). Returns the check of each edge, column by column: column j
-    owns the next degrees[j] entries.
+    negligible). Every degree is at most m. Returns the check of each edge,
+    column by column: column j owns the next degrees[j] entries.
     """
     total = int(degrees.sum())
     base = (total + int(pre_load.sum())) // m
@@ -625,8 +613,6 @@ def _balanced_sockets(m: int, degrees: np.ndarray, rng: np.random.Generator, pre
     # Tiny structured instances (column degree near m) can make random swaps
     # hopeless; assign greedily by residual row capacity instead, which
     # always yields distinct rows per column at a small cost in balance.
-    if degrees.max() > m:
-        raise ValueError("column degree exceeds the number of checks")
     caps = row_counts.astype(np.float64)
     for j in np.argsort(-degrees, kind="stable"):
         d = int(degrees[j])

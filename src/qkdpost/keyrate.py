@@ -26,8 +26,8 @@ to private closed forms. The BB84 grid runs on a private vectorized core
 kept consistent with the scalar path by tests; it evaluates only the curves
 asked of it, and of each curve only the terms it needs (base entropy, first
 argument, second argument, Vollbrecht). bb84_curve solves a whole e-grid and
-all four minimized curves at once: one grid pass over (e, p11), then
-golden-section polishing as array operations on every (e, curve) bracket.
+all four minimized curves at once: one grid pass over (e, p11), then, curve
+by curve, golden-section polishing as array operations on every e bracket.
 bb84_rate, which serves one error rate and one curve at a time (threshold
 searches, the session's BB84 mapping), grids that curve alone and polishes
 with the scalar closed forms on the family's entries, which is faster for
@@ -183,7 +183,7 @@ class RatePoint:
         return max(0.0, self.raw(curve))
 
 
-def rate_point(p: BellDiagonal, e: float, p11_star: float | None = None) -> RatePoint:
+def rate_point(p: BellDiagonal, e: float) -> RatePoint:
     # bstep (advantage distillation alone) is the second argument itself
     second = rate_second_arg(p)
     return RatePoint(
@@ -193,7 +193,6 @@ def rate_point(p: BellDiagonal, e: float, p11_star: float | None = None) -> Rate
         vollbrecht=rate_vollbrecht(p),
         bstep=second,
         oneway=rate_oneway(p),
-        p11_star=p11_star,
     )
 
 
@@ -355,14 +354,13 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
     return val, float(t_star)
 
 
-def _bb84_polish(e: np.ndarray, curve: np.ndarray, a: np.ndarray, b: np.ndarray):
+def _bb84_polish(e: np.ndarray, curve: str, a: np.ndarray, b: np.ndarray):
     """Golden-section search on every bracket [a, b] at once, each stopping
-    at width _POLISH_TOL; bracket k minimizes _MINIMIZED[curve[k]] at e[k].
-    Returns the final point of each bracket and its value."""
+    at width _POLISH_TOL; bracket k minimizes curve at e[k]. Returns the
+    final point of each bracket and its value."""
 
     def f(idx, t):
-        vals = _curves_vec(*_bb84_entries_vec(e[idx], t), _MINIMIZED)
-        return np.choose(curve[idx], [vals[c] for c in _MINIMIZED])
+        return _curves_vec(*_bb84_entries_vec(e[idx], t), (curve,))[curve]
 
     a, b = a.copy(), b.copy()
     every = np.arange(e.size)
@@ -401,10 +399,8 @@ def bb84_curve(e_grid) -> list[RatePoint]:
     if bad.any():
         raise ValueError(f"BB84 error rate {es[bad][0]} outside [0, 1/2]")
     grid_val, grid_t, lo, hi = _bb84_grid(es, _MINIMIZED)
-    curve = np.broadcast_to(np.arange(len(_MINIMIZED))[:, None], grid_val.shape)
-    e = np.broadcast_to(es, grid_val.shape)
-    t_star, val = _bb84_polish(e.ravel(), curve.ravel(), lo.ravel(), hi.ravel())
-    t_star, val = t_star.reshape(grid_val.shape), val.reshape(grid_val.shape)
+    polished = np.array([_bb84_polish(es, c, a, b) for c, a, b in zip(_MINIMIZED, lo, hi)])
+    t_star, val = polished[:, 0], polished[:, 1]
     grid_won = grid_val <= val
     val = np.where(grid_won, grid_val, val)
     t_star = np.where(grid_won, grid_t, t_star)

@@ -25,7 +25,6 @@ entropy quantities behind such a claim have no closed form here.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -255,7 +254,7 @@ def run_ir(
     u2_hat = second_bit_seq(x, w1hat)
     v2_hat = second_bit_seq(y, w1hat)
     survivors = partition(w1hat)
-    n_hat0 = survivors.n0
+    n_hat0 = survivors.size
     violated = not lo <= n_hat0 <= hi
 
     u1_tilde = v1 ^ w1hat
@@ -263,17 +262,17 @@ def run_ir(
     leak = code1.m
     decode2: DecodeResult | None = None
     if violated:
-        u2_tilde[survivors.t0] = rng.integers(0, 2, size=n_hat0, dtype=np.uint8)
+        u2_tilde[survivors] = rng.integers(0, 2, size=n_hat0, dtype=np.uint8)
     elif n_hat0 > 0:
         code2 = code2_factory(n_hat0)
         if code2.n != n_hat0:
             raise ValueError(f"round-two code has {code2.n} columns, expected {n_hat0}")
-        t2 = code2.syndrome(u2_hat[survivors.t0])
+        t2 = code2.syndrome(u2_hat[survivors])
         transcript = transcript.with_message(Message("t2", t2))
         leak += code2.m
-        v2_surv = v2_hat[survivors.t0]
+        v2_surv = v2_hat[survivors]
         decode2 = decode(code2, t2 ^ code2.syndrome(v2_surv), crossover2)
-        u2_tilde[survivors.t0] = v2_surv ^ decode2.error_estimate
+        u2_tilde[survivors] = v2_surv ^ decode2.error_estimate
 
     u_hat = _interleave(u1, u2_hat)
     u_tilde = _interleave(u1_tilde, u2_tilde)
@@ -439,9 +438,6 @@ class SessionReport:
             "key_bob_hex": _bits_hex(self.key_bob),
             "transcript": self.transcript.to_dict(),
         }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), indent=2)
 
 
 def _estimate_to_point(estimate: float, mapping: str) -> BellDiagonal:

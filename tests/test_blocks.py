@@ -38,13 +38,10 @@ def test_second_bit_seq():
 
 
 def test_partition():
-    p = partition([0, 0, 0])
-    assert p.t0.tolist() == [0, 1, 2]
-    assert p.t1.tolist() == []
-    p = partition([1, 0, 1])
-    assert p.t0.tolist() == [1]
-    assert p.t1.tolist() == [0, 2]
-    assert p.n0 == 1
+    assert partition([0, 0, 0]).tolist() == [0, 1, 2]
+    assert partition([1, 0, 1]).tolist() == [1]
+    assert partition([1, 1]).tolist() == []
+    assert partition([]).tolist() == []
 
 
 bitseqs = st.lists(st.integers(0, 1), min_size=2, max_size=64).filter(lambda s: len(s) % 2 == 0)
@@ -59,8 +56,8 @@ def test_parity_linearity(bits, pyrandom):
 
 @given(st.lists(st.integers(0, 1), min_size=0, max_size=64))
 def test_partition_covers(w1hat):
-    p = partition(w1hat)
-    assert p.t0.size + p.t1.size == len(w1hat)
+    t0 = partition(w1hat)
+    assert t0.tolist() == [i for i, bit in enumerate(w1hat) if bit == 0]
 
 
 def test_block_laws_converge_on_samples():

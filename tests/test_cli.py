@@ -366,9 +366,15 @@ def test_python_m_entry_point():
     assert "0.1.0" in result.stdout
 
 
-def test_import_does_not_load_scipy_signal():
+@pytest.mark.parametrize("imports,absent", [
+    ("qkdpost, qkdpost.cli", ("scipy.signal",)),
+    ("qkdpost.keyrate, qkdpost.oracle", ("scipy.fft", "qkdpost.protocol", "qkdpost.codes")),
+], ids=["cli", "keyrate-oracle"])
+def test_import_does_not_load_scipy_signal(imports, absent):
     # Hashing needs only scipy.fft; scipy.signal would add about a second
-    # to every cold start of the command line.
-    result = _run_python("-c", "import sys, qkdpost, qkdpost.cli; print('scipy.signal' in sys.modules)")
+    # to every cold start of the command line. The rate closed forms and
+    # the oracle load neither the session code nor the FFT.
+    code = f"import sys, {imports}; print([name for name in {absent!r} if name in sys.modules])"
+    result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr
-    assert result.stdout.strip() == "False"
+    assert result.stdout.strip() == "[]"

@@ -521,12 +521,12 @@ def test_full_session_abort():
 
 def test_full_session_determinism():
     cfg = SessionConfig(channel=BellDiagonal(1.0, 0.0, 0.0, 0.0), n=1000, m=2000, seed=9)
-    first = run_full_session(cfg).to_json()
-    second = run_full_session(cfg).to_json()
+    first = json.dumps(run_full_session(cfg).to_dict())
+    second = json.dumps(run_full_session(cfg).to_dict())
     assert first == second
-    other = run_full_session(
+    other = json.dumps(run_full_session(
         SessionConfig(channel=BellDiagonal(1.0, 0.0, 0.0, 0.0), n=1000, m=2000, seed=10)
-    ).to_json()
+    ).to_dict())
     assert first != other
 
 
@@ -557,7 +557,7 @@ def test_full_session_operating_point():
 def test_session_report_json():
     cfg = SessionConfig(channel=BellDiagonal(1.0, 0.0, 0.0, 0.0), n=500, m=2000, seed=12)
     report = run_full_session(cfg)
-    decoded = json.loads(report.to_json())
+    decoded = json.loads(json.dumps(report.to_dict()))
     assert decoded["n"] == 500
     assert decoded["key_bits"] == 1000
     assert decoded["key_alice_hex"] == decoded["key_bob_hex"]
