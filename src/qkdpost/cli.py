@@ -23,6 +23,7 @@ usage, 3 verification failure. Sizes out of range are bad usage: --trials,
 from __future__ import annotations
 
 import json
+import math
 import sys
 
 import click
@@ -271,19 +272,23 @@ def _suite_hash(samples: int, rng: np.random.Generator) -> list[dict]:
 
     By linearity a pair (a, b) collides exactly when the hash of a XOR b is
     zero, so sweeping all nonzero differences covers every distinct pair.
-    The slack covers the maximum of 1023 per-difference binomials, which
-    concentrates at sqrt(2 ln 1023) standard deviations above the collision
-    probability; two more keep the false-failure rate per run below 1e-3.
-    Below 3 samples that bound reaches 1, which no collision fraction can
-    exceed, so fewer samples are refused.
+    Each difference collides in a binomial(samples, 2^-ell) number of
+    samples. The bound is that binomial's exact upper quantile at level
+    1e-3 / 1023, so by the union bound over the 1023 differences an honest
+    hash fails a run with probability below 1e-3. Below 5 samples that
+    quantile is 1, which no collision fraction can exceed, so fewer samples
+    are refused.
     """
+    # Imported here: scipy.stats takes most of a second to load, and only
+    # this suite needs it.
+    from scipy.stats import binom
+
     bits, ell = 10, 4
-    classes = 2**bits - 1
-    z_max = (2.0 * np.log(classes)) ** 0.5 + 2.0
-    variance = 2.0**-ell * (1 - 2.0**-ell)
-    bound = 2.0**-ell + z_max * (variance / samples) ** 0.5
+    level = 1e-3 / (2**bits - 1)
+    bound = float(binom.isf(level, samples, 2.0**-ell)) / samples
     if bound >= 1.0:
-        fewest = int(z_max**2 * variance / (1 - 2.0**-ell) ** 2) + 1
+        # The quantile drops below samples once P(all collide) reaches the level.
+        fewest = math.ceil(math.log(level) / math.log(2.0**-ell))
         raise ValueError(
             f"--samples {samples} puts the collision bound at {bound:.3f}, which no "
             f"collision fraction can exceed; use --samples {fewest} or more"

@@ -125,10 +125,12 @@ class ParityCheck:
     """Immutable full-row-rank binary matrix stored as its nonzero entries.
 
     Entry i of (edge_var, edge_check) is a 1 in column edge_var[i], row
-    edge_check[i]; the entries may come in any order and are kept sorted by
-    column, rows ascending within a column. rank_certificate records how
-    full rank was established: "eliminated" (explicit F2 elimination) or
-    "triangular" (staircase tail, structural).
+    edge_check[i]. The entries must come column-major: columns ascending,
+    rows ascending within a column, none repeated (the order np.nonzero of
+    the transposed matrix gives); any other order is a ValueError, since
+    bp_decode reads each column's edges as one run. rank_certificate
+    records how full rank was established: "eliminated" (explicit F2
+    elimination) or "triangular" (staircase tail, structural).
     """
 
     def __init__(
@@ -145,13 +147,8 @@ class ParityCheck:
         if ev.size and (ev.min() < 0 or ev.max() >= n):
             raise ValueError("column index out of range")
         keys = ev * m + ec
-        # Edges that already arrive column-major without a repeat (as every
-        # construction here delivers them) keep their order.
         if np.any(keys[1:] <= keys[:-1]):
-            order = np.argsort(keys, kind="stable")
-            ev, ec = ev[order], ec[order]
-            if np.any((ev[1:] == ev[:-1]) & (ec[1:] == ec[:-1])):
-                raise ValueError("duplicate row index within a column")
+            raise ValueError("edges not column-major with rows ascending and none repeated")
         self.m = int(m)
         self.n = int(n)
         self.rank_certificate = rank_certificate
@@ -481,8 +478,6 @@ def _break_low_degree_cycles(
     """
     sizes = np.diff(col_ptr)
     low = np.flatnonzero((sizes >= 2) & (sizes <= 3))
-    if low.size == 0:
-        return
     # Row pairs (0, 1), (0, 2), (1, 2) of each column, column by column.
     per_col = np.where(sizes[low] == 3, 3, 1)
     owners = np.repeat(low, per_col)

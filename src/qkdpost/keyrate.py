@@ -204,27 +204,10 @@ def sixstate_curve(e_grid) -> list[RatePoint]:
 # --- vectorized core for the BB84 family grid ---
 
 
-# The two kernels below compute np.clip and np.where with out= buffers;
-# each element goes through the same operations as in those forms, which
-# keeps every pinned rate bit for bit.
-
-
-def _h_vec(x: np.ndarray) -> np.ndarray:
-    x = np.maximum(x, 1e-300)
-    np.minimum(x, 1.0, out=x)
-    y = np.subtract(1.0, x)
-    np.maximum(y, 1e-300, out=y)
-    np.minimum(y, 1.0, out=y)
-    zero = x <= 1e-12
-    zero |= y <= 1e-12
-    out = np.log2(x)
-    out *= x
-    ly = np.log2(y)
-    ly *= y
-    out += ly
-    np.negative(out, out=out)
-    np.copyto(out, 0.0, where=zero)
-    return out
+# One in-place kernel, _plogp, computes np.maximum and np.where with out=
+# buffers; each element goes through the same operations as in those forms,
+# which keeps every pinned rate bit for bit. _h builds on it and, as in
+# entropy.py, keeps exact zeros exact with no flooring near 0 or 1.
 
 
 def _plogp(x: np.ndarray) -> np.ndarray:
@@ -237,6 +220,11 @@ def _plogp(x: np.ndarray) -> np.ndarray:
     np.logical_not(not_pos, out=not_pos)
     np.copyto(out, 0.0, where=not_pos)
     return out
+
+
+def _h(x: np.ndarray) -> np.ndarray:
+    """Binary entropy h of each element of x in [0, 1]; h(0) = h(1) = 0."""
+    return _plogp(x) + _plogp(1.0 - x)
 
 
 # The curves that proposed and bstep are built from; every other curve is
@@ -257,17 +245,15 @@ def _curves_vec(p00, p10, p01, p11, curves) -> dict[str, np.ndarray]:
         safe = denom > 0.0
     if "first_arg" in need:
         arg = np.where(safe, (p00 * p10 + p01 * p11) / np.where(safe, denom, 1.0), 0.0)
-        vals["first_arg"] = base + np.where(safe, denom * _h_vec(arg), 0.0)
+        vals["first_arg"] = base + np.where(safe, denom * _h(arg), 0.0)
     if "second_arg" in need:
         pbar0 = r0 * r0 + r1 * r1
         h_q = (_plogp((p00 * p00 + p01 * p01) / pbar0) + _plogp(2.0 * p00 * p01 / pbar0)
                + _plogp((p10 * p10 + p11 * p11) / pbar0) + _plogp(2.0 * p10 * p11 / pbar0))
         vals["second_arg"] = 0.5 * pbar0 * (1.0 - h_q)
     if "vollbrecht" in need:
-        voll_h = np.where(r0 > 0.0, _h_vec(np.where(r0 > 0.0, p01 / np.where(r0 > 0, r0, 1), 0.0)), 0.0)
-        voll_h = voll_h + np.where(
-            r1 > 0.0, _h_vec(np.where(r1 > 0.0, p11 / np.where(r1 > 0, r1, 1), 0.0)), 0.0
-        )
+        # safe zeroes the rows with r0 r1 = 0; the denominators keep them finite.
+        voll_h = _h(p01 / np.where(r0 > 0.0, r0, 1.0)) + _h(p11 / np.where(r1 > 0.0, r1, 1.0))
         vals["vollbrecht"] = base + np.where(safe, 0.5 * denom * voll_h, 0.0)
     if "proposed" in curves:
         vals["proposed"] = np.maximum(vals["first_arg"], vals["second_arg"])
@@ -327,8 +313,6 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"BB84 error rate {e} outside [0, 1/2]")
     closed_form = _CLOSED_FORMS[which]
-    if e == 0.0:
-        return closed_form(*_bb84_entries(0.0, 0.0)), 0.0
     grid_val, grid_t, lo, hi = _bb84_grid(np.array([e]), (which,))[:, 0, 0].tolist()
 
     def f(t: float) -> float:
@@ -393,8 +377,6 @@ def bb84_curve(e_grid) -> list[RatePoint]:
     and the best grid value.
     """
     es = np.array([float(e) for e in e_grid], dtype=np.float64)
-    if es.size == 0:
-        return []
     bad = ~((es >= 0.0) & (es <= 0.5))
     if bad.any():
         raise ValueError(f"BB84 error rate {es[bad][0]} outside [0, 1/2]")

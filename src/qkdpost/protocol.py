@@ -26,7 +26,7 @@ entropy quantities behind such a claim have no closed form here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -211,8 +211,8 @@ def run_ir(
     n0_bounds: tuple[int, int],
     crossover1: float,
     crossover2: float,
+    rng: np.random.Generator,
     decode: Callable[[ParityCheck, np.ndarray, float], DecodeResult] = bp_with_retry,
-    rng: np.random.Generator | None = None,
 ) -> IrResult:
     """Run both reconciliation rounds on raw keys x (Alice) and y (Bob).
 
@@ -225,9 +225,10 @@ def run_ir(
     syndrome is sent; otherwise Alice sends the syndrome t2 of her
     survivors under code2_factory(n_hat0) and Bob decodes at crossover2.
 
-    decode(code, t, crossover) decodes both rounds; tests pass ml_decode to
-    check against the exact decoder. rng feeds only the violation-branch
-    guess; decode failures are reported in the result, never raised.
+    rng is required and feeds only the violation-branch guess, so a seeded
+    caller's run stays reproducible. decode(code, t, crossover) decodes both
+    rounds; tests pass ml_decode to check against the exact decoder. Decode
+    failures are reported in the result, never raised.
     """
     x = as_bits(x)
     y = as_bits(y)
@@ -239,8 +240,6 @@ def run_ir(
     lo, hi = int(n0_bounds[0]), int(n0_bounds[1])
     if not 0 <= lo <= hi <= n:
         raise ValueError(f"survivor bounds ({lo}, {hi}) not within [0, {n}]")
-    if rng is None:
-        rng = np.random.default_rng()
 
     u1 = parity_seq(x)
     v1 = parity_seq(y)
@@ -400,24 +399,26 @@ class SessionReport:
     never counts as matched. bounds_violated and the decode flags separate a
     survivor-window rejection from a plain decode failure; decode flags are
     None for rounds that never ran. estimated_e sits next to the nominal
-    rate so calibration drift is visible in the report itself.
+    rate so calibration drift is visible in the report itself. The defaults
+    describe a session that stopped before reconciliation: no messages, no
+    leak, empty keys.
     """
 
     aborted: bool
     nominal_e: float
     estimated_e: float
     n: int
-    transcript: Transcript
-    leak_bits: int
-    key_alice: np.ndarray
-    key_bob: np.ndarray
-    reconciliation_ok: bool
-    key_match: bool
-    empirical_key_rate: float
-    n_hat0: int
-    bounds_violated: bool
-    decode1_converged: bool | None
-    decode2_converged: bool | None
+    transcript: Transcript = field(default_factory=Transcript)
+    leak_bits: int = 0
+    key_alice: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
+    key_bob: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
+    reconciliation_ok: bool = False
+    key_match: bool = False
+    empirical_key_rate: float = 0.0
+    n_hat0: int = 0
+    bounds_violated: bool = False
+    decode1_converged: bool | None = None
+    decode2_converged: bool | None = None
 
     def to_dict(self) -> dict:
         return {
@@ -464,25 +465,8 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
 
     sample_x, sample_y = sample_pair(cfg.channel, cfg.m, rng_est)
     outcome = parameter_estimation(sample_x, sample_y, nominal_e, cfg.abort_tolerance)
-    empty = np.zeros(0, dtype=np.uint8)
     if isinstance(outcome, Abort):
-        return SessionReport(
-            aborted=True,
-            nominal_e=nominal_e,
-            estimated_e=outcome.estimate,
-            n=cfg.n,
-            transcript=Transcript(),
-            leak_bits=0,
-            key_alice=empty,
-            key_bob=empty,
-            reconciliation_ok=False,
-            key_match=False,
-            empirical_key_rate=0.0,
-            n_hat0=0,
-            bounds_violated=False,
-            decode1_converged=None,
-            decode2_converged=None,
-        )
+        return SessionReport(aborted=True, nominal_e=nominal_e, estimated_e=outcome.estimate, n=cfg.n)
 
     estimate = outcome
     point = _estimate_to_point(estimate, cfg.mapping)
@@ -507,7 +491,7 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
         bounds,
         crossover1,
         crossover2,
-        rng=rng_guess,
+        rng_guess,
     )
 
     ell = key_length(point, cfg.n, cfg.finite_size_margin)

@@ -154,12 +154,14 @@ def test_criterion_08_end_to_end_reconciliation():
     leak_exact = True
     n0_in_window = True
     for stream in np.random.SeedSequence(2026).spawn(100):
-        rng_data, rng_code2, rng_hash = map(np.random.default_rng, stream.spawn(3))
+        # The first three streams are those of spawn(3); the window is never
+        # violated, so the guess stream never draws.
+        rng_data, rng_code2, rng_hash, rng_guess = map(np.random.default_rng, stream.spawn(4))
         x, y = sample_pair(p, 2 * n, rng_data)
         ir = run_ir(
             x, y, code1,
             lambda n0: code_for_rate(n0, rate2, rng=rng_code2),
-            bounds, crossover1, crossover2,
+            bounds, crossover1, crossover2, rng_guess,
         )
         successes += ir.reconciliation_ok
         leak_exact &= not ir.bounds_violated

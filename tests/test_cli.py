@@ -256,7 +256,7 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
      "b7ee0fcaafba7c5dfb67fd393a346bb17cb35fa384f2c6cd9fde767adb170d84"),
     # The hash suite's collision statistics; the types suite's bound at m = 20 000.
     (["verify", "--suite", "hash", "--samples", "200", "--format", "json"],
-     "85831b68ed0a1a1062b96b717a56c18126f08f15898b0eab1cc7dcfb6200bc0c"),
+     "3f7b21a66a5d4a84d5f7131b0d108c5b085dc68d4d9c880b73b6c052f51dd42f"),
     (["verify", "--suite", "types", "--samples", "20", "--format", "json"],
      "fa4a80824e47b070975b56c7b9ba098790cf0da02ca28c6250855bf2e0cd2bf2"),
 ])
@@ -310,16 +310,42 @@ def test_types_suite_can_fail():
     assert check["bound"] < 1.0
 
 
-@pytest.mark.parametrize("samples", ["1", "2"])
+@pytest.mark.parametrize("samples", ["1", "2", "3", "4"])
 def test_hash_suite_refuses_a_bound_of_one(runner, samples):
-    # At 1 or 2 samples the collision bound is at least 1, so the check
-    # could never fail; the refusal names the fewest samples that work.
+    # Below 5 samples the collision bound is 1, so the check could never
+    # fail; the refusal names the fewest samples that work.
     result = runner.invoke(cli.main, ["verify", "--suite", "hash", "--samples", samples])
     assert result.exit_code == 2
-    assert "use --samples 3 or more" in result.output
+    assert "use --samples 5 or more" in result.output
     assert "Traceback" not in result.output
-    (collisions, _) = cli.SUITES["hash"](3, np.random.default_rng(0))
+    (collisions, _) = cli.SUITES["hash"](5, np.random.default_rng(0))
     assert collisions["bound"] < 1.0
+
+
+@pytest.mark.parametrize("samples", [5, 6, 8, 10, 15])
+def test_hash_suite_holds_its_false_failure_rate(samples):
+    # An honest Toeplitz family fails a run with probability below 1e-3,
+    # so 40 seeded runs at small sample counts, where the tail is coarsest,
+    # all pass.
+    for seed in range(40):
+        for check in cli.SUITES["hash"](samples, np.random.default_rng(seed)):
+            assert check["deviation"] <= check["bound"], (seed, check)
+
+
+class _ZeroSeeds:
+    """A generator stub whose Toeplitz seeds are all zero."""
+
+    def integers(self, low, high, size, dtype):
+        return np.zeros(size, dtype=dtype)
+
+
+@pytest.mark.parametrize("samples", [5, 20, 200])
+def test_hash_suite_fails_a_degenerate_hash(samples):
+    # The all-zero matrix maps every difference to zero, so every pair
+    # collides in every sample: the bound must catch it.
+    (collisions, convention) = cli.SUITES["hash"](samples, _ZeroSeeds())
+    assert collisions["deviation"] == 1.0 > collisions["bound"]
+    assert convention["deviation"] <= convention["bound"]
 
 
 def test_verify_json(runner):
@@ -367,13 +393,14 @@ def test_python_m_entry_point():
 
 
 @pytest.mark.parametrize("imports,absent", [
-    ("qkdpost, qkdpost.cli", ("scipy.signal",)),
+    ("qkdpost, qkdpost.cli", ("scipy.signal", "scipy.stats")),
     ("qkdpost.keyrate, qkdpost.oracle", ("scipy.fft", "qkdpost.protocol", "qkdpost.codes")),
 ], ids=["cli", "keyrate-oracle"])
 def test_import_does_not_load_scipy_signal(imports, absent):
     # Hashing needs only scipy.fft; scipy.signal would add about a second
-    # to every cold start of the command line. The rate closed forms and
-    # the oracle load neither the session code nor the FFT.
+    # to every cold start of the command line, and so would scipy.stats,
+    # which only the hash suite loads. The rate closed forms and the oracle
+    # load neither the session code nor the FFT.
     code = f"import sys, {imports}; print([name for name in {absent!r} if name in sys.modules])"
     result = _run_python("-c", code)
     assert result.returncode == 0, result.stderr

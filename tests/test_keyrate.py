@@ -16,9 +16,10 @@ from hypothesis import strategies as st
 
 from qkdpost.channel import BellDiagonal, bb84_family, six_state_point
 from qkdpost.cli import SUITES
-from qkdpost.entropy import shannon_entropy
+from qkdpost.entropy import binary_entropy, shannon_entropy
 from qkdpost.keyrate import (
     CURVES,
+    _h,
     bb84_curve,
     bb84_rate,
     rate_first_arg,
@@ -155,9 +156,18 @@ def test_sixstate_curve_monotone_and_dominant():
 
 
 def test_bb84_rate_noiseless():
-    rate, p11 = bb84_rate(0.0)
-    assert rate == pytest.approx(1.0, abs=1e-12)
-    assert p11 == 0.0
+    # At e = 0 the family is the single point (1, 0, 0, 0): the first
+    # argument keeps the whole key, the second half of it.
+    for curve in CURVES:
+        half = curve in ("second_arg", "bstep")
+        assert bb84_rate(0.0, curve) == (0.5 if half else 1.0, 0.0), curve
+
+
+def test_vector_binary_entropy_matches_scalar():
+    # The BB84 core's h keeps the scalar closed forms' convention: exact
+    # zeros at 0 and 1, and no flooring next to them.
+    points = [0.0, 1e-300, 1e-13, 1e-12, 0.3, 1.0 - 1e-13, 1.0]
+    assert _h(np.array(points)).tolist() == [binary_entropy(x) for x in points]
 
 
 def test_bb84_minimization_certificate():

@@ -223,7 +223,7 @@ def test_run_ir_noiseless():
     ir = run_ir(
         x, x.copy(), code1,
         lambda n0: dense_code(n0, 0.2, seed=21),
-        (0, n), crossover1=0.01, crossover2=0.01,
+        (0, n), crossover1=0.01, crossover2=0.01, rng=np.random.default_rng(21),
     )
     assert ir.reconciliation_ok
     assert ir.n_hat0 == n
@@ -261,7 +261,7 @@ def test_run_ir_single_block_error():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=23),
-        (0, n), crossover1=0.1, crossover2=0.01, decode=ml_decode,
+        (0, n), crossover1=0.1, crossover2=0.01, rng=np.random.default_rng(23), decode=ml_decode,
     )
     assert np.array_equal(_message(ir.transcript, "w1hat").payload, w1_true)
     assert ir.n_hat0 == 7
@@ -282,8 +282,7 @@ def test_run_ir_bounds_violation_guess():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=26),
-        (n, n), crossover1=0.05, crossover2=0.01, decode=ml_decode,
-        rng=np.random.default_rng(27),
+        (n, n), crossover1=0.05, crossover2=0.01, rng=np.random.default_rng(27), decode=ml_decode,
     )
     assert ir.bounds_violated
     assert ir.decode2 is None
@@ -305,7 +304,7 @@ def test_run_ir_no_survivors():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=29),
-        (0, n), crossover1=0.3, crossover2=0.01, decode=ml_decode,
+        (0, n), crossover1=0.3, crossover2=0.01, rng=np.random.default_rng(29), decode=ml_decode,
     )
     assert ir.n_hat0 == 0
     assert not ir.bounds_violated
@@ -321,20 +320,23 @@ def test_run_ir_validation():
     code1 = dense_code(n, 0.5, seed=30)
     x = np.zeros(2 * n, dtype=np.uint8)
     factory = lambda n0: dense_code(n0, 0.5, seed=31)
+    rng = np.random.default_rng(32)
     with pytest.raises(ValueError):
-        run_ir(x, np.zeros(2 * n - 1, dtype=np.uint8), code1, factory, (0, n), 0.1, 0.1)
+        run_ir(x, np.zeros(2 * n - 1, dtype=np.uint8), code1, factory, (0, n), 0.1, 0.1, rng)
     with pytest.raises(ValueError):
         run_ir(np.zeros(2 * n + 2, dtype=np.uint8), np.zeros(2 * n + 2, dtype=np.uint8),
-               code1, factory, (0, n), 0.1, 0.1)
+               code1, factory, (0, n), 0.1, 0.1, rng)
     with pytest.raises(ValueError):
-        run_ir(x, x, code1, factory, (5, 3), 0.1, 0.1)
+        run_ir(x, x, code1, factory, (5, 3), 0.1, 0.1, rng)
     with pytest.raises(ValueError):
-        run_ir(x, x, code1, factory, (0, n + 1), 0.1, 0.1)
+        run_ir(x, x, code1, factory, (0, n + 1), 0.1, 0.1, rng)
     bad_factory = lambda n0: dense_code(n0 - 1, 0.5, seed=32)
     ones = x.copy()
     ones[0] ^= 1
     with pytest.raises(ValueError):
-        run_ir(x, ones, code1, bad_factory, (0, n), 0.1, 0.1)
+        run_ir(x, ones, code1, bad_factory, (0, n), 0.1, 0.1, rng)
+    with pytest.raises(TypeError, match="rng"):
+        run_ir(x, x, code1, factory, (0, n), 0.1, 0.1)
 
 
 def test_run_ir_operating_point():
@@ -353,7 +355,7 @@ def test_run_ir_operating_point():
         ir = run_ir(
             x, y, code1,
             lambda n0: code_for_rate(n0, rate2, rng=np.random.default_rng(35)),
-            bounds, c1, c2,
+            bounds, c1, c2, np.random.default_rng(36),
         )
         assert ir.reconciliation_ok
         assert not ir.bounds_violated
@@ -399,7 +401,8 @@ def test_session_decode_call_pattern(monkeypatch, fail_first):
     n = 16
     code1 = dense_code(n, 0.5, seed=39)
     x = np.random.default_rng(40).integers(0, 2, size=2 * n, dtype=np.uint8)
-    ir = run_ir(x, x.copy(), code1, lambda n0: dense_code(n0, 0.5, seed=41), (0, n), 0.1, 0.01)
+    ir = run_ir(x, x.copy(), code1, lambda n0: dense_code(n0, 0.5, seed=41), (0, n), 0.1, 0.01,
+                np.random.default_rng(42))
     first = {"max_iters": 300}
     retry = {"max_iters": 1200, "damping": 0.3}
     assert calls == ([first, retry] if fail_first else [first]) * 2
