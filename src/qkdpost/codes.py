@@ -13,15 +13,15 @@ plausible vector with a prescribed syndrome under an i.i.d. Bernoulli model:
   of a stack retires at the iteration its syndrome matches, and every row
   gets bit for bit what its own one-row call returns.
 
-Constructions: dense uniform-random with an explicit rank check (small n),
-and a staircase form [S | T] whose lower-triangular tail T makes full row
-rank structural (protocol scale, where elimination-based rank verification
-is too expensive). code_for_rate builds dense codes up to 512 columns and
-staircase codes above. Staircase information columns follow one fixed,
-tuned degree profile, and a fixed fraction of tail columns carry a third
-entry below the diagonal; both set the belief-propagation threshold, which
-must sit comfortably above the session operating point for the
-block-failure rate to stay negligible at the session's rate margins.
+Construction: code_for_rate builds every code, at every size, in a sparse
+staircase form [S | T] whose lower-triangular tail T makes full row rank
+structural, so no elimination is needed; ParityCheck.from_dense wraps an
+explicit matrix after checking its rank. Staircase information columns
+follow one fixed, tuned degree profile, and a fixed fraction of tail
+columns carry a third entry below the diagonal; both set the
+belief-propagation threshold, which must sit comfortably above the session
+operating point for the block-failure rate to stay negligible at the
+session's rate margins.
 """
 
 from __future__ import annotations
@@ -52,10 +52,6 @@ DEFAULT_INFO_DEGREES: tuple[tuple[int, float], ...] = ((3, 0.7), (12, 0.3))
 DEFAULT_TAIL_DEGREE3 = 0.4
 
 _ML_MAX_N = 24
-# code_for_rate builds dense codes up to this many columns, staircase codes above.
-_DENSE_LIMIT = 512
-# Random dense draws tried before giving up on full row rank.
-_DENSE_DRAWS = 64
 # Bound on variable-to-check messages, which keeps tanh away from +-1.
 _LLR_CLIP = 25.0
 # Tail column i of a staircase code takes its third row from
@@ -378,30 +374,15 @@ def _bp_stack(
 
 
 def code_for_rate(n: int, target_rate: float, rng: np.random.Generator) -> ParityCheck:
-    """Build an m = ceil(n*target_rate) parity check, deterministic per rng.
+    """Build an m = ceil(n*target_rate) staircase parity check, deterministic per rng.
 
-    Dense up to 512 columns, staircase above.
+    Any n >= 1: a one-column code is the single row [1].
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError(f"target rate {target_rate} not in (0, 1)")
-    if n < 2:
-        raise ValueError("need at least two columns")
-    m = math.ceil(n * target_rate)
-    if n <= _DENSE_LIMIT:
-        return _dense_code(m, n, rng)
-    return _staircase_code(m, n, rng)
-
-
-def _dense_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
-    for _ in range(_DENSE_DRAWS):
-        mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
-        # A zero column would leave that bit invisible to the syndrome.
-        for j in np.flatnonzero(mat.sum(axis=0) == 0):
-            mat[rng.integers(m), j] = 1
-        if gf2_rank(mat) == m:
-            edge_var, edge_check = np.nonzero(mat.T)
-            return ParityCheck(m, n, edge_var, edge_check, "eliminated")
-    raise ValueError(f"no full-rank dense matrix in {_DENSE_DRAWS} draws")
+    if n < 1:
+        raise ValueError("need at least one column")
+    return _staircase_code(math.ceil(n * target_rate), n, rng)
 
 
 def _staircase_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
@@ -413,8 +394,6 @@ def _staircase_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
     the diagonal and keeps the row loads near-uniform.
     """
     k = n - m
-    if k < 0:
-        raise ValueError("staircase needs m <= n")
     tail_extra = np.full(m, -1, dtype=np.int64)
     if m > 2:
         eligible = np.arange(m - 2)
@@ -552,8 +531,6 @@ def _break_low_degree_cycles(
 
 def _profile_degrees(k: int, rng: np.random.Generator) -> np.ndarray:
     """k information-column degrees in DEFAULT_INFO_DEGREES proportions, shuffled."""
-    if k == 0:
-        return np.zeros(0, dtype=np.int64)
     counts = [int(round(frac * k)) for _, frac in DEFAULT_INFO_DEGREES]
     counts[int(np.argmax(counts))] += k - sum(counts)
     degrees = np.repeat([d for d, _ in DEFAULT_INFO_DEGREES], counts)

@@ -169,6 +169,17 @@ def test_simulate_usage_error(runner):
     assert result.exit_code == 2
 
 
+@pytest.mark.parametrize("n", ["1", "2"])
+def test_simulate_tiny_sessions(runner, n):
+    # Some of these trials reconcile a round of one block or one survivor,
+    # which takes a one-column code.
+    result = runner.invoke(cli.main, [
+        "simulate", "--e", "0.05", "--n", n, "--m", "100", "--trials", "20", "--seed", "1",
+    ])
+    assert result.exit_code == 0, result.output
+    assert len(json.loads(result.output)["reports"]) == 20
+
+
 @pytest.mark.parametrize("option,name", [
     ("--e", "error rate nan"),
     ("--delta", "delta=nan"),

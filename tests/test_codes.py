@@ -48,6 +48,25 @@ def random_dense(m: int, n: int, seed: int) -> ParityCheck:
             return ParityCheck.from_dense(mat)
 
 
+def dense_code(n: int, rate: float, seed: int) -> ParityCheck:
+    """A seeded uniform-random m = ceil(n*rate) parity check of full row rank.
+
+    Each draw gives every zero column one random row and is kept once its
+    rank is m, within 64 draws. Tests calibrated on these dense matrices
+    build their codes here; code_for_rate builds staircase codes.
+    """
+    m = math.ceil(n * rate)
+    rng = np.random.default_rng(seed)
+    for _ in range(64):
+        mat = rng.integers(0, 2, size=(m, n), dtype=np.uint8)
+        # A zero column would leave that bit invisible to the syndrome.
+        for j in np.flatnonzero(mat.sum(axis=0) == 0):
+            mat[rng.integers(m), j] = 1
+        if gf2_rank(mat) == m:
+            return ParityCheck.from_dense(mat)
+    raise ValueError("no full-rank dense matrix in 64 draws")
+
+
 @pytest.fixture(scope="module")
 def big_code() -> ParityCheck:
     # The construction a session uses at n = 10^4; shared by the large-block
@@ -201,7 +220,7 @@ def test_ml_rate_margin_proxy():
     # Rate h(p) + 0.1 at n = 20; block error stays under 10% at this seed.
     p = 0.01
     n = 20
-    code = code_for_rate(n, binary_entropy(p) + 0.1, rng=np.random.default_rng(4))
+    code = dense_code(n, binary_entropy(p) + 0.1, seed=4)
     assert code.m == 4
     rng = np.random.default_rng(104)
     errs = 0
@@ -407,7 +426,7 @@ def test_code_for_rate_contract():
     code = code_for_rate(10, 0.5, rng=np.random.default_rng(10))
     assert (code.m, code.n) == (5, 10)
     assert gf2_rank(code.to_dense()) == 5
-    assert code.rank_certificate == "eliminated"
+    assert code.rank_certificate == "triangular"
 
 
 @given(st.integers(2, 90), st.floats(0.1, 0.9))
@@ -424,11 +443,18 @@ def test_code_for_rate_validation():
     with pytest.raises(ValueError):
         code_for_rate(10, 1.0, rng=rng)
     with pytest.raises(ValueError):
-        code_for_rate(1, 0.5, rng=rng)
+        code_for_rate(0, 0.5, rng=rng)
+
+
+def test_code_for_rate_one_column():
+    # A round with one block or one survivor needs a one-column code: [1].
+    code = code_for_rate(1, 0.3, rng=np.random.default_rng(0))
+    assert (code.m, code.n, code.rank_certificate) == (1, 1, "triangular")
+    assert code.to_dense().tolist() == [[1]]
 
 
 def test_construction_determinism():
-    # n = 40 builds a dense code, n = 600 a staircase code.
+    # A small and a larger staircase code.
     for n in (40, 600):
         a = code_for_rate(n, 0.4, rng=np.random.default_rng(21))
         b = code_for_rate(n, 0.4, rng=np.random.default_rng(21))
@@ -457,10 +483,10 @@ def test_staircase_structure():
 
 
 def test_constructions_pinned():
-    # Dense (n = 12, 512) and staircase (n = 600 up to a session's 50 000)
-    # codes from one generator: sha256 of every edge array and of the
-    # generator's state afterwards, so a rewrite of the construction or the
-    # cycle breaker that moves one edge or one draw shows here.
+    # Staircase codes from n = 12 up to a session's 50 000, all from one
+    # generator: sha256 of every edge array and of the generator's state
+    # afterwards, so a rewrite of the construction or the cycle breaker that
+    # moves one edge or one draw shows here.
     rng = np.random.default_rng(70)
     digest = hashlib.sha256()
     for n in (12, 512, 600, 5000, 50_000):
@@ -469,7 +495,7 @@ def test_constructions_pinned():
             digest.update(code._edge_var.astype(np.int64).tobytes())
             digest.update(code._edge_check.astype(np.int64).tobytes())
     digest.update(repr(rng.bit_generator.state).encode())
-    assert digest.hexdigest() == "d1f1c030c7f6b882b02f15af452fdd91492d6e7ac7e38dd82b1f8979c420729b"
+    assert digest.hexdigest() == "b48631551c43da184a33a36072d4717f07d540dd4734c0d4bd18a7b040e28eb7"
 
 
 def test_staircase_edges_pinned():

@@ -37,6 +37,7 @@ from qkdpost.protocol import (
     run_ir,
     toeplitz_hash,
 )
+from test_codes import dense_code
 
 
 def _labels(transcript):
@@ -46,11 +47,6 @@ def _labels(transcript):
 def _message(transcript, label):
     """The transcript's message with this label, or None."""
     return next((m for m in transcript.messages if m.label == label), None)
-
-
-def dense_code(n: int, rate: float, seed: int) -> ParityCheck:
-    # code_for_rate builds dense codes at the small n used here.
-    return code_for_rate(n, rate, rng=np.random.default_rng(seed))
 
 
 def test_parameter_estimation_accepts():
@@ -555,6 +551,20 @@ def test_full_session_operating_point():
     assert report.leak_bits == t1.payload.size + t2.payload.size
     rate = rate_proposed(six_state_point(report.estimated_e))
     assert abs(report.empirical_key_rate - rate) <= 1.0 / (2 * 50_000)
+
+
+def test_small_sessions_reconcile():
+    # Small sessions reconcile too: both rounds of an n = 400 session take
+    # codes of at most 400 columns. The seeds are the first ten trials of
+    # `simulate --seed 7`.
+    seeds = np.random.SeedSequence(7).generate_state(10, dtype=np.uint64).tolist()
+    matched = sum(
+        run_full_session(
+            SessionConfig(channel=six_state_point(0.05), n=400, m=2000, seed=int(seed))
+        ).key_match
+        for seed in seeds
+    )
+    assert matched >= 5
 
 
 def test_session_report_json():
