@@ -395,13 +395,12 @@ def _staircase_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
     """
     k = n - m
     tail_extra = np.full(m, -1, dtype=np.int64)
-    if m > 2:
-        eligible = np.arange(m - 2)
-        count = int(round(DEFAULT_TAIL_DEGREE3 * eligible.size))
-        chosen = rng.choice(eligible, size=count, replace=False)
-        lo = chosen + 2
-        hi = np.minimum(lo + _TAIL_WINDOW, m)
-        tail_extra[chosen] = lo + (rng.random(count) * (hi - lo)).astype(np.int64)
+    eligible = np.arange(m - 2)
+    count = int(round(DEFAULT_TAIL_DEGREE3 * eligible.size))
+    chosen = rng.choice(eligible, size=count, replace=False)
+    lo = chosen + 2
+    hi = np.minimum(lo + _TAIL_WINDOW, m)
+    tail_extra[chosen] = lo + (rng.random(count) * (hi - lo)).astype(np.int64)
     pre_load = np.bincount(tail_extra[tail_extra >= 0], minlength=m).astype(np.int64)
     pre_load += 2
     pre_load[0] -= 1
@@ -451,9 +450,9 @@ def _break_low_degree_cycles(
     triangularity survives.
 
     The repair is best effort, bounded by _CYCLE_ROUNDS: each round
-    rewires one column of every shared pair found at its start, a rewiring
-    can create a new shared pair, and a tail-tail pair with no third entry
-    cannot be rewired. Shared pairs can remain (a handful at session scale).
+    rewires one column of every shared pair found at its start, and a
+    rewiring can create a new shared pair. Shared pairs can remain (a
+    handful at session scale).
     """
     sizes = np.diff(col_ptr)
     low = np.flatnonzero((sizes >= 2) & (sizes <= 3))
@@ -480,12 +479,11 @@ def _break_low_degree_cycles(
         at = at[np.lexsort((at, ordered[shared]))]
         at_keys, at_owners = keys[at].tolist(), owners[at].tolist()
         rewired = []
+        # A column's rows are distinct, so a shared key has two owners.
         for i in range(at.size - 1):
             if at_keys[i] != at_keys[i + 1]:
                 continue
             j1, j2 = at_owners[i], at_owners[i + 1]
-            if j1 == j2:
-                continue
             if j2 < k:
                 target = j2
             elif j1 < k:
@@ -499,10 +497,10 @@ def _break_low_degree_cycles(
                 swap_at = int(rng.integers(0, col.size))
                 lo, hi = 0, m
             else:
-                # Tail column i holds rows i, i+1 and at most a third row
-                # in [i + 2, m), which sorts last and alone can move.
-                if col.size < 3:
-                    continue
+                # Tail column i holds rows i, i+1 and a third row in
+                # [i + 2, m), which sorts last and alone can move. A tail
+                # target has one: degree-2 tail columns {i, i+1} and
+                # {j, j+1} share a pair only if i = j.
                 swap_at = 2
                 lo = target - k + 2
                 hi = min(lo + _TAIL_WINDOW, m)
@@ -551,11 +549,10 @@ def _balanced_sockets(m: int, degrees: np.ndarray, rng: np.random.Generator, pre
     total = int(degrees.sum())
     base = (total + int(pre_load.sum())) // m
     row_counts = np.maximum(base - pre_load, 0).astype(np.int64)
+    # drift < m: row_counts sums to at least m * base - sum(pre_load).
     drift = total - int(row_counts.sum())
-    while drift > 0:
-        take = min(drift, m)
-        row_counts[rng.permutation(m)[:take]] += 1
-        drift -= take
+    if drift > 0:
+        row_counts[rng.permutation(m)[:drift]] += 1
     while drift < 0:
         candidates = np.nonzero(row_counts > 0)[0]
         take = min(-drift, candidates.size)

@@ -16,6 +16,9 @@ of the package obtains from closed forms, so the two routes can be compared:
 * an entropy-inequality suite (monotonicity, a chain-rule instance, the
   removal bound, the fidelity-distance sandwich) on randomized inputs.
 
+A measurement outcome is one subnormalized operator (or vector) on the
+eavesdropper's system, and its probability is the trace (or squared norm).
+
 All computations stay at dimension <= 256. Every entropy and support comes
 from eigendecompositions of Hermitian matrices; fidelity alone takes the
 general eigenvalues of rho*sigma. Entropies are in bits.
@@ -107,7 +110,9 @@ def von_neumann_entropy(rho) -> float:
 
 
 def _spectral_entropy(rho: np.ndarray) -> float:
-    """von_neumann_entropy of a matrix built here from finite inputs."""
+    """-sum lambda log2 lambda of a positive semidefinite matrix built here
+    from finite inputs. Unit trace is not required: for a subnormalized
+    block A this is -tr A log2 A."""
     eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
     if eigs.min() < -_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs.min()}")
@@ -229,25 +234,35 @@ def purify_state(rho) -> np.ndarray:
 class CcqState:
     """Classical registers plus one quantum system, block by block.
 
-    blocks maps a tuple of register values to (probability, conditional
-    density matrix); zero-probability blocks carry None. The joint state is
-    block-diagonal, so every entropy reduces to per-block spectra.
+    blocks maps each tuple of register values to that outcome's
+    subnormalized operator on the quantum system; its trace is the outcome's
+    probability. The joint state is the direct sum of the blocks, so every
+    entropy reduces to per-block spectra. Every block must be a finite
+    square matrix of one shape; a ValueError names the block that is not.
     """
 
     registers: tuple[str, ...]
-    alphabet: tuple[int, ...]
     blocks: dict
-    quantum_dim: int
 
     def __post_init__(self):
-        if len(self.registers) != len(self.alphabet):
-            raise ValueError("one alphabet size per register required")
-        total = math.prod(self.alphabet) * self.quantum_dim
+        blocks = {}
+        shape = None
+        for key, op in self.blocks.items():
+            try:
+                op = _finite(op)
+            except ValueError as err:
+                raise ValueError(f"block {key}: {err}") from None
+            shape = shape or op.shape
+            if op.shape != shape:
+                raise ValueError(f"block {key} has shape {op.shape}, the first block {shape}")
+            blocks[key] = op
+        object.__setattr__(self, "blocks", blocks)
+        mass = math.fsum(np.trace(op).real for op in blocks.values())
+        if abs(mass - 1.0) > 1e-9:
+            raise ValueError(f"block traces sum to {mass}")
+        total = len(blocks) * shape[0]
         if total > _MAX_DIM:
             raise ValueError(f"total dimension {total} exceeds {_MAX_DIM}")
-        mass = math.fsum(prob for prob, _ in self.blocks.values())
-        if abs(mass - 1.0) > 1e-9:
-            raise ValueError(f"block probabilities sum to {mass}")
 
 
 def _two_copy_ccq_from_pure(psi: np.ndarray) -> CcqState:
@@ -257,6 +272,7 @@ def _two_copy_ccq_from_pure(psi: np.ndarray) -> CcqState:
     psi has shape (2, 2, dE); outcome (a, b) leaves the environment in the
     subnormalized vector psi[a, b]. For outcomes (a1,b1), (a2,b2):
     u1 = a1+a2, w1 = (a1+b1)+(a2+b2), and u2 = a2 where w1 = 0, else 0.
+    Each block is the sum of its outcomes' projectors, unnormalized.
     """
     if psi.ndim != 3 or psi.shape[:2] != (2, 2):
         raise ValueError(f"expected shape (2, 2, dE), got {psi.shape}")
@@ -264,28 +280,18 @@ def _two_copy_ccq_from_pure(psi: np.ndarray) -> CcqState:
     # vecs[a1, b1, a2, b2] = psi[a1, b1] (x) psi[a2, b2], and their projectors
     vecs = (psi[:, :, None, None, :, None] * psi[None, None, :, :, None, :]).reshape(2, 2, 2, 2, -1)
     projectors = vecs[..., :, None] * vecs.conj()[..., None, :]
-    accum: dict[tuple[int, int, int], np.ndarray] = {}
+    blocks: dict[tuple[int, int, int], np.ndarray] = {}
     for a1, b1, a2, b2 in itertools.product((0, 1), repeat=4):
         vec = vecs[a1, b1, a2, b2]
-        weight = float(np.vdot(vec, vec).real)
-        if weight <= 1e-300:
+        if np.vdot(vec, vec).real <= 1e-300:
             continue
         w1 = (a1 ^ b1) ^ (a2 ^ b2)
         u1 = a1 ^ a2
         u2 = a2 if w1 == 0 else 0
         key = (u1, u2, w1)
-        accum.setdefault(key, np.zeros((d_e * d_e, d_e * d_e), dtype=complex))
-        accum[key] += projectors[a1, b1, a2, b2]
-    blocks = {}
-    for key, op in accum.items():
-        prob = float(np.trace(op).real)
-        blocks[key] = (prob, op / prob)
-    return CcqState(
-        registers=("u1", "u2", "w1"),
-        alphabet=(2, 2, 2),
-        blocks=blocks,
-        quantum_dim=d_e * d_e,
-    )
+        blocks.setdefault(key, np.zeros((d_e * d_e, d_e * d_e), dtype=complex))
+        blocks[key] += projectors[a1, b1, a2, b2]
+    return CcqState(registers=("u1", "u2", "w1"), blocks=blocks)
 
 
 def assemble_two_copy_ccq(p: BellDiagonal) -> CcqState:
@@ -313,22 +319,19 @@ def conditional_entropy(ccq: CcqState, conditioned_on) -> float:
 
 def _ccq_entropy(ccq: CcqState, names: set, with_quantum: bool) -> float:
     """Entropy of the marginal on the named registers (plus the quantum
-    part when requested), exploiting block-diagonal structure."""
+    part when requested). The blocks sharing the named values sum to one
+    subnormalized operator A_g of trace p_g; the entropy is
+    sum_g -tr A_g log2 A_g with the quantum part, -sum_g p_g log2 p_g
+    without it."""
     idx = [i for i, r in enumerate(ccq.registers) if r in names]
-    groups: dict[tuple, list] = {}
-    for key, (prob, op) in ccq.blocks.items():
-        if prob <= 0.0:
-            continue
-        groups.setdefault(tuple(key[i] for i in idx), []).append((prob, op))
-    probs = [math.fsum(p for p, _ in members) for members in groups.values()]
-    h_classical = shannon_entropy(Dist(probs)) if probs else 0.0
-    if not with_quantum:
-        return h_classical
-    h_quantum = 0.0
-    for members, p_g in zip(groups.values(), probs):
-        mix = sum(p * op for p, op in members) / p_g
-        h_quantum += p_g * _spectral_entropy(mix)
-    return h_classical + h_quantum
+    groups: dict[tuple, np.ndarray] = {}
+    for key, op in ccq.blocks.items():
+        g = tuple(key[i] for i in idx)
+        groups[g] = groups.get(g, 0.0) + op
+    if with_quantum:
+        return math.fsum(_spectral_entropy(op) for op in groups.values())
+    probs = [float(np.trace(op).real) for op in groups.values()]
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
 
 def _measured_block_laws(psi: np.ndarray) -> tuple[Dist, Dist]:
@@ -416,26 +419,18 @@ def worst_case_check(sigma) -> WorstCaseRecord:
 # --- coset decomposition of averaged eavesdropper states ---
 
 
-def _env_vector(p: BellDiagonal, xbar: tuple, terms) -> tuple[np.ndarray, float]:
-    """The environment state sum of sign * sqrt(P(xbar, z)) |xbar, z> over
-    the (z, sign) terms, normalized, and its weight sum of P(xbar, z). Each
-    copy's basis label is 2*xbar_i + z_i; a zero weight gives a zero vector."""
+def _env_vector(p: BellDiagonal, xbar: tuple, terms) -> np.ndarray:
+    """The subnormalized environment vector sum of sign * sqrt(P(xbar, z))
+    |xbar, z> over the (z, sign) terms, whose squared norm is their weight
+    sum of P(xbar, z). Each copy's basis label is 2*xbar_i + z_i."""
     entries = {(0, 0): p.p00, (1, 0): p.p10, (0, 1): p.p01, (1, 1): p.p11}
     vec = np.zeros(4 ** len(xbar), dtype=complex)
-    weights = []
     for z, sign in terms:
-        w = math.prod(entries[xi, zi] for xi, zi in zip(xbar, z))
-        weights.append(w)
-        if w <= 0.0:
-            continue
         idx = 0
         for xi, zi in zip(xbar, z):
             idx = idx * 4 + (2 * xi + zi)
-        vec[idx] = sign * math.sqrt(w)
-    total = math.fsum(weights)
-    if total > 0.0:
-        vec = vec / math.sqrt(total)
-    return vec, total
+        vec[idx] = sign * math.sqrt(math.prod(entries[xi, zi] for xi, zi in zip(xbar, z)))
+    return vec
 
 
 def _dual_code(code: list, m: int) -> list:
@@ -482,22 +477,20 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
     words = list(itertools.product((0, 1), repeat=m))
     worst = 0.0
     for xbar in words:
-        # Environment states given Alice's bits x = c + shift, one per code
-        # word; each carries the total weight P(xbar).
+        # Subnormalized environment vectors given Alice's bits x = c + shift,
+        # one per code word; each has squared norm P(xbar).
         eve = []
         for c in code:
             x = tuple(ci ^ ai for ci, ai in zip(c, shift))
             signs = [(-1) ** (sum(a * b for a, b in zip(x, z)) & 1) for z in words]
             eve.append(_env_vector(p, xbar, zip(words, signs)))
-        px = eve[0][1]
+        px = float(np.vdot(eve[0], eve[0]).real)
         if px <= 1e-14:
             continue
-        lhs = sum(np.outer(vec, vec.conj()) for vec, _ in eve) / len(code)
-        rhs = np.zeros_like(lhs)
-        for j in reps:
-            vec, weight = _env_vector(p, xbar, _coset_terms(shift, j, dual))
-            rhs += (weight / px) * np.outer(vec, vec.conj())
-        worst = max(worst, float(np.abs(lhs - rhs).max()))
+        theta = [_env_vector(p, xbar, _coset_terms(shift, j, dual)) for j in reps]
+        lhs = sum(np.outer(vec, vec.conj()) for vec in eve) / len(code)
+        rhs = sum(np.outer(vec, vec.conj()) for vec in theta)
+        worst = max(worst, float(np.abs(lhs - rhs).max()) / px)
     return worst
 
 

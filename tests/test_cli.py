@@ -251,12 +251,12 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
       "--format", "csv"],
      "ae837c6338caae1143b51fa2babf13ac927a8e724aed4505411598d35e405d70"),
     (["verify", "--suite", "coset", "--samples", "3"],
-     "bfbb8d1de4462a9cbd746343c8304d29132487ed96e6719529f9760dfa53ced2"),
+     "824b8ed6b287a5b508738c84f6f01fe6c2b35112df335f967ac499afba70e01a"),
     (["verify", "--suite", "coset", "--samples", "3", "--format", "json"],
-     "a5fbff24d552c5dc4f0c59e443b84e1dc6e02b9c9b69704457b9753b9a469b55"),
+     "e65809bd3254ac57dbffd89764284dc0840cec461358ddc25137f917a3c989ec"),
     # The oracle's suites: any change to its numerics moves these bytes.
     (["verify", "--suite", "theorem3", "--samples", "20", "--format", "json"],
-     "552687f31aee81235bc4cddd58cf2d301f54be0d8097e902960ea5042e6db1db"),
+     "762f9751062f19f3e2656547629cca7ac64890e73c1416ea9dfd34af1fc7107a"),
     (["verify", "--suite", "twirl", "--samples", "20", "--format", "json"],
      "9bf07ab3e7c1ec3eeb781ee8bc4b119635a1472922bddd2714c921b4f71a8764"),
     (["verify", "--suite", "lemmas", "--samples", "20", "--format", "json"],

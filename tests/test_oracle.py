@@ -25,6 +25,7 @@ from qkdpost.oracle import (
     _coset_terms,
     _env_vector,
     _kron,
+    _two_copy_ccq_from_pure,
     assemble_two_copy_ccq,
     bell_basis_vector,
     check_density,
@@ -212,12 +213,12 @@ def test_two_copy_ccq_structure():
     p = random_bell_diagonal(rng)
     ccq = assemble_two_copy_ccq(p)
     assert ccq.registers == ("u1", "u2", "w1")
-    mass = math.fsum(prob for prob, _ in ccq.blocks.values())
+    mass = math.fsum(np.trace(op).real for op in ccq.blocks.values())
     assert mass == pytest.approx(1.0, abs=1e-12)
     w1_law = derived_dists(p).w1_dist
     for value in (0, 1):
         marginal = math.fsum(
-            prob for key, (prob, _) in ccq.blocks.items() if key[2] == value
+            np.trace(op).real for key, op in ccq.blocks.items() if key[2] == value
         )
         assert marginal == pytest.approx(w1_law(value), abs=1e-12)
 
@@ -236,18 +237,17 @@ def test_two_copy_ccq_matches_kron_reference():
         expected[key] += np.outer(vec, vec.conj())
     blocks = assemble_two_copy_ccq(p).blocks
     assert set(blocks) == set(expected)
-    for key, (prob, op) in blocks.items():
-        assert prob == float(np.trace(expected[key]).real)
-        assert op.tobytes() == (expected[key] / prob).tobytes()
+    for key, op in blocks.items():
+        assert op.tobytes() == expected[key].tobytes()
 
 
 def test_two_copy_ccq_noiseless():
     ccq = assemble_two_copy_ccq(BellDiagonal(1.0, 0.0, 0.0, 0.0))
     assert all(key[2] == 0 for key in ccq.blocks)
-    for prob, op in ccq.blocks.values():
-        top = float(np.linalg.eigvalsh(op).max())
-        assert top == pytest.approx(1.0, abs=1e-10)
-        assert prob == pytest.approx(0.25, abs=1e-12)
+    for op in ccq.blocks.values():
+        eigs = np.linalg.eigvalsh(op)
+        assert np.count_nonzero(eigs > 1e-10) == 1
+        assert np.trace(op).real == pytest.approx(0.25, abs=1e-12)
 
 
 def test_conditional_entropy_reductions():
@@ -262,14 +262,60 @@ def test_conditional_entropy_reductions():
 def test_conditional_entropy_classical_reduction():
     # Identical conditionals factor out: H(X | quantum) = H(X).
     half = np.eye(2, dtype=complex) / 2.0
-    ccq = CcqState(
-        registers=("x",),
-        alphabet=(2,),
-        blocks={(0,): (0.3, half), (1,): (0.7, half)},
-        quantum_dim=2,
-    )
+    ccq = CcqState(registers=("x",), blocks={(0,): 0.3 * half, (1,): 0.7 * half})
     expected = shannon_entropy(Dist((0.3, 0.7)))
     assert conditional_entropy(ccq, (QUANTUM,)) == pytest.approx(expected, abs=1e-12)
+
+
+def normalized_form_entropy(ccq, names, with_quantum):
+    """The entropy in the (probability, normalized state) form: the Shannon
+    entropy of the group traces p_g, plus sum_g p_g S(A_g / p_g) with the
+    quantum part."""
+    idx = [i for i, r in enumerate(ccq.registers) if r in names]
+    groups = {}
+    for key, op in ccq.blocks.items():
+        groups.setdefault(tuple(key[i] for i in idx), []).append(op)
+    probs, states = [], []
+    for members in groups.values():
+        a_g = sum(members)
+        probs.append(np.trace(a_g).real)
+        states.append(a_g / probs[-1])
+    h = shannon_entropy(Dist(probs))
+    if with_quantum:
+        h += sum(p_g * von_neumann_entropy(rho) for p_g, rho in zip(probs, states))
+    return h
+
+
+def test_conditional_entropy_matches_normalized_form():
+    rng = np.random.default_rng(21)
+    states = [assemble_two_copy_ccq(random_bell_diagonal(rng)) for _ in range(3)]
+    states.append(_two_copy_ccq_from_pure(purify_state(random_density(4, rng)).reshape(2, 2, -1)))
+    for ccq in states:
+        joint = normalized_form_entropy(ccq, set(ccq.registers), True)
+        for size in range(len(ccq.registers) + 1):
+            for subset in itertools.combinations(ccq.registers, size):
+                for with_quantum in (False, True):
+                    given = subset + ((QUANTUM,) if with_quantum else ())
+                    expected = joint
+                    if given:
+                        expected -= normalized_form_entropy(ccq, set(subset), with_quantum)
+                    assert conditional_entropy(ccq, given) == pytest.approx(expected, abs=1e-12)
+
+
+@pytest.mark.parametrize("where, value", [((0, 0), np.nan), ((0, 1), np.inf)])
+def test_ccq_state_rejects_non_finite_block(where, value):
+    # LAPACK can return finite, wrong spectra for such a block.
+    bad = np.eye(2, dtype=complex) / 4.0
+    bad[where] = value
+    with pytest.raises(ValueError, match=r"block \(1,\).*non-finite"):
+        CcqState(registers=("x",), blocks={(0,): np.eye(2) / 4.0, (1,): bad})
+
+
+def test_ccq_state_rejects_mismatched_blocks():
+    with pytest.raises(ValueError, match=r"block \(1,\) has shape \(4, 4\)"):
+        CcqState(registers=("x",), blocks={(0,): np.eye(2) / 4.0, (1,): np.eye(4) / 8.0})
+    with pytest.raises(ValueError, match=r"block \(0,\).*square"):
+        CcqState(registers=("x",), blocks={(0,): np.ones((1, 2))})
 
 
 def test_theorem3_direct_anchors():
@@ -340,16 +386,36 @@ def test_coset_decomposition():
         coset_decomposition_check(p, [(0, 0, 0)], (0, 0))
 
 
+def test_coset_check_detects_a_flipped_term(monkeypatch):
+    # One wrong sign in each coset's superposition breaks the decomposition
+    # far beyond the 1e-10 bound the honest check meets.
+    p = random_bell_diagonal(np.random.default_rng(8))
+
+    def flipped(shift, j, dual):
+        (z, sign), *rest = _coset_terms(shift, j, dual)
+        return [(z, -sign), *rest]
+
+    monkeypatch.setattr("qkdpost.oracle._coset_terms", flipped)
+    for shift in ((0, 0), (0, 1), (1, 0), (1, 1)):
+        assert coset_decomposition_check(p, [(0, 0), (1, 1)], shift) > 0.4
+    assert coset_decomposition_check(p, [(0, 0)], (0, 1)) > 0.4
+
+
 def test_theta_vectors_orthogonal_across_cosets():
     rng = np.random.default_rng(9)
     p = random_bell_diagonal(rng)
     dual = [(0, 0), (1, 1)]
     reps = [(0, 0), (0, 1)]
     for xbar in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        vecs = [_env_vector(p, xbar, _coset_terms((1, 0), j, dual))[0] for j in reps]
-        for v in vecs:
-            norm = np.vdot(v, v).real
-            assert norm == pytest.approx(1.0, abs=1e-12) or norm == 0.0
+        entries = {(0, 0): p.p00, (1, 0): p.p10, (0, 1): p.p01, (1, 1): p.p11}
+        vecs = []
+        for j in reps:
+            terms = _coset_terms((1, 0), j, dual)
+            weight = math.fsum(
+                math.prod(entries[xi, zi] for xi, zi in zip(xbar, z)) for z, _ in terms
+            )
+            vecs.append(_env_vector(p, xbar, terms))
+            assert np.vdot(vecs[-1], vecs[-1]).real == pytest.approx(weight, abs=1e-12)
         assert abs(np.vdot(vecs[0], vecs[1])) <= 1e-12
 
 
