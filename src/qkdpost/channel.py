@@ -8,11 +8,11 @@ Bob's differs with probability P_X(1) = p10 + p11. Phase components never show
 up in sampling but drive the key-rate formulas, so all four entries travel
 together as the single source of truth for the constraint sets.
 
-The block laws derived here describe length-2 blocks of the bit-flip process:
-W1 is the block parity of the discrepancy pattern, W2 the second-bit
-discrepancy after parity alignment. With row sums r0 + r1 = 1, their one
-denominator P_W1(0) = r0^2 + r1^2 is at least 1/2; the one that can vanish,
-r0 r1, appears only in the key rates.
+derived_dists returns the laws of length-2 blocks of the bit-flip process
+as a pair of Dists: W1 is the block parity of the discrepancy pattern, W2
+the second-bit discrepancy after parity alignment. With row sums
+r0 + r1 = 1, their one denominator P_W1(0) = r0^2 + r1^2 is at least 1/2;
+the one that can vanish, r0 r1, appears only in the key rates.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from .entropy import Dist
 
 __all__ = [
     "BellDiagonal",
-    "DerivedBlockDists",
     "six_state_point",
     "bb84_family",
     "derived_dists",
@@ -57,18 +56,6 @@ class BellDiagonal:
     def bit_flip_rate(self) -> float:
         """P_X(1) = p10 + p11; the probability Bob's z-basis bit differs."""
         return self.p10 + self.p11
-
-
-@dataclass(frozen=True)
-class DerivedBlockDists:
-    """Block laws of the length-2 reduction for one Bell-diagonal channel.
-
-    w1_dist: law of the block discrepancy parity W1 (P_Xbar in the rates).
-    w2_given_w1_0: law of the second-bit discrepancy W2 given W1 = 0.
-    """
-
-    w1_dist: Dist
-    w2_given_w1_0: Dist
 
 
 def six_state_point(e: float) -> BellDiagonal:
@@ -104,13 +91,15 @@ def _bb84_entries(e: float, p11: float) -> tuple[float, float, float, float]:
     return max(1.0 - 2.0 * e + p11, 0.0), e - p11, e - p11, p11
 
 
-def derived_dists(p: BellDiagonal) -> DerivedBlockDists:
-    """Block laws of the length-2 reduction.
+def derived_dists(p: BellDiagonal) -> tuple[Dist, Dist]:
+    """Block laws (w1, w2) of the length-2 reduction: w1 is the law of the
+    block discrepancy parity W1 (P_Xbar in the rates), w2 the law of the
+    second-bit discrepancy W2 given W1 = 0.
 
     With row sums r0 = p00+p01 and r1 = p10+p11 (the bit-flip marginal):
 
-        w1_dist = (r0^2 + r1^2, 2 r0 r1)
-        w2_given_w1_0 = (r0^2, r1^2) / (r0^2 + r1^2)
+        w1 = (r0^2 + r1^2, 2 r0 r1)
+        w2 = (r0^2, r1^2) / (r0^2 + r1^2)
 
     Row sums that rounding leaves slightly negative are clipped to 0.
     """
@@ -122,7 +111,7 @@ def derived_dists(p: BellDiagonal) -> DerivedBlockDists:
     # total = (r0+r1)^2 = 1 up to rounding; renormalize the pair exactly.
     w1 = Dist([pbar0 / total, pbar1 / total])
     w2 = Dist([r0 * r0 / pbar0, r1 * r1 / pbar0])
-    return DerivedBlockDists(w1_dist=w1, w2_given_w1_0=w2)
+    return w1, w2
 
 
 def sample_pair(p: BellDiagonal, length: int, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:

@@ -22,6 +22,7 @@ usage, 3 verification failure. Sizes out of range are bad usage: --trials,
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
 import sys
@@ -32,7 +33,7 @@ import numpy as np
 from . import __version__
 from .channel import bb84_family, sample_pair, six_state_point
 from .entropy import type_deviation_bound
-from .keyrate import rate_first_arg, rate_second_arg, render_json_rows, sweep
+from .keyrate import TABLE_CURVES, rate_first_arg, rate_second_arg, render_json_rows, sweep
 from .oracle import (
     coset_decomposition_check,
     lemma_suite,
@@ -113,7 +114,7 @@ def main():
 @click.option("--step", type=float, default=1e-3, show_default=True)
 @click.option(
     "--curves",
-    default="proposed,vollbrecht,bstep,oneway",
+    default=",".join(TABLE_CURVES),
     show_default=True,
     callback=_canonical_curves,
     help="Comma-separated curve names.",
@@ -148,12 +149,16 @@ _SESSION_COLUMNS = (
 @main.command()
 @click.option("--e", type=float, required=True, help="Channel error rate.")
 @click.option("--protocol", type=click.Choice(["six-state", "bb84"]), default="six-state", show_default=True)
-@click.option("--n", type=int, default=50_000, show_default=True, help="Blocks per session.")
-@click.option("--m", type=int, default=20_000, show_default=True, help="Estimation sample size.")
+@click.option("--n", type=int, default=SessionConfig.n, show_default=True, help="Blocks per session.")
+@click.option("--m", type=int, default=SessionConfig.m, show_default=True, help="Estimation sample size.")
 @click.option("--trials", type=click.IntRange(1, _MAX_COUNT), default=1, show_default=True)
-@click.option("--delta", type=float, default=0.05, show_default=True, help="Code-rate margin.")
-@click.option("--tolerance", type=float, default=0.02, show_default=True, help="Abort tolerance.")
-@click.option("--margin", type=float, default=0.0, show_default=True, help="Key-rate deduction.")
+@click.option("--delta", type=float, default=SessionConfig.delta, show_default=True, help="Code-rate margin.")
+@click.option(
+    "--tolerance", type=float, default=SessionConfig.abort_tolerance, show_default=True, help="Abort tolerance."
+)
+@click.option(
+    "--margin", type=float, default=SessionConfig.finite_size_margin, show_default=True, help="Key-rate deduction."
+)
 @click.option("--format", type=click.Choice(["csv", "json"]), default="json", show_default=True)
 @click.option("--out", type=click.Path(dir_okay=False), default=None, help="Default: stdout.")
 @click.option("--seed", type=click.IntRange(0, 2**64 - 1), default=0, show_default=True)
@@ -164,7 +169,7 @@ def simulate(e, protocol, n, m, trials, delta, tolerance, margin, format, out, s
             channel = six_state_point(e)
         else:
             channel = bb84_family(e, 0.5 * e)
-        base_cfg = dict(
+        cfg = SessionConfig(
             channel=channel,
             n=n,
             m=m,
@@ -173,7 +178,6 @@ def simulate(e, protocol, n, m, trials, delta, tolerance, margin, format, out, s
             finite_size_margin=margin,
             mapping=protocol,
         )
-        SessionConfig(seed=0, **base_cfg)
     except ValueError as exc:
         raise click.UsageError(str(exc))
 
@@ -181,7 +185,7 @@ def simulate(e, protocol, n, m, trials, delta, tolerance, margin, format, out, s
     reports = []
     for trial, trial_seed in enumerate(trial_seeds):
         try:
-            report = run_full_session(SessionConfig(seed=int(trial_seed), **base_cfg))
+            report = run_full_session(dataclasses.replace(cfg, seed=int(trial_seed)))
         except ValueError as exc:
             # Parameters whose estimated block laws push a code rate out of
             # (0, 1) leave no syndrome shorter than the data.
@@ -253,9 +257,9 @@ def _suite_coset(samples: int, rng: np.random.Generator) -> list[dict]:
 
 
 def _suite_types(samples: int, rng: np.random.Generator) -> list[dict]:
-    # The session's default m. At m = 10 000 the type bound is 1, which no
-    # abort fraction can exceed; here it is 2.25e-3.
-    m, tol, e = 20_000, 0.02, 0.05
+    # The session's default m and tolerance. At m = 10 000 the type bound is
+    # 1, which no abort fraction can exceed; here it is 2.25e-3.
+    m, tol, e = SessionConfig.m, SessionConfig.abort_tolerance, 0.05
     channel = six_state_point(e)
     aborts = 0
     for _ in range(samples):

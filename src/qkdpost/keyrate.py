@@ -11,8 +11,9 @@ p10^2+p11^2, 2 p10 p11) / P_Xbar(0) the law of the surviving blocks.
 Comparison curves: the Vollbrecht-Verstraete style correction (first argument
 with the entropy of the mean replaced by the mean of entropies), the plain
 advantage-distillation rate (the second argument alone), and the one-way
-baseline 1 - H(P_XZ). P_Xbar(0) >= 1/2 as r0 + r1 = 1; the one denominator
-that can vanish, r0 r1, also multiplies its terms.
+baseline 1 - H(P_XZ). TABLE_CURVES names the proposed rate and these three,
+the columns of every rate table. P_Xbar(0) >= 1/2 as r0 + r1 = 1; the one
+denominator that can vanish, r0 r1, also multiplies its terms.
 
 Six-state curves substitute p = six_state_point(e). BB84 curves minimize
 over the free parameter p11 in [0, e] (the channel family the estimate
@@ -26,8 +27,8 @@ to private closed forms. The BB84 grid runs on a private vectorized core
 kept consistent with the scalar path by tests; it evaluates only the curves
 asked of it, and of each curve only the terms it needs (base entropy, first
 argument, second argument, Vollbrecht). bb84_curve solves a whole e-grid and
-all four minimized curves at once: one grid pass over (e, p11), then, curve
-by curve, golden-section polishing as array operations on every e bracket.
+the four TABLE_CURVES at once: one grid pass over (e, p11), then, curve by
+curve, golden-section polishing as array operations on every e bracket.
 bb84_rate, which serves one error rate and one curve at a time (threshold
 searches, the session's BB84 mapping), grids that curve alone and polishes
 with the scalar closed forms on the family's entries, which is faster for
@@ -46,6 +47,7 @@ from .entropy import binary_entropy
 
 __all__ = [
     "CURVES",
+    "TABLE_CURVES",
     "RatePoint",
     "ThresholdResult",
     "rate_first_arg",
@@ -64,6 +66,9 @@ __all__ = [
 ]
 
 CURVES = ("proposed", "first_arg", "second_arg", "vollbrecht", "bstep", "oneway")
+# The curves of the rate tables, each minimized on its own over p11 for BB84;
+# first_arg and second_arg follow the proposed argmin.
+TABLE_CURVES = ("proposed", "vollbrecht", "bstep", "oneway")
 
 _GRID_POINTS = 2001
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
@@ -177,7 +182,7 @@ class RatePoint:
     def raw(self, curve: str) -> float:
         if curve not in CURVES:
             raise ValueError(f"unknown curve {curve!r}")
-        return self.proposed if curve == "proposed" else getattr(self, curve)
+        return getattr(self, curve)
 
     def clamped(self, curve: str) -> float:
         return max(0.0, self.raw(curve))
@@ -268,9 +273,6 @@ def _bb84_entries_vec(e, t):
     return 1.0 - 2.0 * e + t, off, off, t
 
 
-# The curves bb84_curve minimizes over p11; first/second follow the proposed
-# argmin.
-_MINIMIZED = ("proposed", "vollbrecht", "bstep", "oneway")
 # e-rows per grid pass: 64 x 2001 points keeps each temporary near 1 MB.
 _GRID_ROWS = 64
 _POLISH_TOL = 1e-12
@@ -380,8 +382,8 @@ def bb84_curve(e_grid) -> list[RatePoint]:
     bad = ~((es >= 0.0) & (es <= 0.5))
     if bad.any():
         raise ValueError(f"BB84 error rate {es[bad][0]} outside [0, 1/2]")
-    grid_val, grid_t, lo, hi = _bb84_grid(es, _MINIMIZED)
-    polished = np.array([_bb84_polish(es, c, a, b) for c, a, b in zip(_MINIMIZED, lo, hi)])
+    grid_val, grid_t, lo, hi = _bb84_grid(es, TABLE_CURVES)
+    polished = np.array([_bb84_polish(es, c, a, b) for c, a, b in zip(TABLE_CURVES, lo, hi)])
     t_star, val = polished[:, 0], polished[:, 1]
     grid_won = grid_val <= val
     val = np.where(grid_won, grid_val, val)
@@ -399,11 +401,14 @@ def bb84_curve(e_grid) -> list[RatePoint]:
 
 @dataclass(frozen=True)
 class ThresholdResult:
-    """Zero crossing of a rate curve; found is False when the curve stays
-    positive on [0, 1/2]."""
+    """Zero crossing of a rate curve; e_star is None, and found False, when
+    the curve stays positive on [0, 1/2]."""
 
     e_star: float | None
-    found: bool
+
+    @property
+    def found(self) -> bool:
+        return self.e_star is not None
 
 
 _SCAN_STEP = 1e-3
@@ -435,14 +440,14 @@ def tolerable_rate(curve) -> ThresholdResult:
             lo = hi - _SCAN_STEP
             break
     else:
-        return ThresholdResult(e_star=None, found=False)
+        return ThresholdResult(e_star=None)
     while hi - lo > _REFINE:
         mid = 0.5 * (lo + hi)
         if nonpositive(mid):
             hi = mid
         else:
             lo = mid
-    return ThresholdResult(e_star=0.5 * (lo + hi), found=True)
+    return ThresholdResult(e_star=0.5 * (lo + hi))
 
 
 # Each protocol's error-rate range; at the CLI's default step of 1e-3 a
@@ -471,10 +476,7 @@ def sweep(emin: float, emax: float, step: float, protocol: str):
     return (sixstate_curve if protocol == "six-state" else bb84_curve)(grid)
 
 
-_TABLE_CURVES = ("proposed", "vollbrecht", "bstep", "oneway")
-
-
-def render_csv(rows, curves=_TABLE_CURVES):
+def render_csv(rows, curves=TABLE_CURVES):
     """CSV text of render_json_rows, every value as .12g."""
     records = render_json_rows(rows, curves)
     # An empty table keeps the header of a row without p11_star.
@@ -483,7 +485,7 @@ def render_csv(rows, curves=_TABLE_CURVES):
     return "\n".join(lines) + "\n"
 
 
-def render_json_rows(rows, curves=_TABLE_CURVES):
+def render_json_rows(rows, curves=TABLE_CURVES):
     """The table as records: e, the clamped curves, the raw bracket
     arguments, and the minimizing p11 whenever a row carries one
     (constrained families)."""

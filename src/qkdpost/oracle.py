@@ -410,7 +410,6 @@ class WorstCaseRecord:
 
 def worst_case_check(sigma) -> WorstCaseRecord:
     """Compare both bracket quantities for sigma against its discrete twirl."""
-    sigma = check_density(sigma)
     f_o, s_o, w1_o, w2_o = _brackets(purify_state(sigma).reshape(2, 2, -1))
     f_t, s_t, w1_t, w2_t = _brackets(purify_state(discrete_twirl(sigma)).reshape(2, 2, -1))
     return WorstCaseRecord(f_o, s_o, f_t, s_t, w1_o, w1_t, w2_o, w2_t)
@@ -501,6 +500,8 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     """Normalized G G^dagger with complex Gaussian G of the given rank."""
     if rank is None:
         rank = dim
+    if dim < 1 or rank < 1:
+        raise ValueError(f"dim={dim} and rank={rank} must both be >= 1")
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real

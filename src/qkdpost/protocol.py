@@ -470,12 +470,12 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
 
     estimate = outcome
     point = _estimate_to_point(estimate, cfg.mapping)
-    laws = derived_dists(point)
-    rate1 = shannon_entropy(laws.w1_dist) + cfg.delta
-    rate2 = shannon_entropy(laws.w2_given_w1_0) + cfg.delta
-    crossover1 = min(max(laws.w1_dist(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR)
-    crossover2 = min(max(laws.w2_given_w1_0(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR)
-    center = laws.w1_dist(0)
+    w1, w2 = derived_dists(point)
+    rate1 = shannon_entropy(w1) + cfg.delta
+    rate2 = shannon_entropy(w2) + cfg.delta
+    crossover1 = min(max(w1(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR)
+    crossover2 = min(max(w2(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR)
+    center = w1(0)
     bounds = (
         max(0, math.floor(cfg.n * (center - cfg.delta))),
         min(cfg.n, math.ceil(cfg.n * (center + cfg.delta))),

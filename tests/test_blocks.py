@@ -63,12 +63,12 @@ def test_partition_covers(w1hat):
 def test_block_laws_converge_on_samples():
     # end-to-end: sampled discrepancy pattern must follow the derived laws
     p = six_state_point(0.1)
-    d = derived_dists(p)
+    law_w1, law_w2 = derived_dists(p)
     rng = np.random.default_rng(123)
     x, y = sample_pair(p, 2 * 10**5, rng)
     w1 = parity_seq(x) ^ parity_seq(y)
-    assert abs(np.mean(w1) - d.w1_dist(1)) < 0.01
+    assert abs(np.mean(w1) - law_w1(1)) < 0.01
     # second-bit discrepancy restricted to true parity-0 blocks
     err2 = (x ^ y).reshape(-1, 2)[:, 1]
     w2_on_t0 = err2[w1 == 0]
-    assert abs(np.mean(w2_on_t0) - d.w2_given_w1_0(1)) < 0.01
+    assert abs(np.mean(w2_on_t0) - law_w2(1)) < 0.01

@@ -96,27 +96,27 @@ def test_derived_dists_against_enumeration():
         p = six_state_point(eps)
         flip = p.bit_flip_rate()
         parity, cond = block_law_oracle(flip)
-        d = derived_dists(p)
-        assert d.w1_dist(0) == pytest.approx(parity[0], abs=1e-12)
-        assert d.w1_dist(1) == pytest.approx(parity[1], abs=1e-12)
-        assert d.w2_given_w1_0(1) == pytest.approx(cond[1], abs=1e-12)
+        w1, w2 = derived_dists(p)
+        assert w1(0) == pytest.approx(parity[0], abs=1e-12)
+        assert w1(1) == pytest.approx(parity[1], abs=1e-12)
+        assert w2(1) == pytest.approx(cond[1], abs=1e-12)
     # deterministic flip: both bits of a block always differ, so parity is 0
-    d = derived_dists(BellDiagonal(0.0, 0.5, 0.0, 0.5))
-    assert d.w1_dist(0) == pytest.approx(1.0)
+    w1, _ = derived_dists(BellDiagonal(0.0, 0.5, 0.0, 0.5))
+    assert w1(0) == pytest.approx(1.0)
 
 
 def test_derived_dists_frozen_values():
-    d = derived_dists(six_state_point(0.1))
-    assert d.w1_dist(1) == pytest.approx(0.18, abs=1e-12)
+    w1, w2 = derived_dists(six_state_point(0.1))
+    assert w1(1) == pytest.approx(0.18, abs=1e-12)
     eps = 0.1
-    assert d.w2_given_w1_0(1) == pytest.approx(eps**2 / ((1 - eps) ** 2 + eps**2), abs=1e-12)
-    assert d.w1_dist(0) == pytest.approx((1 - eps) ** 2 + eps**2, abs=1e-12)
+    assert w2(1) == pytest.approx(eps**2 / ((1 - eps) ** 2 + eps**2), abs=1e-12)
+    assert w1(0) == pytest.approx((1 - eps) ** 2 + eps**2, abs=1e-12)
 
 
 def test_derived_dists_noiseless():
-    d = derived_dists(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-    assert d.w1_dist.probs == pytest.approx((1.0, 0.0))
-    assert d.w2_given_w1_0.probs == pytest.approx((1.0, 0.0))
+    w1, w2 = derived_dists(BellDiagonal(1.0, 0.0, 0.0, 0.0))
+    assert w1.probs == pytest.approx((1.0, 0.0))
+    assert w2.probs == pytest.approx((1.0, 0.0))
 
 
 @st.composite
@@ -132,18 +132,18 @@ def bell_diagonals(draw):
 
 @given(bell_diagonals())
 def test_derived_dists_normalization(p):
-    d = derived_dists(p)
-    assert abs(d.w1_dist(0) + d.w1_dist(1) - 1.0) <= 1e-12
-    assert abs(d.w2_given_w1_0(0) + d.w2_given_w1_0(1) - 1.0) <= 1e-12
-    assert d.w1_dist(0) >= 0.5 - 1e-12
+    w1, w2 = derived_dists(p)
+    assert abs(w1(0) + w1(1) - 1.0) <= 1e-12
+    assert abs(w2(0) + w2(1) - 1.0) <= 1e-12
+    assert w1(0) >= 0.5 - 1e-12
 
 
 @given(bell_diagonals())
 def test_derived_dists_phase_label_swap_invariance(p):
     swapped = BellDiagonal(p.p01, p.p11, p.p00, p.p10)
-    a, b = derived_dists(p), derived_dists(swapped)
-    assert a.w1_dist(1) == pytest.approx(b.w1_dist(1), abs=1e-12)
-    assert a.w2_given_w1_0(1) == pytest.approx(b.w2_given_w1_0(1), abs=1e-12)
+    (a1, a2), (b1, b2) = derived_dists(p), derived_dists(swapped)
+    assert a1(1) == pytest.approx(b1(1), abs=1e-12)
+    assert a2(1) == pytest.approx(b2(1), abs=1e-12)
 
 
 def test_sample_pair_reproducible_and_correct_rate():

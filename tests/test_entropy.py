@@ -77,6 +77,12 @@ def test_type_deviation_bound_validation():
         type_deviation_bound(10, 0.1, 1)
 
 
+@pytest.mark.parametrize("args", [(100, math.nan, 2), (math.nan, 0.1, 2), (100, 0.1, math.nan)])
+def test_type_deviation_bound_rejects_nan(args):
+    with pytest.raises(ValueError):
+        type_deviation_bound(*args)
+
+
 @given(st.floats(min_value=0.0, max_value=1.0))
 def test_binary_entropy_range(p):
     h = binary_entropy(p)

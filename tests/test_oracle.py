@@ -215,7 +215,7 @@ def test_two_copy_ccq_structure():
     assert ccq.registers == ("u1", "u2", "w1")
     mass = math.fsum(np.trace(op).real for op in ccq.blocks.values())
     assert mass == pytest.approx(1.0, abs=1e-12)
-    w1_law = derived_dists(p).w1_dist
+    w1_law, _ = derived_dists(p)
     for value in (0, 1):
         marginal = math.fsum(
             np.trace(op).real for key, op in ccq.blocks.items() if key[2] == value
@@ -443,6 +443,12 @@ def test_random_density():
     eigs = np.linalg.eigvalsh(rho)
     assert eigs.min() >= -1e-12
     assert int(np.count_nonzero(eigs > 1e-10)) == 2
+
+
+@pytest.mark.parametrize("dim, rank", [(4, 0), (4, -1), (0, None), (0, 2)])
+def test_random_density_rejects_empty_shape(dim, rank):
+    with pytest.raises(ValueError, match="must both be >= 1"):
+        random_density(dim, np.random.default_rng(11), rank=rank)
 
 
 def test_random_bell_diagonal():

@@ -2,10 +2,10 @@
 
 These checks fail as soon as one of those names is renamed or unbound, which
 otherwise shows only in a traced benchmark run. They import the benchmark's
-modules and build its workloads, and run one keyrate operation (about 0.5 s)
-through the benchmark's own check, so a change to the tables, render_csv or
-tolerable_rate that the benchmark would refuse fails here too. They write
-nothing under perfbench/.
+modules and build its workloads, and run one operation of each workload
+through the benchmark's own check, so a change to the tables, render_csv,
+tolerable_rate, the oracle's records, a session or the Toeplitz hash that the
+benchmark would refuse fails here too. They write nothing under perfbench/.
 """
 
 import sys
@@ -88,3 +88,20 @@ def test_keyrate_operation_passes_its_check(perfbench, tmp_path):
         "keyrate/table": "59f7d7203d3cd145ea620bc60eb87b6f606962b4e10a76fb380243a1ae2a9dfb",
         "keyrate/thresholds": "edf2f764b5b4a714a5afbdf96f679f41542efa8d37d9a9fdc9c74a350f0c6e23",
     }
+
+
+# Session index 1 of seed 0 is pool entry 1, which reconciles in well under a
+# second; pool entry 0 fails round-one BP and runs for about 20 s.
+@pytest.mark.parametrize("name, i", [("oracle", 0), ("session", 1), ("pa-large", 0)])
+def test_operation_passes_its_check(perfbench, tmp_path, name, i):
+    _, _, workloads = perfbench
+    store = workloads.DigestStore(tmp_path / "digests.json", "contract")
+    run = workloads.WORKLOADS[name](0, 20, store)
+    try:
+        inputs = run.inputs(i)
+        outputs, _ = run.execute(inputs)
+        run.check(i, inputs, outputs)
+    finally:
+        run.close()
+    if name == "session":
+        assert run.baseline_compared == 1
