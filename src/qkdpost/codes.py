@@ -7,11 +7,11 @@ plausible vector with a prescribed syndrome under an i.i.d. Bernoulli model:
 * ml_decode: exhaustive search, exact maximum likelihood for any crossover
   below 1/2 (minimum Hamming weight in the coset, lexicographic ties). The
   correctness oracle; n <= 24.
-* bp_decode: syndrome-based sum-product belief propagation with a flooding
-  schedule, the practical engine for sparse matrices at large n. One
-  kernel decodes one syndrome or a (B, m) stack of them on one code; a row
-  of a stack retires at the iteration its syndrome matches, and every row
-  gets bit for bit what its own one-row call returns.
+* bp_decode: syndrome-based sum-product belief propagation on a
+  group-shuffled schedule, the practical engine for sparse matrices at
+  large n. One kernel decodes one syndrome or a (B, m) stack of them on one
+  code; a row of a stack retires at the sweep its syndrome matches, and
+  every row gets bit for bit what its own one-row call returns.
 
 Construction: code_for_rate builds every code, at every size, in a sparse
 staircase form [S | T] whose lower-triangular tail T makes full row rank
@@ -54,6 +54,8 @@ DEFAULT_TAIL_DEGREE3 = 0.4
 _ML_MAX_N = 24
 # Bound on variable-to-check messages, which keeps tanh away from +-1.
 _LLR_CLIP = 25.0
+# bp_decode updates the checks in this many interleaved groups per sweep.
+_GROUPS = 4
 # Tail column i of a staircase code takes its third row from
 # [i + 2, i + 2 + _TAIL_WINDOW), when drawn and when the cycle breaker
 # redraws it.
@@ -245,16 +247,17 @@ def bp_decode(
     Priors favor the all-zero error; check nodes flip sign where the target
     syndrome bit is 1. The exclusion product at each check runs in the
     log-magnitude domain with explicit sign parities so degree-40 checks
-    stay finite. Flooding schedule, early stop on syndrome match;
-    non-convergence is a flagged result. damping blends each
-    variable-to-check update with the previous message (0 = off), which
-    settles oscillating small structures at some cost in speed.
+    stay finite. The checks c % 4 == g form group g; a sweep updates g =
+    0..3 in turn, each from the posteriors the groups before it left, and
+    stops early on a syndrome match; no match is a flagged result. damping
+    blends each new check-to-variable message with its last (0 = off),
+    which settles oscillating small structures at some cost in speed.
 
     t is one syndrome of length m, or a (B, m) stack of syndromes decoded
     together on H. Each row of a stack runs exactly the arithmetic of its
-    own one-row call: it retires at the iteration where its syndrome
-    matches (an all-zero row retires before the first), so every row's
-    estimate, flag and iteration count equal those of decoding it alone.
+    own one-row call: it retires at the sweep where its syndrome matches
+    (an all-zero row retires at 0), so every row's estimate, flag and
+    iteration (sweep) count equal those of decoding it alone.
     A stack returns a (B, n) estimate and length-B converged and iterations
     arrays; a single syndrome returns scalars.
     """
@@ -277,99 +280,102 @@ def bp_decode(
 def _bp_stack(
     H: ParityCheck, synd: np.ndarray, crossover: float, max_iters: int, damping: float
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The sum-product kernel behind bp_decode, on a (B, m) syndrome stack.
+    """The group-shuffled sum-product kernel behind bp_decode, on a (B, m) stack.
 
-    The live rows' edge messages sit back to back in flat buffers; live row
-    r reads checks r*m + edge_check and variables r*n + edge_var, so every
-    bincount sums each check and each variable in the same edge order as a
-    one-row decode. A row that matches its syndrome retires and the rows
-    behind it move up, which keeps the live rows a prefix of every buffer
-    and of the offset index arrays (built once, and not at all for one
-    row). The buffers are allocated once and updated in place.
+    A sweep updates the check groups c % _GROUPS in turn. A group's
+    variable-to-check messages are the posterior less its own last check
+    messages, and the change of its new check messages is added to the
+    posterior before the next group reads it. Each group keeps H's
+    column-major edge order; live row r reads the group's local checks
+    r*m_g + c // _GROUPS and variables r*n + edge_var, so every bincount
+    sums in a one-row decode's order. A row that matches its syndrome after
+    a sweep retires and the rows behind it move up, which keeps the live
+    rows a prefix of every buffer and offset index array (each built once).
     """
     rows, m = synd.shape
     n = H.n
     ev, ec = H._edge_var, H._edge_check
-    edges = ev.size
     estimate = np.zeros((rows, n), dtype=np.uint8)
     converged = np.ones(rows, dtype=bool)
     iterations = np.zeros(rows, dtype=np.int64)
     live = np.flatnonzero(synd.any(axis=1))
     if live.size == 0:
         return estimate, converged, iterations
-    target = synd[live]
+    target, count = synd[live], live.size
+    shift = np.arange(count)[:, None]
     # Column j of live row r owns the col_degree[r*n + j] edges that end
-    # before col_end[r*n + j].
-    col_degree = np.tile(np.bincount(ev, minlength=n), live.size)
+    # before col_end[r*n + j] in H's order, which the syndrome test reads.
+    col_degree = np.tile(np.bincount(ev, minlength=n), count)
     col_end = np.cumsum(col_degree)
-    if live.size > 1:
-        ec = (ec + m * np.arange(live.size)[:, None]).ravel()
-        ev = (ev + n * np.arange(live.size)[:, None]).ravel()
-    llr0 = math.log((1.0 - crossover) / crossover)
-    m_vc = np.full(ev.size, llr0)
-    # mag: tanh(m_vc / 2), then log|.|; m_cv: check-to-variable messages;
-    # fresh: posterior at each edge, then the next variable messages.
-    mag, m_cv, fresh = np.empty(ev.size), np.empty(ev.size), np.empty(ev.size)
-    neg = np.empty(ev.size, dtype=bool)
-    flip = np.empty(ev.size, dtype=np.uint8)
-    sign = np.empty(ev.size, dtype=np.uint64)
-    count = 0
+    ec_rows = (ec + m * shift).ravel()
+    key = ec % _GROUPS
+    # Each group's offset variables and local checks, row by row, and its
+    # check messages of the last two sweeps: sweep it writes cv[it % 2].
+    groups = []
+    for g in range(min(m, _GROUPS)):
+        at = np.flatnonzero(key == g)
+        local = ec[at] // _GROUPS + len(range(g, m, _GROUPS)) * shift
+        groups.append((g, ev[at] + n * shift, local, np.zeros((2, count, at.size))))
+    mag = np.empty(max(evg.size for _, evg, _, _ in groups))
+    neg = np.empty(mag.size, dtype=bool)
+    flip = np.empty(mag.size, dtype=np.uint8)
+    sign = np.empty(mag.size, dtype=np.uint64)
+    posterior = np.full((count, n), math.log((1.0 - crossover) / crossover))
     for it in range(1, max_iters + 1):
-        if count != live.size:
-            count = live.size
-            size = count * edges
-            ecl, evl, targets = ec[:size], ev[:size], target.ravel()
-            vc, mg, cv, fr = m_vc[:size], mag[:size], m_cv[:size], fresh[:size]
-            ng, fl, sg = neg[:size], flip[:size], sign[:size]
-        np.multiply(vc, 0.5, out=mg)
-        np.tanh(mg, out=mg)
-        np.less(mg, 0.0, out=ng)
-        np.abs(mg, out=mg)
-        np.maximum(mg, 1e-300, out=mg)
-        np.log(mg, out=mg)
-        mag_tot = np.bincount(ecl, weights=mg, minlength=count * m)
-        # A check message is negative when the target bit plus the other
-        # edges' negative signs is odd: the check's parity XOR the edge's own.
-        parity = np.bincount(ecl, weights=ng, minlength=count * m).astype(np.int64) & 1
-        parity = parity.astype(np.uint8) ^ targets
-        parity.take(ecl, out=fl, mode="clip")
-        fl ^= ng
-        mag_tot.take(ecl, out=cv, mode="clip")
-        np.subtract(cv, mg, out=cv)
-        np.minimum(cv, -1e-16, out=cv)
-        np.exp(cv, out=cv)
-        np.arctanh(cv, out=cv)
-        np.add(cv, cv, out=cv)
-        # (1 - 2*flip) * 2 * arctanh(.), exactly: flip the sign bit.
-        np.left_shift(fl, np.uint64(63), out=sg, dtype=np.uint64)
-        np.bitwise_xor(cv.view(np.uint64), sg, out=cv.view(np.uint64))
-        posterior = np.bincount(evl, weights=cv, minlength=count * n)
-        posterior += llr0
-        posterior.take(evl, out=fr, mode="clip")
-        np.subtract(fr, cv, out=fr)
-        np.maximum(fr, -_LLR_CLIP, out=fr)
-        np.minimum(fr, _LLR_CLIP, out=fr)
-        if damping > 0.0:
-            np.multiply(vc, damping, out=vc)
-            np.multiply(fr, 1.0 - damping, out=fr)
-            np.add(vc, fr, out=vc)
-        else:
-            m_vc, fresh = fresh, m_vc
-            vc, fr = fr, vc
+        post = posterior[:count].ravel()
+        for g, evg, ecg, cv in groups:
+            vl, cl = evg[:count].ravel(), ecg[:count].ravel()
+            old, new = cv[1 - it % 2, :count].ravel(), cv[it % 2, :count].ravel()
+            mg, ng, fl, sg = mag[: vl.size], neg[: vl.size], flip[: vl.size], sign[: vl.size]
+            post.take(vl, out=mg, mode="clip")
+            np.subtract(mg, old, out=mg)
+            np.clip(mg, -_LLR_CLIP, _LLR_CLIP, out=mg)
+            np.multiply(mg, 0.5, out=mg)
+            np.tanh(mg, out=mg)
+            np.less(mg, 0.0, out=ng)
+            np.abs(mg, out=mg)
+            np.maximum(mg, 1e-300, out=mg)
+            np.log(mg, out=mg)
+            tg = target[:, g::_GROUPS].ravel()
+            mag_tot = np.bincount(cl, weights=mg, minlength=tg.size)
+            # A check message is negative when the target bit plus the other
+            # edges' negative signs is odd: the check's parity XOR the edge's own.
+            parity = np.bincount(cl, weights=ng, minlength=tg.size).astype(np.int64) & 1
+            parity = parity.astype(np.uint8) ^ tg
+            parity.take(cl, out=fl, mode="clip")
+            fl ^= ng
+            mag_tot.take(cl, out=new, mode="clip")
+            np.subtract(new, mg, out=new)
+            np.minimum(new, -1e-16, out=new)
+            np.exp(new, out=new)
+            np.arctanh(new, out=new)
+            np.add(new, new, out=new)
+            # (1 - 2*flip) * 2 * arctanh(.), exactly: flip the sign bit.
+            np.left_shift(fl, np.uint64(63), out=sg, dtype=np.uint64)
+            np.bitwise_xor(new.view(np.uint64), sg, out=new.view(np.uint64))
+            if damping > 0.0:
+                np.multiply(new, 1.0 - damping, out=new)
+                np.multiply(old, damping, out=mg)
+                np.add(new, mg, out=new)
+            np.subtract(new, old, out=mg)
+            post += np.bincount(vl, weights=mg, minlength=post.size)
         # Syndrome of the hard decision, from the edges of its set bits.
-        ones = np.flatnonzero(posterior < 0)
+        ones = np.flatnonzero(post < 0)
         at = _ranges(col_end[ones], col_degree[ones])
-        syndrome = np.bincount(ecl[at], minlength=count * m) & 1
+        syndrome = np.bincount(ec_rows[at], minlength=count * m) & 1
         matched = (syndrome.reshape(count, m) == target).all(axis=1)
         if not (matched.any() or it == max_iters):
             continue
-        estimate[live] = posterior.reshape(count, n) < 0
+        estimate[live] = posterior[:count] < 0
         converged[live] = matched
         iterations[live] = it
         if matched.all() or it == max_iters:
             break
         live, target = live[~matched], target[~matched]
-        m_vc[: live.size * edges] = vc.reshape(count, edges)[~matched].ravel()
+        posterior[: live.size] = posterior[:count][~matched]
+        for _, _, _, cv in groups:
+            cv[it % 2, : live.size] = cv[it % 2, :count][~matched]
+        count = live.size
     return estimate, converged, iterations
 
 

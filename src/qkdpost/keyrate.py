@@ -245,7 +245,9 @@ def _curves_vec(p00, p10, p01, p11, curves) -> dict[str, np.ndarray]:
     r1 = p10 + p11
     vals = {}
     if need & {"oneway", "first_arg", "vollbrecht"}:
-        vals["oneway"] = base = 1.0 - (_plogp(p00) + _plogp(p10) + _plogp(p01) + _plogp(p11))
+        h10 = _plogp(p10)
+        h01 = h10 if p01 is p10 else _plogp(p01)
+        vals["oneway"] = base = 1.0 - (_plogp(p00) + h10 + h01 + _plogp(p11))
         denom = r0 * r1
         safe = denom > 0.0
     if "first_arg" in need:
@@ -273,8 +275,9 @@ def _bb84_entries_vec(e, t):
     return 1.0 - 2.0 * e + t, off, off, t
 
 
-# e-rows per grid pass: 64 x 2001 points keeps each temporary near 1 MB.
-_GRID_ROWS = 64
+# e-rows per grid pass: an 8 x 2001 float64 temporary (128 064 B) stays under
+# glibc's 128 KiB mmap threshold, so it reuses heap pages, never a fresh mapping.
+_GRID_ROWS = 8
 _POLISH_TOL = 1e-12
 
 

@@ -160,9 +160,9 @@ def parameter_estimation(
 def bp_with_retry(code: ParityCheck, t: np.ndarray, crossover: float) -> DecodeResult:
     """The session's decode schedule for both syndrome rounds.
 
-    Undamped sum-product decoding for 300 iterations; a pass that does not
-    converge is retried once with damping _RETRY_DAMPING for 1200. The
-    retry only fires on detectable failure, meaning a syndrome mismatch; a
+    Undamped group-shuffled sum-product decoding for 300 sweeps; a pass
+    that does not converge is retried once with damping _RETRY_DAMPING for
+    1200. The retry only fires on detectable failure, a syndrome mismatch; a
     decode that converges to the wrong coset member is invisible to the
     decoding party and surfaces later as a key mismatch. bp_decode is
     looked up at call time, so a wrapper bound over protocol.bp_decode
@@ -369,7 +369,7 @@ class SessionConfig:
     mapping: str = "six-state"
 
     def __post_init__(self):
-        if self.n < 1:
+        if not self.n >= 1:
             raise ValueError("block count must be >= 1")
         if self.m < 2 or self.m % 2 != 0:
             raise ValueError("estimation sample size must be even and >= 2 (drawn block-wise)")

@@ -406,6 +406,20 @@ def test_session_decode_call_pattern(monkeypatch, fail_first):
     assert ir.reconciliation_ok
 
 
+def test_criterion_08_trial_96_decodes_in_its_first_pass():
+    # Criterion 08's slowest trial: the flooding schedule needed its
+    # 300-iteration first pass and 221 damped iterations of the retry; the
+    # group-shuffled schedule converges to the true parities in the first.
+    n = 50_000
+    code = code_for_rate(n, binary_entropy(0.095) + 0.05, rng=np.random.default_rng(800))
+    stream = np.random.SeedSequence(2026).spawn(100)[96]
+    x, y = sample_pair(six_state_point(0.05), 2 * n, np.random.default_rng(stream.spawn(4)[0]))
+    w1 = parity_seq(x ^ y)
+    res = bp_decode(code, code.syndrome(w1), 0.095, max_iters=300)
+    assert (res.converged, res.iterations) == (True, 181)
+    assert np.array_equal(res.error_estimate, w1)
+
+
 @settings(deadline=None, max_examples=60)
 @given(
     st.integers(2, 14),
@@ -448,8 +462,9 @@ def test_message_and_transcript_contracts():
 
 def test_session_config_validation():
     channel = six_state_point(0.05)
-    with pytest.raises(ValueError):
-        SessionConfig(channel=channel, n=0)
+    for bad in (0, math.nan):
+        with pytest.raises(ValueError, match="block count"):
+            SessionConfig(channel=channel, n=bad)
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, m=3)
     with pytest.raises(ValueError):
