@@ -240,7 +240,6 @@ def bp_decode(
     t: np.ndarray,
     crossover: float,
     max_iters: int = 200,
-    damping: float = 0.0,
 ) -> DecodeResult:
     """Syndrome-based sum-product decoding on the BSC.
 
@@ -249,9 +248,7 @@ def bp_decode(
     log-magnitude domain with explicit sign parities so degree-40 checks
     stay finite. The checks c % 4 == g form group g; a sweep updates g =
     0..3 in turn, each from the posteriors the groups before it left, and
-    stops early on a syndrome match; no match is a flagged result. damping
-    blends each new check-to-variable message with its last (0 = off),
-    which settles oscillating small structures at some cost in speed.
+    stops early on a syndrome match; no match is a flagged result.
 
     t is one syndrome of length m, or a (B, m) stack of syndromes decoded
     together on H. Each row of a stack runs exactly the arithmetic of its
@@ -263,22 +260,20 @@ def bp_decode(
     """
     if not 0.0 < crossover < 0.5:
         raise ValueError(f"crossover {crossover} not in (0, 1/2)")
-    if not 0.0 <= damping < 1.0:
-        raise ValueError(f"damping {damping} not in [0, 1)")
     if max_iters < 1:
         raise ValueError(f"max_iters {max_iters} must be >= 1")
     t = np.asarray(t)
     if t.ndim not in (1, 2) or t.shape[-1] != H.m:
         raise ValueError(f"syndrome shape {t.shape}, expected ({H.m},) or (B, {H.m})")
     stack = as_bits(t.reshape(-1)).reshape(t.shape if t.ndim == 2 else (1, H.m))
-    estimate, converged, iterations = _bp_stack(H, stack, crossover, max_iters, damping)
+    estimate, converged, iterations = _bp_stack(H, stack, crossover, max_iters)
     if t.ndim == 2:
         return DecodeResult(estimate, converged, iterations)
     return DecodeResult(estimate[0], bool(converged[0]), int(iterations[0]))
 
 
 def _bp_stack(
-    H: ParityCheck, synd: np.ndarray, crossover: float, max_iters: int, damping: float
+    H: ParityCheck, synd: np.ndarray, crossover: float, max_iters: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The group-shuffled sum-product kernel behind bp_decode, on a (B, m) stack.
 
@@ -353,10 +348,6 @@ def _bp_stack(
             # (1 - 2*flip) * 2 * arctanh(.), exactly: flip the sign bit.
             np.left_shift(fl, np.uint64(63), out=sg, dtype=np.uint64)
             np.bitwise_xor(new.view(np.uint64), sg, out=new.view(np.uint64))
-            if damping > 0.0:
-                np.multiply(new, 1.0 - damping, out=new)
-                np.multiply(old, damping, out=mg)
-                np.add(new, mg, out=new)
             np.subtract(new, old, out=mg)
             post += np.bincount(vl, weights=mg, minlength=post.size)
         # Syndrome of the hard decision, from the edges of its set bits.

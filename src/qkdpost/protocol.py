@@ -7,7 +7,9 @@ recorded in an ordered transcript and every leaked bit counted. The flow:
 1. Alice and Bob compare a fresh sample of bit pairs; a sample error rate
    too far from the configured channel aborts the session.
 2. Alice compresses her block-parity sequence to a syndrome; Bob decodes
-   the parity discrepancies and sends his estimate back.
+   the parity discrepancies and sends the estimate back. A decode that does
+   not match the syndrome tells Bob the estimate is wrong, and the session
+   ends there with no key.
 3. Second bits survive only on blocks whose estimated discrepancy parity is
    0. If the survivor count lands inside the agreed window, a second
    syndrome round corrects them; otherwise Bob fills in uniformly random
@@ -44,7 +46,6 @@ __all__ = [
     "Abort",
     "Message",
     "Transcript",
-    "bp_with_retry",
     "IrResult",
     "SessionConfig",
     "SessionReport",
@@ -70,8 +71,6 @@ _LABEL_DIRECTION = {
 
 # Decoder validity clamp for degenerate estimates (noiseless or saturated).
 _CROSSOVER_FLOOR = 1e-12
-# Damping of the single BP retry; the first pass is undamped.
-_RETRY_DAMPING = 0.3
 
 
 def _bits_hex(bits: np.ndarray) -> str:
@@ -157,21 +156,9 @@ def parameter_estimation(
     return Abort(estimate=estimate, nominal=nominal_e, tolerance=tol)
 
 
-def bp_with_retry(code: ParityCheck, t: np.ndarray, crossover: float) -> DecodeResult:
-    """The session's decode schedule for both syndrome rounds.
-
-    Undamped group-shuffled sum-product decoding for 300 sweeps; a pass
-    that does not converge is retried once with damping _RETRY_DAMPING for
-    1200. The retry only fires on detectable failure, a syndrome mismatch; a
-    decode that converges to the wrong coset member is invisible to the
-    decoding party and surfaces later as a key mismatch. bp_decode is
-    looked up at call time, so a wrapper bound over protocol.bp_decode
-    sees both calls.
-    """
-    result = bp_decode(code, t, crossover, max_iters=300)
-    if not result.converged:
-        result = bp_decode(code, t, crossover, max_iters=1200, damping=_RETRY_DAMPING)
-    return result
+def _decode(code: ParityCheck, t: np.ndarray, crossover: float) -> DecodeResult:
+    # Looked up at call time, so a wrapper bound over protocol.bp_decode sees the call.
+    return bp_decode(code, t, crossover, max_iters=300)
 
 
 @dataclass(frozen=True)
@@ -182,7 +169,8 @@ class IrResult:
     parity bits interleaved with surviving second bits (discarded second
     bits are literal zeros). leak_bits counts syndrome bits only.
     reconciliation_ok certifies u_hat == u_tilde == the string Alice would
-    have produced with the true discrepancy parities.
+    have produced with the true discrepancy parities. A run stopped by a
+    failed round-one decode has empty u_hat and u_tilde.
     """
 
     u_hat: np.ndarray
@@ -212,23 +200,30 @@ def run_ir(
     crossover1: float,
     crossover2: float,
     rng: np.random.Generator,
-    decode: Callable[[ParityCheck, np.ndarray, float], DecodeResult] = bp_with_retry,
+    decode: Callable[[ParityCheck, np.ndarray, float], DecodeResult] = _decode,
 ) -> IrResult:
     """Run both reconciliation rounds on raw keys x (Alice) and y (Bob).
 
     Round one: Alice sends the syndrome t1 of her block parities under
     code1; Bob decodes the discrepancy parities w1hat from t1 plus his own
-    syndrome at crossover1 and sends w1hat back. Round two: both sides keep
-    second bits only on blocks with estimated discrepancy parity 0 (zeros
-    elsewhere). If the survivor count n_hat0 falls outside n0_bounds, Bob
-    guesses the surviving second bits uniformly at random and no second
-    syndrome is sent; otherwise Alice sends the syndrome t2 of her
-    survivors under code2_factory(n_hat0) and Bob decodes at crossover2.
+    syndrome at crossover1 and sends w1hat back. A decode that does not
+    converge misses the syndrome, so Bob knows w1hat is wrong: the run stops
+    with t1 as its only message, leaking |t1|. A decode that converges to
+    the wrong coset member matches the syndrome, so neither party sees it;
+    it surfaces as a key mismatch.
+
+    Round two: both sides keep second bits only on blocks with estimated
+    discrepancy parity 0 (zeros elsewhere). If the survivor count n_hat0
+    falls outside n0_bounds, Bob guesses the surviving second bits
+    uniformly at random and no second syndrome is sent; otherwise Alice
+    sends the syndrome t2 of her survivors under code2_factory(n_hat0) and
+    Bob decodes at crossover2.
 
     rng is required and feeds only the violation-branch guess, so a seeded
     caller's run stays reproducible. decode(code, t, crossover) decodes both
-    rounds; tests pass ml_decode to check against the exact decoder. Decode
-    failures are reported in the result, never raised.
+    rounds, by default with one 300-sweep bp_decode each; tests pass
+    ml_decode to check against the exact decoder. Decode failures are
+    reported in the result, never raised.
     """
     x = as_bits(x)
     y = as_bits(y)
@@ -247,6 +242,11 @@ def run_ir(
     transcript = Transcript().with_message(Message("t1", t1))
 
     decode1 = decode(code1, t1 ^ code1.syndrome(v1), crossover1)
+    if not decode1.converged:
+        empty = np.zeros(0, dtype=np.uint8)
+        return IrResult(u_hat=empty, u_tilde=empty, transcript=transcript, leak_bits=code1.m,
+                        n_hat0=0, bounds_violated=False, reconciliation_ok=False,
+                        decode1=decode1, decode2=None)
     w1hat = decode1.error_estimate
     transcript = transcript.with_message(Message("w1hat", w1hat))
 
@@ -350,13 +350,13 @@ class SessionConfig:
     radius of the survivor window n * (P_W1(0) -/+ delta). An upper bound
     anchored at P_W1(1) instead would sit far below the typical survivor
     count and reject almost every honest session, so the window anchors
-    both ends at P_W1(0). Codes come from code_for_rate and both rounds
-    decode with bp_with_retry. mapping selects how the scalar estimate is
-    lifted to a Bell-diagonal point: "six-state" pins all four entries;
-    "bb84" leaves the phase split free and takes the rate-minimizing
-    member, which is the conservative choice for key length (the
-    reconciliation laws only depend on the bit-flip marginal, so decoding
-    is mapping-independent).
+    both ends at P_W1(0). Codes come from code_for_rate, and each round
+    decodes with one 300-sweep bp_decode. mapping selects how the scalar
+    estimate is lifted to a Bell-diagonal point: "six-state" pins all four
+    entries; "bb84" leaves the phase split free and takes the
+    rate-minimizing member, which is the conservative choice for key length
+    (the reconciliation laws only depend on the bit-flip marginal, so
+    decoding is mapping-independent).
     """
 
     channel: BellDiagonal
@@ -454,10 +454,11 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
     The seed is split into independent streams for estimation sampling, raw
     keys, both code constructions, the hash seed, and the violation-branch
     guess, in that fixed order. An out-of-tolerance estimate yields an
-    aborted report with empty transcript and zero leak. Code rates are the
-    estimated block-law entropies plus delta; estimates extreme enough to
-    push a rate out of (0, 1) fail code construction and raise, since no
-    syndrome shorter than the data exists there.
+    aborted report with empty transcript and zero leak; a failed round-one
+    decode yields a report with transcript (t1,), leak |t1| and no key.
+    Code rates are the estimated block-law entropies plus delta; estimates
+    extreme enough to push a rate out of (0, 1) fail code construction and
+    raise, since no syndrome shorter than the data exists there.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(6)
     rng_est, rng_data, rng_code1, rng_code2, rng_hash, rng_guess = map(np.random.default_rng, streams)
@@ -493,6 +494,10 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
         crossover2,
         rng_guess,
     )
+    if not ir.decode1.converged:
+        return SessionReport(aborted=False, nominal_e=nominal_e, estimated_e=estimate, n=cfg.n,
+                             transcript=ir.transcript, leak_bits=ir.leak_bits,
+                             decode1_converged=False)
 
     ell = key_length(point, cfg.n, cfg.finite_size_margin)
     hash_seed = rng_hash.integers(0, 2, size=2 * cfg.n + ell - 1, dtype=np.uint8)

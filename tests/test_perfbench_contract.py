@@ -90,9 +90,10 @@ def test_keyrate_operation_passes_its_check(perfbench, tmp_path):
     }
 
 
-# Session index 1 of seed 0 is pool entry 1, which reconciles in well under a
-# second; pool entry 0 fails round-one BP and runs for about 20 s.
-@pytest.mark.parametrize("name, i", [("oracle", 0), ("session", 1), ("pa-large", 0)])
+# Session index i of seed 0 is pool entry i. Entry 1 reconciles in well under
+# a second; entry 0 fails round-one BP, and its session stops after that one
+# 300-sweep decode in about a second.
+@pytest.mark.parametrize("name, i", [("oracle", 0), ("session", 0), ("session", 1), ("pa-large", 0)])
 def test_operation_passes_its_check(perfbench, tmp_path, name, i):
     _, _, workloads = perfbench
     store = workloads.DigestStore(tmp_path / "digests.json", "contract")
@@ -105,3 +106,4 @@ def test_operation_passes_its_check(perfbench, tmp_path, name, i):
         run.close()
     if name == "session":
         assert run.baseline_compared == 1
+        assert run.sessions[-1]["outcome"] == ("decode_failed_round1", "reconciled")[i]

@@ -2,9 +2,9 @@
 
 Small instances pass the exact decoder ml_decode to run_ir, so every
 protocol branch is checked against direct enumeration; the operating-point
-runs use the session's BP schedule, bp_with_retry, at frozen seeds, and one
-test pins the bp_decode calls that schedule makes. Hash claims are verified
-against the explicit matrix construction.
+runs use the session's decode, one 300-sweep bp_decode per round, at frozen
+seeds, and one test pins the bp_decode calls a session makes. Hash claims
+are verified against the explicit matrix construction.
 """
 
 import dataclasses
@@ -30,7 +30,7 @@ from qkdpost.protocol import (
     Message,
     SessionConfig,
     Transcript,
-    bp_with_retry,
+    _decode,
     key_length,
     parameter_estimation,
     run_full_session,
@@ -376,22 +376,22 @@ def test_exact_and_starved_decoders():
     assert seen_failure
 
 
+def _unconverged(code, t, crossover, **kwargs):
+    """bp_decode, reporting non-convergence whatever it found."""
+    return dataclasses.replace(bp_decode(code, t, crossover, **kwargs), converged=False)
+
+
 @pytest.mark.parametrize("fail_first", [False, True])
 def test_session_decode_call_pattern(monkeypatch, fail_first):
-    # Each round makes one undamped 300-iteration pass; only an unconverged
-    # pass is followed by exactly one damped 1200-iteration retry. The
-    # benchmark's session check splits a session's BP calls into rounds by
-    # this pattern, seen through the same protocol.bp_decode binding that
-    # is patched here. With fail_first, every undamped pass reports
-    # non-convergence.
+    # Each round makes one 300-sweep pass, and a round-one pass that does
+    # not converge ends the run. The benchmark's session check reads a
+    # session's BP calls as one per round, seen through the same
+    # protocol.bp_decode binding that is patched here.
     calls = []
 
     def recorded(code, t, crossover, **kwargs):
         calls.append(kwargs)
-        result = bp_decode(code, t, crossover, **kwargs)
-        if fail_first and "damping" not in kwargs:
-            return dataclasses.replace(result, converged=False)
-        return result
+        return (_unconverged if fail_first else bp_decode)(code, t, crossover, **kwargs)
 
     monkeypatch.setattr("qkdpost.protocol.bp_decode", recorded)
     n = 16
@@ -399,11 +399,16 @@ def test_session_decode_call_pattern(monkeypatch, fail_first):
     x = np.random.default_rng(40).integers(0, 2, size=2 * n, dtype=np.uint8)
     ir = run_ir(x, x.copy(), code1, lambda n0: dense_code(n0, 0.5, seed=41), (0, n), 0.1, 0.01,
                 np.random.default_rng(42))
-    first = {"max_iters": 300}
-    retry = {"max_iters": 1200, "damping": 0.3}
-    assert calls == ([first, retry] if fail_first else [first]) * 2
-    assert ir.decode1.converged and ir.decode2.converged
-    assert ir.reconciliation_ok
+    assert calls == [{"max_iters": 300}] * (1 if fail_first else 2)
+    if fail_first:
+        assert _labels(ir.transcript) == ("t1",)
+        assert ir.leak_bits == code1.m
+        assert ir.n_hat0 == 0 and not ir.bounds_violated
+        assert not ir.decode1.converged and ir.decode2 is None
+        assert not ir.reconciliation_ok
+    else:
+        assert ir.decode1.converged and ir.decode2.converged
+        assert ir.reconciliation_ok
 
 
 def test_criterion_08_trial_96_decodes_in_its_first_pass():
@@ -429,13 +434,13 @@ def test_criterion_08_trial_96_decodes_in_its_first_pass():
     st.data(),
 )
 def test_converged_decode_matches_syndrome(n, rate, code_seed, crossover, data):
-    # The session's BP schedule, exhaustive ML and a starved BP on small
+    # The session's decode, exhaustive ML and a starved BP on small
     # codes: whatever the decoder, converged=True means the syndrome is
     # matched.
     code = code_for_rate(n, rate, rng=np.random.default_rng(code_seed))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=code.m, max_size=code.m))
     t = np.array(bits, dtype=np.uint8)
-    for decode in (bp_with_retry, ml_decode, functools.partial(bp_decode, max_iters=1)):
+    for decode in (_decode, ml_decode, functools.partial(bp_decode, max_iters=1)):
         res = decode(code, t, crossover)
         if res.converged:
             assert np.array_equal(code.syndrome(res.error_estimate), t), decode
@@ -531,6 +536,20 @@ def test_full_session_abort():
     assert not report.key_match
     assert report.empirical_key_rate == 0.0
     assert report.decode1_converged is None
+
+
+def test_full_session_stops_after_failed_round_one(monkeypatch):
+    # Bob's decode misses the round-one syndrome, so Bob knows the estimate
+    # is wrong: the session sends no w1hat, t2 or hash seed and keeps no key.
+    monkeypatch.setattr("qkdpost.protocol.bp_decode", _unconverged)
+    report = run_full_session(SessionConfig(channel=six_state_point(0.05), n=1000, m=2000, seed=4))
+    assert not report.aborted
+    assert _labels(report.transcript) == ("t1",)
+    assert report.leak_bits == _message(report.transcript, "t1").payload.size > 0
+    assert report.key_alice.size == report.key_bob.size == 0
+    assert not report.key_match and not report.reconciliation_ok
+    assert report.decode1_converged is False
+    assert report.decode2_converged is None
 
 
 def test_full_session_determinism():
