@@ -52,10 +52,12 @@ DEFAULT_INFO_DEGREES: tuple[tuple[int, float], ...] = ((3, 0.7), (12, 0.3))
 DEFAULT_TAIL_DEGREE3 = 0.4
 
 _ML_MAX_N = 24
-# Bound on variable-to-check messages, which keeps tanh away from +-1.
-_LLR_CLIP = 25.0
-# bp_decode updates the checks in this many interleaved groups per sweep.
-_GROUPS = 4
+# Bound on variable-to-check messages, in half-LLR units (LLR/2): the
+# float32 tanh of 8 is 1 - 2.4e-7, so tanh stays below 1.
+_LLR_CLIP = 8.0
+# bp_decode updates the checks in 2**_GROUP_BITS interleaved groups per sweep.
+_GROUP_BITS = 2
+_GROUPS = 1 << _GROUP_BITS
 # Tail column i of a staircase code takes its third row from
 # [i + 2, i + 2 + _TAIL_WINDOW), when drawn and when the cycle breaker
 # redraws it.
@@ -244,11 +246,16 @@ def bp_decode(
     """Syndrome-based sum-product decoding on the BSC.
 
     Priors favor the all-zero error; check nodes flip sign where the target
-    syndrome bit is 1. The exclusion product at each check runs in the
-    log-magnitude domain with explicit sign parities so degree-40 checks
-    stay finite. The checks c % 4 == g form group g; a sweep updates g =
-    0..3 in turn, each from the posteriors the groups before it left, and
-    stops early on a syndrome match; no match is a flagged result.
+    syndrome bit is 1. Messages and posteriors are float32 in half-LLR
+    units (LLR/2), the argument tanh takes in the check update. The
+    exclusion product at each check runs in the log-magnitude domain with
+    explicit sign parities, and with float32-safe bounds: variable-to-check
+    messages are clipped to +-_LLR_CLIP, each |tanh| is floored at 1e-30
+    and each check message's log-magnitude capped at -1e-7, so degree-40
+    checks and saturated priors stay finite. The checks c % 4 == g form
+    group g; a sweep updates g = 0..3 in turn, each from the posteriors the
+    groups before it left, and stops early on a syndrome match; no match
+    is a flagged result.
 
     t is one syndrome of length m, or a (B, m) stack of syndromes decoded
     together on H. Each row of a stack runs exactly the arithmetic of its
@@ -280,12 +287,14 @@ def _bp_stack(
     A sweep updates the check groups c % _GROUPS in turn. A group's
     variable-to-check messages are the posterior less its own last check
     messages, and the change of its new check messages is added to the
-    posterior before the next group reads it. Each group keeps H's
-    column-major edge order; live row r reads the group's local checks
-    r*m_g + c // _GROUPS and variables r*n + edge_var, so every bincount
-    sums in a one-row decode's order. A row that matches its syndrome after
-    a sweep retires and the rows behind it move up, which keeps the live
-    rows a prefix of every buffer and offset index array (each built once).
+    posterior before the next group reads it; all of these are float32 half
+    LLRs, and each bincount sums in float64 and is cast back to float32.
+    Each group keeps H's column-major edge order; live row r reads the
+    group's local checks r*m_g + c // _GROUPS and variables r*n + edge_var,
+    so every bincount sums in a one-row decode's order. A row that matches
+    its syndrome after a sweep retires and the rows behind it move up,
+    which keeps the live rows a prefix of every buffer and offset index
+    array (each built once).
     """
     rows, m = synd.shape
     n = H.n
@@ -303,19 +312,20 @@ def _bp_stack(
     col_degree = np.tile(np.bincount(ev, minlength=n), count)
     col_end = np.cumsum(col_degree)
     ec_rows = (ec + m * shift).ravel()
-    key = ec % _GROUPS
+    key = ec & (_GROUPS - 1)
     # Each group's offset variables and local checks, row by row, and its
     # check messages of the last two sweeps: sweep it writes cv[it % 2].
     groups = []
     for g in range(min(m, _GROUPS)):
         at = np.flatnonzero(key == g)
-        local = ec[at] // _GROUPS + len(range(g, m, _GROUPS)) * shift
-        groups.append((g, ev[at] + n * shift, local, np.zeros((2, count, at.size))))
-    mag = np.empty(max(evg.size for _, evg, _, _ in groups))
+        local = (ec[at] >> _GROUP_BITS) + len(range(g, m, _GROUPS)) * shift
+        cv = np.zeros((2, count, at.size), dtype=np.float32)
+        groups.append((g, ev[at] + n * shift, local, cv))
+    mag = np.empty(max(evg.size for _, evg, _, _ in groups), dtype=np.float32)
     neg = np.empty(mag.size, dtype=bool)
     flip = np.empty(mag.size, dtype=np.uint8)
-    sign = np.empty(mag.size, dtype=np.uint64)
-    posterior = np.full((count, n), math.log((1.0 - crossover) / crossover))
+    sign = np.empty(mag.size, dtype=np.uint32)
+    posterior = np.full((count, n), 0.5 * math.log((1.0 - crossover) / crossover), dtype=np.float32)
     for it in range(1, max_iters + 1):
         post = posterior[:count].ravel()
         for g, evg, ecg, cv in groups:
@@ -325,14 +335,13 @@ def _bp_stack(
             post.take(vl, out=mg, mode="clip")
             np.subtract(mg, old, out=mg)
             np.clip(mg, -_LLR_CLIP, _LLR_CLIP, out=mg)
-            np.multiply(mg, 0.5, out=mg)
             np.tanh(mg, out=mg)
             np.less(mg, 0.0, out=ng)
             np.abs(mg, out=mg)
-            np.maximum(mg, 1e-300, out=mg)
+            np.maximum(mg, 1e-30, out=mg)
             np.log(mg, out=mg)
             tg = target[:, g::_GROUPS].ravel()
-            mag_tot = np.bincount(cl, weights=mg, minlength=tg.size)
+            mag_tot = np.bincount(cl, weights=mg, minlength=tg.size).astype(np.float32)
             # A check message is negative when the target bit plus the other
             # edges' negative signs is odd: the check's parity XOR the edge's own.
             parity = np.bincount(cl, weights=ng, minlength=tg.size).astype(np.int64) & 1
@@ -341,15 +350,14 @@ def _bp_stack(
             fl ^= ng
             mag_tot.take(cl, out=new, mode="clip")
             np.subtract(new, mg, out=new)
-            np.minimum(new, -1e-16, out=new)
+            np.minimum(new, -1e-7, out=new)
             np.exp(new, out=new)
             np.arctanh(new, out=new)
-            np.add(new, new, out=new)
-            # (1 - 2*flip) * 2 * arctanh(.), exactly: flip the sign bit.
-            np.left_shift(fl, np.uint64(63), out=sg, dtype=np.uint64)
-            np.bitwise_xor(new.view(np.uint64), sg, out=new.view(np.uint64))
+            # (1 - 2*flip) * arctanh(.), exactly: flip the sign bit.
+            np.left_shift(fl, np.uint32(31), out=sg, dtype=np.uint32)
+            np.bitwise_xor(new.view(np.uint32), sg, out=new.view(np.uint32))
             np.subtract(new, old, out=mg)
-            post += np.bincount(vl, weights=mg, minlength=post.size)
+            post += np.bincount(vl, weights=mg, minlength=post.size).astype(np.float32)
         # Syndrome of the hard decision, from the edges of its set bits.
         ones = np.flatnonzero(post < 0)
         at = _ranges(col_end[ones], col_degree[ones])

@@ -28,6 +28,7 @@ entropy quantities behind such a claim have no closed form here.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -371,6 +372,13 @@ class SessionConfig:
     def __post_init__(self):
         if not self.n >= 1:
             raise ValueError("block count must be >= 1")
+        # numpy integers pass; a bool or an integral float does not.
+        for name in ("n", "m", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name}={value!r} must be an integer")
+        if self.seed < 0:
+            raise ValueError(f"seed={self.seed} must be >= 0")
         if self.m < 2 or self.m % 2 != 0:
             raise ValueError("estimation sample size must be even and >= 2 (drawn block-wise)")
         for name, size in (("n", self.n), ("m", self.m)):

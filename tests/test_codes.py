@@ -7,6 +7,7 @@ the bounds were calibrated once against those seeds and hold with margin.
 
 import hashlib
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -308,6 +309,40 @@ def test_bp_large_decodes_pinned(big_code):
     assert [(r.converged, r.iterations) for r in results] == [(False, 300), (True, 5)]
     expected = "9ee0639cadcc804d2bc39372f9dcc2319841a412a3fcd9a93986537e56680f5a"
     assert _decode_digest(results) == expected
+
+
+def test_bp_session_decode_pinned():
+    # One round-one-size decode: the code and the noise of a default-point
+    # session at its usual parity error fraction.
+    rng = np.random.default_rng(1000)
+    code = code_for_rate(50_000, binary_entropy(0.095) + 0.05, rng)
+    e = (rng.random(code.n) < 0.095).astype(np.uint8)
+    res = bp_decode(code, code.syndrome(e), 0.095)
+    assert (res.converged, res.iterations) == (True, 21)
+    expected = "addf4b86ee85d76b37df2ebd572ab0962caff88910a1922ac9c77c3aa6a07514"
+    assert _decode_digest([res]) == expected
+
+
+def test_bp_saturated_messages_stay_finite():
+    # The crossover clamps of run_full_session drive every prior to the
+    # message clip or to nearly zero, and a degree-40 check sums 39
+    # log-magnitudes; no decode may warn, and a converged one matches.
+    dense = np.random.default_rng(70).integers(0, 2, size=(4, 40), dtype=np.uint8)
+    dense[0] = 1
+    codes = [ParityCheck.from_dense(dense), code_for_rate(400, 0.5, np.random.default_rng(71))]
+    assert codes[0].row_degrees()[0] == 40
+    draw = np.random.default_rng(72)
+    for code in codes:
+        rates = np.repeat([0.01, 0.2, 0.5], 8)[:, None]
+        errors = (draw.random((rates.size, code.n)) < rates).astype(np.uint8)
+        syndromes = np.array([code.syndrome(e) for e in errors])
+        syndromes = np.vstack([syndromes, np.ones(code.m, dtype=np.uint8)])
+        for crossover in (1e-12, 0.5 - 1e-12):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", RuntimeWarning)
+                res = bp_decode(code, syndromes, crossover, max_iters=50)
+            for est, t in zip(res.error_estimate[res.converged], syndromes[res.converged]):
+                assert np.array_equal(code.syndrome(est), t)
 
 
 @st.composite

@@ -486,6 +486,13 @@ def test_session_config_validation():
                 SessionConfig(channel=channel, **{name: bad})
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, mapping="b92")
+    non_integers = (("n", 1000.5), ("n", 2000.0), ("n", True), ("m", 200.0), ("seed", 1.5), ("seed", False))
+    for name, bad in non_integers:
+        with pytest.raises(ValueError, match=f"{name}={bad!r} must be an integer"):
+            SessionConfig(channel=channel, **{name: bad})
+    with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
+        SessionConfig(channel=channel, seed=-1)
+    SessionConfig(channel=channel, n=np.int64(2000), m=np.int32(200), seed=np.uint64(2**64 - 1))
     SessionConfig(channel=channel, n=10**6, m=10**6)
     for name in ("n", "m"):
         with pytest.raises(ValueError, match=f"{name}=1000002 must be at most 1000000"):
