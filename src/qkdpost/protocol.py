@@ -30,7 +30,7 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 import scipy.fft
@@ -49,26 +49,28 @@ __all__ = [
     "Transcript",
     "IrResult",
     "SessionConfig",
+    "SessionPlan",
     "SessionReport",
     "parameter_estimation",
     "run_ir",
     "toeplitz_hash",
     "key_length",
+    "plan_session",
     "run_full_session",
 ]
 
 ALICE_TO_BOB = "alice_to_bob"
 BOB_TO_ALICE = "bob_to_alice"
 
-# Legal message order; t2 is skipped when the survivor window is violated
-# (or empty) and hash_seed only appears in full sessions.
-_LABEL_ORDER = ("t1", "w1hat", "t2", "hash_seed")
+# Direction of each label, in legal message order; t2 is skipped when the
+# survivor window is violated (or empty), hash_seed outside full sessions.
 _LABEL_DIRECTION = {
     "t1": ALICE_TO_BOB,
     "w1hat": BOB_TO_ALICE,
     "t2": ALICE_TO_BOB,
     "hash_seed": ALICE_TO_BOB,
 }
+_LABEL_ORDER = tuple(_LABEL_DIRECTION)
 
 # Decoder validity clamp for degenerate estimates (noiseless or saturated).
 _CROSSOVER_FLOOR = 1e-12
@@ -308,6 +310,8 @@ def toeplitz_hash(seed: np.ndarray, value: np.ndarray, ell: int) -> np.ndarray:
     measured on 2^22 random input bits with ell = 0.54 n, they sit at most
     3.5e-10 from an integer, far inside the rounding margin of 0.5.
     """
+    if isinstance(ell, bool) or not isinstance(ell, numbers.Integral):
+        raise ValueError(f"ell={ell!r} must be an integer")
     seed = as_bits(seed)
     value = as_bits(value)
     if not 0 <= ell <= value.size:
@@ -346,18 +350,11 @@ class SessionConfig:
     """Full-session parameters.
 
     channel is the nominal source; estimation aborts when the sampled error
-    rate strays more than abort_tolerance from its bit-flip rate. delta is
-    the code-rate margin added to both syndrome rates and doubles as the
-    radius of the survivor window n * (P_W1(0) -/+ delta). An upper bound
-    anchored at P_W1(1) instead would sit far below the typical survivor
-    count and reject almost every honest session, so the window anchors
-    both ends at P_W1(0). Codes come from code_for_rate, and each round
-    decodes with one 300-sweep bp_decode. mapping selects how the scalar
-    estimate is lifted to a Bell-diagonal point: "six-state" pins all four
-    entries; "bb84" leaves the phase split free and takes the
-    rate-minimizing member, which is the conservative choice for key length
-    (the reconciliation laws only depend on the bit-flip marginal, so
-    decoding is mapping-independent).
+    rate strays more than abort_tolerance from its bit-flip rate. delta
+    (code-rate margin and survivor-window radius) and mapping (how the
+    estimate becomes a Bell-diagonal point) size the session as SessionPlan
+    describes. Codes come from code_for_rate, and each round decodes with
+    one 300-sweep bp_decode.
     """
 
     channel: BellDiagonal
@@ -370,6 +367,8 @@ class SessionConfig:
     mapping: str = "six-state"
 
     def __post_init__(self):
+        if not isinstance(self.channel, BellDiagonal):
+            raise ValueError(f"channel={self.channel!r} must be a BellDiagonal")
         if not self.n >= 1:
             raise ValueError("block count must be >= 1")
         # numpy integers pass; a bool or an integral float does not.
@@ -449,11 +448,46 @@ class SessionReport:
         }
 
 
-def _estimate_to_point(estimate: float, mapping: str) -> BellDiagonal:
-    if mapping == "six-state":
-        return six_state_point(estimate)
-    _, p11_star = bb84_rate(estimate, "proposed")
-    return bb84_family(estimate, p11_star)
+# A NamedTuple: immutable, at an eighth of a frozen dataclass's import cost.
+class SessionPlan(NamedTuple):
+    """Sizing of one session, fixed by its estimate before any syndrome is sent.
+
+    point lifts the estimate as cfg.mapping says: "six-state" pins all four
+    entries; "bb84" takes the rate-minimizing member of its family, the
+    conservative choice for key length (decoding sees only the bit-flip
+    marginal). rates are the block-law entropies H(W1) and H(W2) plus
+    delta; a rate out of (0, 1) fails code construction, since no syndrome
+    shorter than the data exists there. crossovers are the BP priors
+    P_W1(1) and P_W2(1), clamped into [1e-12, 0.5 - 1e-12]. n0_bounds is
+    the survivor window n * (P_W1(0) -/+ delta) within [0, n]; an upper end
+    anchored at P_W1(1) would sit far below the typical survivor count and
+    reject almost every honest session. key_bits is key_length(point, n,
+    finite_size_margin).
+    """
+
+    point: BellDiagonal
+    rates: tuple[float, float]
+    crossovers: tuple[float, float]
+    n0_bounds: tuple[int, int]
+    key_bits: int
+
+
+def plan_session(estimate: float, cfg: SessionConfig) -> SessionPlan:
+    """The SessionPlan of an estimated error rate under cfg; deterministic."""
+    if cfg.mapping == "six-state":
+        point = six_state_point(estimate)
+    else:
+        point = bb84_family(estimate, bb84_rate(estimate, "proposed")[1])
+    laws = derived_dists(point)
+    center = laws[0](0)
+    return SessionPlan(
+        point=point,
+        rates=tuple(shannon_entropy(w) + cfg.delta for w in laws),
+        crossovers=tuple(min(max(w(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR) for w in laws),
+        n0_bounds=(max(0, math.floor(cfg.n * (center - cfg.delta))),
+                   min(cfg.n, math.ceil(cfg.n * (center + cfg.delta)))),
+        key_bits=key_length(point, cfg.n, cfg.finite_size_margin),
+    )
 
 
 def run_full_session(cfg: SessionConfig) -> SessionReport:
@@ -464,9 +498,7 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
     guess, in that fixed order. An out-of-tolerance estimate yields an
     aborted report with empty transcript and zero leak; a failed round-one
     decode yields a report with transcript (t1,), leak |t1| and no key.
-    Code rates are the estimated block-law entropies plus delta; estimates
-    extreme enough to push a rate out of (0, 1) fail code construction and
-    raise, since no syndrome shorter than the data exists there.
+    The estimate sizes the rest of the session through plan_session.
     """
     streams = np.random.SeedSequence(cfg.seed).spawn(6)
     rng_est, rng_data, rng_code1, rng_code2, rng_hash, rng_guess = map(np.random.default_rng, streams)
@@ -478,28 +510,16 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
         return SessionReport(aborted=True, nominal_e=nominal_e, estimated_e=outcome.estimate, n=cfg.n)
 
     estimate = outcome
-    point = _estimate_to_point(estimate, cfg.mapping)
-    w1, w2 = derived_dists(point)
-    rate1 = shannon_entropy(w1) + cfg.delta
-    rate2 = shannon_entropy(w2) + cfg.delta
-    crossover1 = min(max(w1(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR)
-    crossover2 = min(max(w2(1), _CROSSOVER_FLOOR), 0.5 - _CROSSOVER_FLOOR)
-    center = w1(0)
-    bounds = (
-        max(0, math.floor(cfg.n * (center - cfg.delta))),
-        min(cfg.n, math.ceil(cfg.n * (center + cfg.delta))),
-    )
-
+    plan = plan_session(estimate, cfg)
     x, y = sample_pair(cfg.channel, 2 * cfg.n, rng_data)
-    code1 = code_for_rate(cfg.n, rate1, rng=rng_code1)
+    code1 = code_for_rate(cfg.n, plan.rates[0], rng=rng_code1)
     ir = run_ir(
         x,
         y,
         code1,
-        lambda n0: code_for_rate(n0, rate2, rng=rng_code2),
-        bounds,
-        crossover1,
-        crossover2,
+        lambda n0: code_for_rate(n0, plan.rates[1], rng=rng_code2),
+        plan.n0_bounds,
+        *plan.crossovers,
         rng_guess,
     )
     if not ir.decode1.converged:
@@ -507,10 +527,9 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
                              transcript=ir.transcript, leak_bits=ir.leak_bits,
                              decode1_converged=False)
 
-    ell = key_length(point, cfg.n, cfg.finite_size_margin)
-    hash_seed = rng_hash.integers(0, 2, size=2 * cfg.n + ell - 1, dtype=np.uint8)
-    key_alice = toeplitz_hash(hash_seed, ir.u_hat, ell)
-    key_bob = toeplitz_hash(hash_seed, ir.u_tilde, ell)
+    hash_seed = rng_hash.integers(0, 2, size=2 * cfg.n + plan.key_bits - 1, dtype=np.uint8)
+    key_alice = toeplitz_hash(hash_seed, ir.u_hat, plan.key_bits)
+    key_bob = toeplitz_hash(hash_seed, ir.u_tilde, plan.key_bits)
     transcript = ir.transcript.with_message(Message("hash_seed", hash_seed))
     return SessionReport(
         aborted=False,

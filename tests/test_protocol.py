@@ -11,6 +11,7 @@ import dataclasses
 import functools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -19,20 +20,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qkdpost.blocks import parity_seq, partition, second_bit_seq
-from qkdpost.channel import BellDiagonal, sample_pair, six_state_point
+from qkdpost.channel import BellDiagonal, bb84_family, derived_dists, sample_pair, six_state_point
 from qkdpost.codes import ParityCheck, bp_decode, code_for_rate, ml_decode
-from qkdpost.entropy import binary_entropy, type_deviation_bound
-from qkdpost.keyrate import rate_proposed
+from qkdpost.entropy import binary_entropy, shannon_entropy, type_deviation_bound
+from qkdpost.keyrate import bb84_rate, rate_proposed
 from qkdpost.protocol import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
     Abort,
     Message,
     SessionConfig,
+    SessionPlan,
     Transcript,
     _decode,
     key_length,
     parameter_estimation,
+    plan_session,
     run_full_session,
     run_ir,
     toeplitz_hash,
@@ -178,6 +181,16 @@ def test_toeplitz_validation():
         toeplitz_hash(np.zeros(8, dtype=np.uint8), value, -1)
     empty = toeplitz_hash(np.zeros(9, dtype=np.uint8), value, 0)
     assert empty.size == 0
+
+
+def test_toeplitz_rejects_non_integer_length():
+    value = np.ones(4, dtype=np.uint8)
+    seed = np.zeros(5, dtype=np.uint8)
+    for bad in (2.0, True, False, "2"):
+        with pytest.raises(ValueError, match=f"ell={bad!r} must be an integer"):
+            toeplitz_hash(seed, value, bad)
+    for good in (np.int64(2), np.uint8(2)):
+        assert toeplitz_hash(seed, value, good).tolist() == [0, 0]
 
 
 def test_toeplitz_collision_rate():
@@ -492,11 +505,98 @@ def test_session_config_validation():
             SessionConfig(channel=channel, **{name: bad})
     with pytest.raises(ValueError, match="seed=-1 must be >= 0"):
         SessionConfig(channel=channel, seed=-1)
+    for bad in (0.05, None, (1.0, 0.0, 0.0, 0.0)):
+        with pytest.raises(ValueError, match=re.escape(f"channel={bad!r} must be a BellDiagonal")):
+            SessionConfig(channel=bad)
     SessionConfig(channel=channel, n=np.int64(2000), m=np.int32(200), seed=np.uint64(2**64 - 1))
     SessionConfig(channel=channel, n=10**6, m=10**6)
     for name in ("n", "m"):
         with pytest.raises(ValueError, match=f"{name}=1000002 must be at most 1000000"):
             SessionConfig(channel=channel, **{name: 10**6 + 2})
+
+
+def _sizing_law_by_law(estimate, cfg):
+    """The session's sizing written out one law at a time, as a second
+    statement of the formulas plan_session applies to both laws at once."""
+    if cfg.mapping == "six-state":
+        point = six_state_point(estimate)
+    else:
+        _, p11_star = bb84_rate(estimate, "proposed")
+        point = bb84_family(estimate, p11_star)
+    w1, w2 = derived_dists(point)
+    floor = 1e-12
+    return {
+        "point": point,
+        "rates": (shannon_entropy(w1) + cfg.delta, shannon_entropy(w2) + cfg.delta),
+        "crossovers": (min(max(w1(1), floor), 0.5 - floor), min(max(w2(1), floor), 0.5 - floor)),
+        "n0_bounds": (max(0, math.floor(cfg.n * (w1(0) - cfg.delta))),
+                      min(cfg.n, math.ceil(cfg.n * (w1(0) + cfg.delta)))),
+        "key_bits": key_length(point, cfg.n, cfg.finite_size_margin),
+    }
+
+
+_DEFAULT_RATES = (0.5029425481872832, 0.07746007297749057)
+_DEFAULT_CROSSOVERS = (0.095, 0.0027624309392265197)
+
+
+@pytest.mark.parametrize(
+    "estimate, cfg, rates, crossovers, n0_bounds, key_bits",
+    [
+        (0.05, SessionConfig(channel=six_state_point(0.05)),
+         _DEFAULT_RATES, _DEFAULT_CROSSOVERS, (42_750, 47_750), 54_431),
+        (0.05, SessionConfig(channel=six_state_point(0.05), mapping="bb84"),
+         _DEFAULT_RATES, _DEFAULT_CROSSOVERS, (42_750, 47_750), 44_472),
+        (0.0, SessionConfig(channel=BellDiagonal(1.0, 0.0, 0.0, 0.0), n=2000, m=2000, seed=5),
+         (0.05, 0.05), (1e-12, 1e-12), (1900, 2000), 4000),
+    ],
+    ids=["six-state", "bb84", "noiseless"],
+)
+def test_plan_session_pinned(estimate, cfg, rates, crossovers, n0_bounds, key_bits):
+    # Sizing needs no code and no decode: each pin is checked against the
+    # plan and against the formulas written out law by law.
+    plan = plan_session(estimate, cfg)
+    assert plan.rates == pytest.approx(rates, rel=1e-12, abs=0)
+    assert plan.crossovers == pytest.approx(crossovers, rel=1e-12, abs=0)
+    assert plan.n0_bounds == n0_bounds
+    assert plan.key_bits == key_bits
+    assert plan == SessionPlan(**_sizing_law_by_law(estimate, cfg))
+    assert plan == plan_session(estimate, cfg)
+    if cfg.mapping == "bb84":
+        assert plan.point == bb84_family(0.05, bb84_rate(0.05)[1])
+        assert plan.point.p11 == pytest.approx(2.92e-4, rel=1e-3)
+    else:
+        assert plan.point == six_state_point(estimate)
+
+
+@pytest.mark.parametrize(
+    "channel, seed",
+    [(BellDiagonal(1.0, 0.0, 0.0, 0.0), 5), (six_state_point(0.05), 0)],
+    ids=["noiseless", "six-state"],
+)
+def test_full_session_follows_its_plan(monkeypatch, channel, seed):
+    # At e = 0.05 the rounds differ in rate and crossover, so a swap between
+    # them shows; both seeds reconcile at n = 2000.
+    code_rates, crossovers = [], []
+
+    def recorded_code(n, rate, rng):
+        code_rates.append(rate)
+        return code_for_rate(n, rate, rng=rng)
+
+    def recorded_decode(code, t, crossover, **kwargs):
+        crossovers.append(crossover)
+        return bp_decode(code, t, crossover, **kwargs)
+
+    monkeypatch.setattr("qkdpost.protocol.code_for_rate", recorded_code)
+    monkeypatch.setattr("qkdpost.protocol.bp_decode", recorded_decode)
+    cfg = SessionConfig(channel=channel, n=2000, m=2000, seed=seed)
+    report = run_full_session(cfg)
+    plan = plan_session(report.estimated_e, cfg)
+    assert report.key_match and _labels(report.transcript) == ("t1", "w1hat", "t2", "hash_seed")
+    assert tuple(code_rates) == plan.rates
+    assert tuple(crossovers) == plan.crossovers
+    assert plan.n0_bounds[0] <= report.n_hat0 <= plan.n0_bounds[1]
+    assert report.leak_bits == math.ceil(cfg.n * plan.rates[0]) + math.ceil(report.n_hat0 * plan.rates[1])
+    assert report.key_alice.size == plan.key_bits
 
 
 def test_full_session_noiseless():
