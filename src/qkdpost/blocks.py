@@ -13,10 +13,13 @@ Bit sequences are numpy uint8 arrays with values in {0, 1}. Indices are
 
 from __future__ import annotations
 
+import numbers
+
 import numpy as np
 
 __all__ = [
     "as_bits",
+    "as_count",
     "parity_seq",
     "second_bit_seq",
     "partition",
@@ -36,6 +39,19 @@ def as_bits(values) -> np.ndarray:
     if arr.size and int(arr.max(initial=0)) > 1:
         raise ValueError("bit sequence contains values outside {0, 1}")
     return arr
+
+
+def as_count(name: str, value, low: int, high: int | None = None) -> int:
+    """value as an int in [low, high], high None for no cap; numpy integers pass, and
+    a bool or any other non-integer (an integral float too) is a ValueError naming name."""
+    # The type test first: the ABC test costs about 0.3 us a call, and most counts are ints.
+    if type(value) is not int and (isinstance(value, bool) or not isinstance(value, numbers.Integral)):
+        raise ValueError(f"{name}={value!r} must be an integer")
+    if value < low:
+        raise ValueError(f"{name}={value} must be >= {low}")
+    if high is not None and value > high:
+        raise ValueError(f"{name}={value} must be at most {high}")
+    return int(value)
 
 
 def parity_seq(s: np.ndarray) -> np.ndarray:

@@ -22,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import as_count
 from .entropy import Dist
 
 __all__ = [
@@ -121,7 +122,7 @@ def sample_pair(p: BellDiagonal, length: int, rng: np.random.Generator) -> tuple
     Phase-flip components do not affect z-basis outcomes, so only the bit-flip
     marginal enters. Reproducible given the generator state.
     """
-    if length < 2 or length % 2 != 0:
+    if as_count("length", length, 2) % 2 != 0:
         raise ValueError(f"length must be even and >= 2, got {length}")
     x = rng.integers(0, 2, size=length, dtype=np.uint8)
     flips = (rng.random(length) < p.bit_flip_rate()).astype(np.uint8)

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import as_bits
+from .blocks import as_bits, as_count
 
 __all__ = [
     "DecodeResult",
@@ -138,6 +138,8 @@ class ParityCheck:
     ):
         if rank_certificate not in ("eliminated", "triangular"):
             raise ValueError(f"unknown rank certificate {rank_certificate!r}")
+        m = as_count("m", m, 0)
+        n = as_count("n", n, 0)
         ev = np.asarray(edge_var, dtype=np.int64)
         ec = np.asarray(edge_check, dtype=np.int64)
         if ev.ndim != 1 or ev.shape != ec.shape:
@@ -149,8 +151,8 @@ class ParityCheck:
         keys = ev * m + ec
         if np.any(keys[1:] <= keys[:-1]):
             raise ValueError("edges not column-major with rows ascending and none repeated")
-        self.m = int(m)
-        self.n = int(n)
+        self.m = m
+        self.n = n
         self.rank_certificate = rank_certificate
         self._edge_var = ev
         self._edge_check = ec
@@ -267,8 +269,7 @@ def bp_decode(
     """
     if not 0.0 < crossover < 0.5:
         raise ValueError(f"crossover {crossover} not in (0, 1/2)")
-    if max_iters < 1:
-        raise ValueError(f"max_iters {max_iters} must be >= 1")
+    max_iters = as_count("max_iters", max_iters, 1)
     t = np.asarray(t)
     if t.ndim not in (1, 2) or t.shape[-1] != H.m:
         raise ValueError(f"syndrome shape {t.shape}, expected ({H.m},) or (B, {H.m})")
@@ -385,8 +386,7 @@ def code_for_rate(n: int, target_rate: float, rng: np.random.Generator) -> Parit
     """
     if not 0.0 < target_rate < 1.0:
         raise ValueError(f"target rate {target_rate} not in (0, 1)")
-    if n < 1:
-        raise ValueError("need at least one column")
+    n = as_count("n", n, 1)
     return _staircase_code(math.ceil(n * target_rate), n, rng)
 
 

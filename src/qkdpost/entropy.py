@@ -12,6 +12,8 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
+from .blocks import as_count
+
 __all__ = [
     "Dist",
     "binary_entropy",
@@ -82,13 +84,11 @@ def type_deviation_bound(n: int, eps: float, alphabet_size: int) -> float:
     clamped to at most 1. The exponential has base 2; the natural log appears
     only in the exponent conversion.
     """
-    # Written so that NaN fails each check.
-    if not n >= 1:
-        raise ValueError("n must be >= 1")
+    n = as_count("n", n, 1)
+    # Written so that NaN fails the check.
     if not eps > 0.0:
         raise ValueError("eps must be positive")
-    if not alphabet_size >= 2:
-        raise ValueError("alphabet_size must be >= 2")
+    alphabet_size = as_count("alphabet_size", alphabet_size, 2)
     # log2 of the bound; the exponent -eps^2*n/(2 ln 2) is already in bits.
     log2_bound = (alphabet_size - 1) * math.log2(n + 1) - (eps * eps * n) / (2.0 * math.log(2))
     if log2_bound >= 0.0:

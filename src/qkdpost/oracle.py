@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .blocks import as_count
 from .channel import BellDiagonal
 from .entropy import Dist, shannon_entropy
 
@@ -184,7 +185,7 @@ def trace_norm(op) -> float:
 def partial_trace(rho, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in keep (0-based, ascending)."""
     rho = _as_matrix(rho)
-    dims = tuple(int(d) for d in dims)
+    dims = tuple(as_count("dims", d, 1) for d in dims)
     keep = sorted(set(keep))
     k = len(dims)
     if rho.shape[0] != math.prod(dims):
@@ -498,10 +499,8 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
 
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Normalized G G^dagger with complex Gaussian G of the given rank."""
-    if rank is None:
-        rank = dim
-    if dim < 1 or rank < 1:
-        raise ValueError(f"dim={dim} and rank={rank} must both be >= 1")
+    dim = as_count("dim", dim, 1)
+    rank = dim if rank is None else as_count("rank", rank, 1)
     g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
     rho = g @ g.conj().T
     return rho / np.trace(rho).real
@@ -520,8 +519,7 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
     All instances are exact (no smoothing): each reported number should be
     <= 0 up to numerical noise, and the suite's consumers assert <= 1e-9.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be at least 1, got {samples}")
+    as_count("samples", samples, 1)
     worst = {
         "monotonicity": 0.0,
         "chain_rule": 0.0,

@@ -35,7 +35,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 import scipy.fft
 
-from .blocks import as_bits, parity_seq, partition, second_bit_seq
+from .blocks import as_bits, as_count, parity_seq, partition, second_bit_seq
 from .channel import BellDiagonal, bb84_family, derived_dists, sample_pair, six_state_point
 from .codes import DecodeResult, ParityCheck, bp_decode, code_for_rate
 from .entropy import shannon_entropy
@@ -115,6 +115,8 @@ class Transcript:
     def __post_init__(self):
         last = -1
         for msg in self.messages:
+            if not isinstance(msg, Message):
+                raise ValueError(f"transcript entry {msg!r} is not a Message")
             pos = _LABEL_ORDER.index(msg.label)
             if pos <= last:
                 raise ValueError(f"message {msg.label!r} out of protocol order")
@@ -159,11 +161,6 @@ def parameter_estimation(
     return Abort(estimate=estimate, nominal=nominal_e, tolerance=tol)
 
 
-def _decode(code: ParityCheck, t: np.ndarray, crossover: float) -> DecodeResult:
-    # Looked up at call time, so a wrapper bound over protocol.bp_decode sees the call.
-    return bp_decode(code, t, crossover, max_iters=300)
-
-
 @dataclass(frozen=True)
 class IrResult:
     """Outputs of the reconciliation rounds.
@@ -203,7 +200,6 @@ def run_ir(
     crossover1: float,
     crossover2: float,
     rng: np.random.Generator,
-    decode: Callable[[ParityCheck, np.ndarray, float], DecodeResult] = _decode,
 ) -> IrResult:
     """Run both reconciliation rounds on raw keys x (Alice) and y (Bob).
 
@@ -223,10 +219,10 @@ def run_ir(
     Bob decodes at crossover2.
 
     rng is required and feeds only the violation-branch guess, so a seeded
-    caller's run stays reproducible. decode(code, t, crossover) decodes both
-    rounds, by default with one 300-sweep bp_decode each; tests pass
-    ml_decode to check against the exact decoder. Decode failures are
-    reported in the result, never raised.
+    caller's run stays reproducible. Each round decodes with one 300-sweep
+    bp_decode, looked up in this module at call time, so a wrapper bound
+    over protocol.bp_decode sees every call. Decode failures are reported
+    in the result, never raised.
     """
     x = as_bits(x)
     y = as_bits(y)
@@ -244,7 +240,7 @@ def run_ir(
     t1 = code1.syndrome(u1)
     transcript = Transcript().with_message(Message("t1", t1))
 
-    decode1 = decode(code1, t1 ^ code1.syndrome(v1), crossover1)
+    decode1 = bp_decode(code1, t1 ^ code1.syndrome(v1), crossover1, max_iters=300)
     if not decode1.converged:
         empty = np.zeros(0, dtype=np.uint8)
         return IrResult(u_hat=empty, u_tilde=empty, transcript=transcript, leak_bits=code1.m,
@@ -273,7 +269,7 @@ def run_ir(
         transcript = transcript.with_message(Message("t2", t2))
         leak += code2.m
         v2_surv = v2_hat[survivors]
-        decode2 = decode(code2, t2 ^ code2.syndrome(v2_surv), crossover2)
+        decode2 = bp_decode(code2, t2 ^ code2.syndrome(v2_surv), crossover2, max_iters=300)
         u2_tilde[survivors] = v2_surv ^ decode2.error_estimate
 
     u_hat = _interleave(u1, u2_hat)
@@ -310,12 +306,9 @@ def toeplitz_hash(seed: np.ndarray, value: np.ndarray, ell: int) -> np.ndarray:
     measured on 2^22 random input bits with ell = 0.54 n, they sit at most
     3.5e-10 from an integer, far inside the rounding margin of 0.5.
     """
-    if isinstance(ell, bool) or not isinstance(ell, numbers.Integral):
-        raise ValueError(f"ell={ell!r} must be an integer")
     seed = as_bits(seed)
     value = as_bits(value)
-    if not 0 <= ell <= value.size:
-        raise ValueError(f"output length {ell} not in [0, {value.size}]")
+    ell = as_count("ell", ell, 0, value.size)
     if seed.size != value.size + ell - 1:
         raise ValueError(f"seed length {seed.size}, expected {value.size + ell - 1}")
     if ell == 0:
@@ -334,8 +327,7 @@ def key_length(p_est: BellDiagonal, n: int, margin: float) -> int:
     """
     if not 0.0 <= margin < math.inf:
         raise ValueError(f"margin={margin} must be finite and >= 0")
-    if n < 1:
-        raise ValueError("need at least one block")
+    n = as_count("n", n, 1)
     rate = rate_proposed(p_est) - margin
     return int(math.floor(2 * n * max(0.0, rate)))
 
@@ -369,20 +361,14 @@ class SessionConfig:
     def __post_init__(self):
         if not isinstance(self.channel, BellDiagonal):
             raise ValueError(f"channel={self.channel!r} must be a BellDiagonal")
-        if not self.n >= 1:
-            raise ValueError("block count must be >= 1")
-        # numpy integers pass; a bool or an integral float does not.
-        for name in ("n", "m", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name}={value!r} must be an integer")
-        if self.seed < 0:
-            raise ValueError(f"seed={self.seed} must be >= 0")
-        if self.m < 2 or self.m % 2 != 0:
+        as_count("n", self.n, 1, _MAX_SIZE)
+        if as_count("m", self.m, 2, _MAX_SIZE) % 2 != 0:
             raise ValueError("estimation sample size must be even and >= 2 (drawn block-wise)")
-        for name, size in (("n", self.n), ("m", self.m)):
-            if size > _MAX_SIZE:
-                raise ValueError(f"{name}={size} must be at most {_MAX_SIZE}")
+        as_count("seed", self.seed, 0)
+        for name in ("delta", "abort_tolerance", "finite_size_margin"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Real):
+                raise ValueError(f"{name}={value!r} must be a real number")
         # Written so that NaN and infinity fail each check. delta >= 1 would
         # push a code rate H + delta to 1 or more, leaving no syndrome
         # shorter than the data; the cap also keeps the survivor window's

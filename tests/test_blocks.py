@@ -1,12 +1,18 @@
-"""Block reduction: parities, second bits and partitions."""
+"""Block reduction: parities, second bits and partitions; the shared input checks."""
+
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdpost.blocks import as_bits, parity_seq, partition, second_bit_seq
+from qkdpost.blocks import as_bits, as_count, parity_seq, partition, second_bit_seq
 from qkdpost.channel import derived_dists, sample_pair, six_state_point
+from qkdpost.codes import ParityCheck, bp_decode, code_for_rate
+from qkdpost.entropy import type_deviation_bound
+from qkdpost.oracle import lemma_suite, partial_trace, random_density
+from qkdpost.protocol import SessionConfig, key_length, toeplitz_hash
 
 
 def test_as_bits_rejects_non_binary():
@@ -20,6 +26,62 @@ def test_as_bits_rejects_non_binary():
             as_bits(bad)
     assert as_bits([1.0, 0.0]).tolist() == [1, 0]
     assert as_bits([]).size == 0
+
+
+def test_as_count():
+    # Both bounds are inclusive; without a high bound there is no cap.
+    assert as_count("k", 3, 3, 3) == 3
+    assert as_count("k", 0, 0) == 0
+    assert as_count("k", 10**30, 1) == 10**30
+    for value in (np.int64(7), np.uint8(7), np.uint64(7)):
+        out = as_count("k", value, 7, 7)
+        assert out == 7 and type(out) is int
+    with pytest.raises(ValueError, match="^k=2 must be >= 3$"):
+        as_count("k", 2, 3)
+    with pytest.raises(ValueError, match="^k=4 must be at most 3$"):
+        as_count("k", 4, 0, 3)
+    with pytest.raises(ValueError, match="^k=-1 must be >= 0$"):
+        as_count("k", np.int64(-1), 0, 3)
+    for bad in (2.5, 2.0, float("nan"), None, True, False, "2", np.float64(2.0), np.bool_(True)):
+        with pytest.raises(ValueError, match=f"^k={re.escape(repr(bad))} must be an integer$"):
+            as_count("k", bad, 0)
+
+
+_SMALL_CODE = ParityCheck.from_dense(np.array([[1, 1, 0], [0, 1, 1]], dtype=np.uint8))
+
+# Every public count argument, called with one value v for it and valid
+# values for the rest; 2 is in range for each.
+_COUNT_ARGUMENTS = [
+    ("SessionConfig", "n", lambda v: SessionConfig(channel=six_state_point(0.05), n=v)),
+    ("SessionConfig", "m", lambda v: SessionConfig(channel=six_state_point(0.05), m=v)),
+    ("SessionConfig", "seed", lambda v: SessionConfig(channel=six_state_point(0.05), seed=v)),
+    ("toeplitz_hash", "ell", lambda v: toeplitz_hash(np.zeros(5, np.uint8), np.zeros(4, np.uint8), v)),
+    ("key_length", "n", lambda v: key_length(six_state_point(0.05), v, 0.0)),
+    ("ParityCheck", "m", lambda v: ParityCheck(v, 4, [], [], "eliminated")),
+    ("ParityCheck", "n", lambda v: ParityCheck(2, v, [], [], "eliminated")),
+    ("code_for_rate", "n", lambda v: code_for_rate(v, 0.5, rng=np.random.default_rng(0))),
+    ("bp_decode", "max_iters", lambda v: bp_decode(_SMALL_CODE, np.ones(2, np.uint8), 0.1, max_iters=v)),
+    ("sample_pair", "length", lambda v: sample_pair(six_state_point(0.05), v, np.random.default_rng(0))),
+    ("type_deviation_bound", "n", lambda v: type_deviation_bound(v, 0.1, 2)),
+    ("type_deviation_bound", "alphabet_size", lambda v: type_deviation_bound(10, 0.1, v)),
+    ("random_density", "dim", lambda v: random_density(v, np.random.default_rng(0))),
+    ("random_density", "rank", lambda v: random_density(2, np.random.default_rng(0), rank=v)),
+    ("lemma_suite", "samples", lambda v: lemma_suite(v, np.random.default_rng(0))),
+    ("partial_trace", "dims", lambda v: partial_trace(np.eye(4) / 4, (v, 2), (0,))),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call", [pytest.param(name, call, id=f"{where}-{name}") for where, name, call in _COUNT_ARGUMENTS]
+)
+def test_count_arguments_take_integers_only(name, call):
+    for bad in (2.5, 2.0, None, True, "2"):
+        if bad is None and name == "rank":
+            continue  # rank=None is the documented full-rank default
+        with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(bad))} must be an integer$"):
+            call(bad)
+    for good in (np.int64(2), np.uint8(2)):
+        call(good)
 
 
 def test_parity_seq():

@@ -248,7 +248,7 @@ def test_bp_validation():
     with pytest.raises(ValueError):
         bp_decode(code, t, crossover=0.5)
     for bad in (0, -3):
-        with pytest.raises(ValueError, match=f"max_iters {bad}"):
+        with pytest.raises(ValueError, match=f"max_iters={bad} must be >= 1"):
             bp_decode(code, t, crossover=0.1, max_iters=bad)
     with pytest.raises(ValueError):
         bp_decode(code, np.zeros(5, dtype=np.uint8), crossover=0.1)

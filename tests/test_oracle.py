@@ -447,7 +447,7 @@ def test_random_density():
 
 @pytest.mark.parametrize("dim, rank", [(4, 0), (4, -1), (0, None), (0, 2)])
 def test_random_density_rejects_empty_shape(dim, rank):
-    with pytest.raises(ValueError, match="must both be >= 1"):
+    with pytest.raises(ValueError, match=r"^(dim|rank)=-?\d+ must be >= 1$"):
         random_density(dim, np.random.default_rng(11), rank=rank)
 
 

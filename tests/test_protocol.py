@@ -1,10 +1,11 @@
 """Two-way reconciliation sessions end to end.
 
-Small instances pass the exact decoder ml_decode to run_ir, so every
-protocol branch is checked against direct enumeration; the operating-point
-runs use the session's decode, one 300-sweep bp_decode per round, at frozen
-seeds, and one test pins the bp_decode calls a session makes. Hash claims
-are verified against the explicit matrix construction.
+Small instances run run_ir with the exact decoder ml_decode patched in for
+protocol.bp_decode, so every protocol branch is checked against direct
+enumeration; the operating-point runs use the session's decode, one
+300-sweep bp_decode per round, at frozen seeds, and one test pins the
+bp_decode calls a session makes. Hash claims are verified against the
+explicit matrix construction.
 """
 
 import dataclasses
@@ -32,7 +33,6 @@ from qkdpost.protocol import (
     SessionConfig,
     SessionPlan,
     Transcript,
-    _decode,
     key_length,
     parameter_estimation,
     plan_session,
@@ -248,7 +248,14 @@ def test_run_ir_noiseless():
     assert np.array_equal(ir.u_tilde, expected)
 
 
-def test_run_ir_single_block_error():
+@pytest.fixture
+def exact_decode(monkeypatch):
+    """run_ir decodes both rounds with ml_decode in place of bp_decode."""
+    monkeypatch.setattr("qkdpost.protocol.bp_decode",
+                        lambda code, t, crossover, max_iters: ml_decode(code, t, crossover))
+
+
+def test_run_ir_single_block_error(exact_decode):
     # One flipped raw bit gives a weight-1 parity discrepancy; the seed-7
     # dense code decodes every weight-1 coset uniquely, checked on the spot.
     rng = np.random.default_rng(22)
@@ -270,7 +277,7 @@ def test_run_ir_single_block_error():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=23),
-        (0, n), crossover1=0.1, crossover2=0.01, rng=np.random.default_rng(23), decode=ml_decode,
+        (0, n), crossover1=0.1, crossover2=0.01, rng=np.random.default_rng(23),
     )
     assert np.array_equal(_message(ir.transcript, "w1hat").payload, w1_true)
     assert ir.n_hat0 == 7
@@ -281,7 +288,7 @@ def test_run_ir_single_block_error():
     assert np.array_equal(ir.u_hat, u_true)
 
 
-def test_run_ir_bounds_violation_guess():
+def test_run_ir_bounds_violation_guess(exact_decode):
     rng = np.random.default_rng(24)
     n = 16
     code1 = dense_code(n, 0.5, seed=25)
@@ -291,7 +298,7 @@ def test_run_ir_bounds_violation_guess():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=26),
-        (n, n), crossover1=0.05, crossover2=0.01, rng=np.random.default_rng(27), decode=ml_decode,
+        (n, n), crossover1=0.05, crossover2=0.01, rng=np.random.default_rng(27),
     )
     assert ir.bounds_violated
     assert ir.decode2 is None
@@ -300,7 +307,7 @@ def test_run_ir_bounds_violation_guess():
     assert not ir.reconciliation_ok
 
 
-def test_run_ir_no_survivors():
+def test_run_ir_no_survivors(exact_decode):
     # Flipping one raw bit per block discards every second bit; with an
     # identity round-one code the parity discrepancies decode exactly, the
     # second round never runs, and both outputs still agree.
@@ -313,7 +320,7 @@ def test_run_ir_no_survivors():
     ir = run_ir(
         x, y, code1,
         lambda n0: dense_code(n0, 0.5, seed=29),
-        (0, n), crossover1=0.3, crossover2=0.01, rng=np.random.default_rng(29), decode=ml_decode,
+        (0, n), crossover1=0.3, crossover2=0.01, rng=np.random.default_rng(29),
     )
     assert ir.n_hat0 == 0
     assert not ir.bounds_violated
@@ -453,7 +460,8 @@ def test_converged_decode_matches_syndrome(n, rate, code_seed, crossover, data):
     code = code_for_rate(n, rate, rng=np.random.default_rng(code_seed))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=code.m, max_size=code.m))
     t = np.array(bits, dtype=np.uint8)
-    for decode in (_decode, ml_decode, functools.partial(bp_decode, max_iters=1)):
+    session_decode = functools.partial(bp_decode, max_iters=300)
+    for decode in (session_decode, ml_decode, functools.partial(bp_decode, max_iters=1)):
         res = decode(code, t, crossover)
         if res.converged:
             assert np.array_equal(code.syndrome(res.error_estimate), t), decode
@@ -466,6 +474,11 @@ def test_message_and_transcript_contracts():
     w1 = Message("w1hat", np.zeros(4, dtype=np.uint8))
     with pytest.raises(ValueError):
         Transcript((w1, t1))
+    for bad in ("t1", None, (t1,)):
+        with pytest.raises(ValueError, match="is not a Message"):
+            Transcript((bad,))
+        with pytest.raises(ValueError, match="is not a Message"):
+            Transcript((t1, bad))
     transcript = Transcript((t1, w1))
     assert _labels(transcript) == ("t1", "w1hat")
     assert _message(transcript, "t1") is t1
@@ -481,7 +494,7 @@ def test_message_and_transcript_contracts():
 def test_session_config_validation():
     channel = six_state_point(0.05)
     for bad in (0, math.nan):
-        with pytest.raises(ValueError, match="block count"):
+        with pytest.raises(ValueError, match=f"n={bad} must be"):
             SessionConfig(channel=channel, n=bad)
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, m=3)
@@ -497,9 +510,16 @@ def test_session_config_validation():
         for bad in (math.nan, math.inf):
             with pytest.raises(ValueError, match=f"{name}={bad}"):
                 SessionConfig(channel=channel, **{name: bad})
+    non_reals = (("delta", "0.05"), ("delta", None), ("abort_tolerance", None), ("abort_tolerance", "0.02"),
+                 ("abort_tolerance", True), ("finite_size_margin", None), ("finite_size_margin", False))
+    for name, bad in non_reals:
+        with pytest.raises(ValueError, match=re.escape(f"{name}={bad!r} must be a real number")):
+            SessionConfig(channel=channel, **{name: bad})
+    SessionConfig(channel=channel, delta=np.float32(0.05), abort_tolerance=0, finite_size_margin=np.float64(0.1))
     with pytest.raises(ValueError):
         SessionConfig(channel=channel, mapping="b92")
-    non_integers = (("n", 1000.5), ("n", 2000.0), ("n", True), ("m", 200.0), ("seed", 1.5), ("seed", False))
+    non_integers = (("n", 1000.5), ("n", 2000.0), ("n", True), ("n", None), ("m", 200.0), ("m", None),
+                    ("seed", 1.5), ("seed", False), ("seed", None))
     for name, bad in non_integers:
         with pytest.raises(ValueError, match=f"{name}={bad!r} must be an integer"):
             SessionConfig(channel=channel, **{name: bad})
