@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "as_bits",
     "as_count",
+    "as_real",
     "parity_seq",
     "second_bit_seq",
     "partition",
@@ -52,6 +53,15 @@ def as_count(name: str, value, low: int, high: int | None = None) -> int:
     if high is not None and value > high:
         raise ValueError(f"{name}={value} must be at most {high}")
     return int(value)
+
+
+def as_real(name: str, value) -> float:
+    """value as a float; numpy floats pass, and a bool or any other non-real is a
+    ValueError naming name. Ranges are the caller's, written so that NaN fails them."""
+    # The type test first, as in as_count: most reals are floats.
+    if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
+        raise ValueError(f"{name}={value!r} must be a real number")
+    return float(value)
 
 
 def parity_seq(s: np.ndarray) -> np.ndarray:

@@ -42,7 +42,7 @@ from .oracle import (
     theorem3_direct,
     worst_case_check,
 )
-from .protocol import Abort, SessionConfig, parameter_estimation, run_full_session, toeplitz_hash
+from .protocol import SessionConfig, parameter_estimation, run_full_session, toeplitz_hash
 
 _EXIT_IO = 1
 _EXIT_VERIFY = 3
@@ -259,15 +259,13 @@ def _suite_coset(samples: int, rng: np.random.Generator) -> list[dict]:
 def _suite_types(samples: int, rng: np.random.Generator) -> list[dict]:
     # The session's default m and tolerance. At m = 10 000 the type bound is
     # 1, which no abort fraction can exceed; here it is 2.25e-3.
-    m, tol, e = SessionConfig.m, SessionConfig.abort_tolerance, 0.05
-    channel = six_state_point(e)
+    cfg = SessionConfig(channel=six_state_point(0.05))
     aborts = 0
     for _ in range(samples):
-        x, y = sample_pair(channel, m, rng)
-        if isinstance(parameter_estimation(x, y, e, tol), Abort):
-            aborts += 1
-    # tol on the scalar rate is an L1 radius of 2*tol on the binary type
-    bound = type_deviation_bound(m, 2 * tol, 2)
+        x, y = sample_pair(cfg.channel, cfg.m, rng)
+        aborts += not cfg.accepts(parameter_estimation(x, y))
+    # The tolerance on the scalar rate is an L1 radius of twice it on the binary type.
+    bound = type_deviation_bound(cfg.m, 2 * cfg.abort_tolerance, 2)
     return [{"name": "abort_fraction_vs_type_bound", "deviation": aborts / samples, "bound": bound}]
 
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import as_bits, as_count
+from .blocks import as_bits, as_count, as_real
 
 __all__ = [
     "DecodeResult",
@@ -226,7 +226,7 @@ def ml_decode(H: ParityCheck, t: np.ndarray, crossover: float = 0.0) -> DecodeRe
     Minimum weight is the likelihood order for every crossover below 1/2, so
     the crossover enters only as a validity bound.
     """
-    if not 0.0 <= crossover < 0.5:
+    if not 0.0 <= as_real("crossover", crossover) < 0.5:
         raise ValueError(f"crossover {crossover} not in [0, 1/2)")
     t = as_bits(t)
     if t.size != H.m:
@@ -267,7 +267,7 @@ def bp_decode(
     A stack returns a (B, n) estimate and length-B converged and iterations
     arrays; a single syndrome returns scalars.
     """
-    if not 0.0 < crossover < 0.5:
+    if not 0.0 < as_real("crossover", crossover) < 0.5:
         raise ValueError(f"crossover {crossover} not in (0, 1/2)")
     max_iters = as_count("max_iters", max_iters, 1)
     t = np.asarray(t)
@@ -384,7 +384,7 @@ def code_for_rate(n: int, target_rate: float, rng: np.random.Generator) -> Parit
 
     Any n >= 1: a one-column code is the single row [1].
     """
-    if not 0.0 < target_rate < 1.0:
+    if not 0.0 < as_real("target_rate", target_rate) < 1.0:
         raise ValueError(f"target rate {target_rate} not in (0, 1)")
     n = as_count("n", n, 1)
     return _staircase_code(math.ceil(n * target_rate), n, rng)

@@ -28,14 +28,13 @@ entropy quantities behind such a claim have no closed form here.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 import scipy.fft
 
-from .blocks import as_bits, as_count, parity_seq, partition, second_bit_seq
+from .blocks import as_bits, as_count, as_real, parity_seq, partition, second_bit_seq
 from .channel import BellDiagonal, bb84_family, derived_dists, sample_pair, six_state_point
 from .codes import DecodeResult, ParityCheck, bp_decode, code_for_rate
 from .entropy import shannon_entropy
@@ -44,7 +43,6 @@ from .keyrate import bb84_rate, rate_proposed
 __all__ = [
     "ALICE_TO_BOB",
     "BOB_TO_ALICE",
-    "Abort",
     "Message",
     "Transcript",
     "IrResult",
@@ -129,25 +127,11 @@ class Transcript:
         return {"messages": [m.to_dict() for m in self.messages]}
 
 
-@dataclass(frozen=True)
-class Abort:
-    """Estimation outcome outside the configured tolerance."""
+def parameter_estimation(sample_x: np.ndarray, sample_y: np.ndarray) -> float:
+    """Empirical error rate Hamming(sample_x, sample_y) / m of a disclosed sample.
 
-    estimate: float
-    nominal: float
-    tolerance: float
-
-
-def parameter_estimation(
-    sample_x: np.ndarray,
-    sample_y: np.ndarray,
-    nominal_e: float,
-    tol: float,
-) -> float | Abort:
-    """Empirical error rate of a disclosed sample, or Abort when it strays.
-
-    Returns Hamming(sample_x, sample_y) / m when within tol of nominal_e,
-    an Abort record otherwise. The disclosed sample is consumed either way.
+    SessionConfig.accepts decides whether the session goes on; the disclosed
+    sample is consumed either way.
     """
     x = as_bits(sample_x)
     y = as_bits(sample_y)
@@ -155,10 +139,7 @@ def parameter_estimation(
         raise ValueError(f"sample lengths differ: {x.size} vs {y.size}")
     if x.size == 0:
         raise ValueError("estimation sample is empty")
-    estimate = float(np.sum(x ^ y)) / x.size
-    if abs(estimate - nominal_e) <= tol:
-        return estimate
-    return Abort(estimate=estimate, nominal=nominal_e, tolerance=tol)
+    return float(np.sum(x ^ y)) / x.size
 
 
 @dataclass(frozen=True)
@@ -195,34 +176,36 @@ def run_ir(
     x: np.ndarray,
     y: np.ndarray,
     code1: ParityCheck,
-    code2_factory: Callable[[int], ParityCheck],
-    n0_bounds: tuple[int, int],
-    crossover1: float,
-    crossover2: float,
+    plan: SessionPlan,
+    rng_code2: np.random.Generator,
     rng: np.random.Generator,
 ) -> IrResult:
     """Run both reconciliation rounds on raw keys x (Alice) and y (Bob).
 
-    Round one: Alice sends the syndrome t1 of her block parities under
-    code1; Bob decodes the discrepancy parities w1hat from t1 plus his own
-    syndrome at crossover1 and sends w1hat back. A decode that does not
-    converge misses the syndrome, so Bob knows w1hat is wrong: the run stops
-    with t1 as its only message, leaking |t1|. A decode that converges to
-    the wrong coset member matches the syndrome, so neither party sees it;
-    it surfaces as a key mismatch.
+    plan supplies both crossovers, round two's code rate and the survivor
+    window; code1 is the round-one code, a public parameter the caller
+    fixes. Round one: Alice sends the syndrome t1 of her block parities
+    under code1; Bob decodes the discrepancy parities w1hat from t1 plus
+    his own syndrome at plan.crossovers[0] and sends w1hat back. A decode
+    that does not converge misses the syndrome, so Bob knows w1hat is
+    wrong: the run stops with t1 as its only message, leaking |t1|. A
+    decode that converges to the wrong coset member matches the syndrome,
+    so neither party sees it; it surfaces as a key mismatch.
 
     Round two: both sides keep second bits only on blocks with estimated
     discrepancy parity 0 (zeros elsewhere). If the survivor count n_hat0
-    falls outside n0_bounds, Bob guesses the surviving second bits
+    falls outside plan.n0_bounds, Bob guesses the surviving second bits
     uniformly at random and no second syndrome is sent; otherwise Alice
-    sends the syndrome t2 of her survivors under code2_factory(n_hat0) and
-    Bob decodes at crossover2.
+    sends the syndrome t2 of her survivors under
+    code_for_rate(n_hat0, plan.rates[1], rng=rng_code2) and Bob decodes at
+    plan.crossovers[1].
 
     rng is required and feeds only the violation-branch guess, so a seeded
-    caller's run stays reproducible. Each round decodes with one 300-sweep
-    bp_decode, looked up in this module at call time, so a wrapper bound
-    over protocol.bp_decode sees every call. Decode failures are reported
-    in the result, never raised.
+    caller's run stays reproducible; rng_code2 draws only when round two
+    runs. Each round decodes with one 300-sweep bp_decode; it and
+    code_for_rate are looked up in this module at call time, so a wrapper
+    bound over protocol.bp_decode or protocol.code_for_rate sees every
+    call. Decode failures are reported in the result, never raised.
     """
     x = as_bits(x)
     y = as_bits(y)
@@ -231,16 +214,15 @@ def run_ir(
         raise ValueError(f"raw key lengths differ: {x.size} vs {y.size}")
     if x.size != 2 * n:
         raise ValueError(f"raw key length {x.size}, expected {2 * n} for the round-one code")
-    lo, hi = int(n0_bounds[0]), int(n0_bounds[1])
-    if not 0 <= lo <= hi <= n:
-        raise ValueError(f"survivor bounds ({lo}, {hi}) not within [0, {n}]")
+    lo = as_count("n0_bounds[0]", plan.n0_bounds[0], 0, n)
+    hi = as_count("n0_bounds[1]", plan.n0_bounds[1], lo, n)
 
     u1 = parity_seq(x)
     v1 = parity_seq(y)
     t1 = code1.syndrome(u1)
     transcript = Transcript().with_message(Message("t1", t1))
 
-    decode1 = bp_decode(code1, t1 ^ code1.syndrome(v1), crossover1, max_iters=300)
+    decode1 = bp_decode(code1, t1 ^ code1.syndrome(v1), plan.crossovers[0], max_iters=300)
     if not decode1.converged:
         empty = np.zeros(0, dtype=np.uint8)
         return IrResult(u_hat=empty, u_tilde=empty, transcript=transcript, leak_bits=code1.m,
@@ -262,14 +244,12 @@ def run_ir(
     if violated:
         u2_tilde[survivors] = rng.integers(0, 2, size=n_hat0, dtype=np.uint8)
     elif n_hat0 > 0:
-        code2 = code2_factory(n_hat0)
-        if code2.n != n_hat0:
-            raise ValueError(f"round-two code has {code2.n} columns, expected {n_hat0}")
+        code2 = code_for_rate(n_hat0, plan.rates[1], rng=rng_code2)
         t2 = code2.syndrome(u2_hat[survivors])
         transcript = transcript.with_message(Message("t2", t2))
         leak += code2.m
         v2_surv = v2_hat[survivors]
-        decode2 = bp_decode(code2, t2 ^ code2.syndrome(v2_surv), crossover2, max_iters=300)
+        decode2 = bp_decode(code2, t2 ^ code2.syndrome(v2_surv), plan.crossovers[1], max_iters=300)
         u2_tilde[survivors] = v2_surv ^ decode2.error_estimate
 
     u_hat = _interleave(u1, u2_hat)
@@ -325,7 +305,7 @@ def key_length(p_est: BellDiagonal, n: int, margin: float) -> int:
     floor(2n * max(0, asymptotic rate - margin)); margin absorbs every
     finite-size correction in one configurable deduction.
     """
-    if not 0.0 <= margin < math.inf:
+    if not 0.0 <= as_real("margin", margin) < math.inf:
         raise ValueError(f"margin={margin} must be finite and >= 0")
     n = as_count("n", n, 1)
     rate = rate_proposed(p_est) - margin
@@ -341,8 +321,8 @@ _MAX_SIZE = 10**6
 class SessionConfig:
     """Full-session parameters.
 
-    channel is the nominal source; estimation aborts when the sampled error
-    rate strays more than abort_tolerance from its bit-flip rate. delta
+    channel is the nominal source; accepts holds the abort rule, an estimate
+    within abort_tolerance of the channel's bit-flip rate. delta
     (code-rate margin and survivor-window radius) and mapping (how the
     estimate becomes a Bell-diagonal point) size the session as SessionPlan
     describes. Codes come from code_for_rate, and each round decodes with
@@ -365,22 +345,23 @@ class SessionConfig:
         if as_count("m", self.m, 2, _MAX_SIZE) % 2 != 0:
             raise ValueError("estimation sample size must be even and >= 2 (drawn block-wise)")
         as_count("seed", self.seed, 0)
-        for name in ("delta", "abort_tolerance", "finite_size_margin"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Real):
-                raise ValueError(f"{name}={value!r} must be a real number")
         # Written so that NaN and infinity fail each check. delta >= 1 would
         # push a code rate H + delta to 1 or more, leaving no syndrome
         # shorter than the data; the cap also keeps the survivor window's
         # floor finite.
-        if not 0.0 < self.delta < 1.0:
+        if not 0.0 < as_real("delta", self.delta) < 1.0:
             raise ValueError(f"delta={self.delta} must be in (0, 1)")
-        if not 0.0 <= self.abort_tolerance < math.inf:
+        if not 0.0 <= as_real("abort_tolerance", self.abort_tolerance) < math.inf:
             raise ValueError(f"abort_tolerance={self.abort_tolerance} must be finite and >= 0")
-        if not 0.0 <= self.finite_size_margin < math.inf:
+        if not 0.0 <= as_real("finite_size_margin", self.finite_size_margin) < math.inf:
             raise ValueError(f"finite_size_margin={self.finite_size_margin} must be finite and >= 0")
         if self.mapping not in ("six-state", "bb84"):
             raise ValueError(f"unknown mapping {self.mapping!r}")
+
+    def accepts(self, estimate: float) -> bool:
+        """Whether an estimated error rate lets the session go on: within
+        abort_tolerance of the channel's bit-flip rate."""
+        return abs(estimate - self.channel.bit_flip_rate()) <= self.abort_tolerance
 
 
 @dataclass(frozen=True)
@@ -491,23 +472,14 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
     nominal_e = cfg.channel.bit_flip_rate()
 
     sample_x, sample_y = sample_pair(cfg.channel, cfg.m, rng_est)
-    outcome = parameter_estimation(sample_x, sample_y, nominal_e, cfg.abort_tolerance)
-    if isinstance(outcome, Abort):
-        return SessionReport(aborted=True, nominal_e=nominal_e, estimated_e=outcome.estimate, n=cfg.n)
+    estimate = parameter_estimation(sample_x, sample_y)
+    if not cfg.accepts(estimate):
+        return SessionReport(aborted=True, nominal_e=nominal_e, estimated_e=estimate, n=cfg.n)
 
-    estimate = outcome
     plan = plan_session(estimate, cfg)
     x, y = sample_pair(cfg.channel, 2 * cfg.n, rng_data)
     code1 = code_for_rate(cfg.n, plan.rates[0], rng=rng_code1)
-    ir = run_ir(
-        x,
-        y,
-        code1,
-        lambda n0: code_for_rate(n0, plan.rates[1], rng=rng_code2),
-        plan.n0_bounds,
-        *plan.crossovers,
-        rng_guess,
-    )
+    ir = run_ir(x, y, code1, plan, rng_code2, rng_guess)
     if not ir.decode1.converged:
         return SessionReport(aborted=False, nominal_e=nominal_e, estimated_e=estimate, n=cfg.n,
                              transcript=ir.transcript, leak_bits=ir.leak_bits,

@@ -32,7 +32,7 @@ from qkdpost.keyrate import (
     tolerable_rate,
 )
 from qkdpost.oracle import lemma_suite
-from qkdpost.protocol import key_length, run_ir, toeplitz_hash
+from qkdpost.protocol import SessionPlan, key_length, run_ir, toeplitz_hash
 
 
 def report(num: int, ok: bool, detail: str) -> None:
@@ -147,7 +147,8 @@ def test_criterion_08_end_to_end_reconciliation():
     rate2 = binary_entropy(crossover2) + 0.05
     code1 = code_for_rate(n, rate1, rng=np.random.default_rng(800))
     bounds = (math.floor(n * (0.905 - 0.05)), math.ceil(n * (0.905 + 0.05)))
-    ell = key_length(p, n, margin=0.0)
+    plan = SessionPlan(point=p, rates=(rate1, rate2), crossovers=(crossover1, crossover2),
+                       n0_bounds=bounds, key_bits=key_length(p, n, margin=0.0))
 
     successes = 0
     keys_match = True
@@ -158,20 +159,16 @@ def test_criterion_08_end_to_end_reconciliation():
         # violated, so the guess stream never draws.
         rng_data, rng_code2, rng_hash, rng_guess = map(np.random.default_rng, stream.spawn(4))
         x, y = sample_pair(p, 2 * n, rng_data)
-        ir = run_ir(
-            x, y, code1,
-            lambda n0: code_for_rate(n0, rate2, rng=rng_code2),
-            bounds, crossover1, crossover2, rng_guess,
-        )
+        ir = run_ir(x, y, code1, plan, rng_code2, rng_guess)
         successes += ir.reconciliation_ok
         leak_exact &= not ir.bounds_violated
         leak_exact &= ir.leak_bits == code1.m + math.ceil(ir.n_hat0 * rate2)
         n0_in_window &= abs(ir.n_hat0 / n - 0.905) <= 0.01
         if ir.reconciliation_ok:
-            seed = rng_hash.integers(0, 2, size=2 * n + ell - 1, dtype=np.uint8)
+            seed = rng_hash.integers(0, 2, size=2 * n + plan.key_bits - 1, dtype=np.uint8)
             keys_match &= bool(np.array_equal(
-                toeplitz_hash(seed, ir.u_hat, ell),
-                toeplitz_hash(seed, ir.u_tilde, ell),
+                toeplitz_hash(seed, ir.u_hat, plan.key_bits),
+                toeplitz_hash(seed, ir.u_tilde, plan.key_bits),
             ))
     elapsed = time.perf_counter() - start
     ok = successes >= 99 and keys_match and leak_exact and n0_in_window and elapsed <= 300.0

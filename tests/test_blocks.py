@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdpost.blocks import as_bits, as_count, parity_seq, partition, second_bit_seq
+from qkdpost.blocks import as_bits, as_count, as_real, parity_seq, partition, second_bit_seq
 from qkdpost.channel import derived_dists, sample_pair, six_state_point
-from qkdpost.codes import ParityCheck, bp_decode, code_for_rate
+from qkdpost.codes import ParityCheck, bp_decode, code_for_rate, ml_decode
 from qkdpost.entropy import type_deviation_bound
 from qkdpost.oracle import lemma_suite, partial_trace, random_density
 from qkdpost.protocol import SessionConfig, key_length, toeplitz_hash
@@ -81,6 +81,41 @@ def test_count_arguments_take_integers_only(name, call):
         with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(bad))} must be an integer$"):
             call(bad)
     for good in (np.int64(2), np.uint8(2)):
+        call(good)
+
+
+def test_as_real():
+    # No range: NaN and infinity pass here, and each caller's range test fails them.
+    for value in (0.25, 1, np.float32(0.25), np.float64(0.25), np.int64(1), float("nan"), float("inf")):
+        out = as_real("x", value)
+        assert type(out) is float and (out == value or out != out)
+    for bad in (None, True, False, "0.1", np.bool_(True), 1j):
+        with pytest.raises(ValueError, match=f"^x={re.escape(repr(bad))} must be a real number$"):
+            as_real("x", bad)
+
+
+# Every public real argument, called with one value v for it and valid
+# values for the rest; 0.1 is in range for each.
+_REAL_ARGUMENTS = [
+    ("SessionConfig", "delta", lambda v: SessionConfig(channel=six_state_point(0.05), delta=v)),
+    ("SessionConfig", "abort_tolerance", lambda v: SessionConfig(channel=six_state_point(0.05), abort_tolerance=v)),
+    ("SessionConfig", "finite_size_margin",
+     lambda v: SessionConfig(channel=six_state_point(0.05), finite_size_margin=v)),
+    ("key_length", "margin", lambda v: key_length(six_state_point(0.05), 10, v)),
+    ("code_for_rate", "target_rate", lambda v: code_for_rate(4, v, rng=np.random.default_rng(0))),
+    ("bp_decode", "crossover", lambda v: bp_decode(_SMALL_CODE, np.ones(2, np.uint8), v)),
+    ("ml_decode", "crossover", lambda v: ml_decode(_SMALL_CODE, np.ones(2, np.uint8), v)),
+]
+
+
+@pytest.mark.parametrize(
+    "name, call", [pytest.param(name, call, id=f"{where}-{name}") for where, name, call in _REAL_ARGUMENTS]
+)
+def test_real_arguments_take_reals_only(name, call):
+    for bad in (None, True, "0.1"):
+        with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(bad))} must be a real number$"):
+            call(bad)
+    for good in (np.float32(0.1), np.float64(0.1)):
         call(good)
 
 

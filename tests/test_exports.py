@@ -1,7 +1,12 @@
-"""Every name a qkdpost module exports in __all__ is bound in that module."""
+"""Every name a qkdpost module exports in __all__ is bound in that module,
+and the README's library example runs against the current API."""
 
+import contextlib
 import importlib
+import io
 import pkgutil
+import re
+from pathlib import Path
 
 import pytest
 
@@ -19,3 +24,13 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"qkdpost.{name}")
     for export in getattr(module, "__all__", ()):
         assert hasattr(module, export), f"qkdpost.{name}.__all__ names unbound {export!r}"
+
+
+def test_readme_library_example_runs():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    example = re.search(r"^## Library example\n.*?^```python\n(.*?)^```", readme, re.S | re.M)
+    assert example, "README.md has no python block under ## Library example"
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        exec(compile(example.group(1), "README.md", "exec"), {})
+    assert out.getvalue().startswith("0.5443")

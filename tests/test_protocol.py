@@ -28,7 +28,6 @@ from qkdpost.keyrate import bb84_rate, rate_proposed
 from qkdpost.protocol import (
     ALICE_TO_BOB,
     BOB_TO_ALICE,
-    Abort,
     Message,
     SessionConfig,
     SessionPlan,
@@ -54,38 +53,46 @@ def _message(transcript, label):
 
 def test_parameter_estimation_accepts():
     x = np.array([0, 1, 1, 0], dtype=np.uint8)
-    out = parameter_estimation(x, x.copy(), nominal_e=0.0, tol=0.01)
+    out = parameter_estimation(x, x.copy())
     assert out == 0.0
+    assert SessionConfig(channel=BellDiagonal(1.0, 0.0, 0.0, 0.0), abort_tolerance=0.01).accepts(out)
 
 
 def test_parameter_estimation_aborts():
     x = np.array([0, 1, 1, 0], dtype=np.uint8)
-    out = parameter_estimation(x, x ^ 1, nominal_e=0.05, tol=0.02)
-    assert isinstance(out, Abort)
-    assert out.estimate == 1.0
-    assert out.nominal == 0.05
+    out = parameter_estimation(x, x ^ 1)
+    assert out == 1.0
+    assert not SessionConfig(channel=six_state_point(0.05), abort_tolerance=0.02).accepts(out)
+
+
+def test_accepts_boundary():
+    # Exactly representable values: the tolerance's edge is accepted, one
+    # step of 2^-10 past it is not, on either side of the nominal rate.
+    cfg = SessionConfig(channel=BellDiagonal(0.75, 0.25, 0.0, 0.0), abort_tolerance=0.125)
+    assert cfg.channel.bit_flip_rate() == 0.25
+    assert cfg.accepts(0.375) and cfg.accepts(0.125)
+    assert not cfg.accepts(0.375 + 2**-10) and not cfg.accepts(0.125 - 2**-10)
 
 
 def test_parameter_estimation_validation():
     x = np.zeros(4, dtype=np.uint8)
     with pytest.raises(ValueError):
-        parameter_estimation(x, np.zeros(3, dtype=np.uint8), 0.0, 0.01)
+        parameter_estimation(x, np.zeros(3, dtype=np.uint8))
     with pytest.raises(ValueError):
-        parameter_estimation(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8), 0.0, 0.01)
+        parameter_estimation(np.zeros(0, dtype=np.uint8), np.zeros(0, dtype=np.uint8))
 
 
 def test_parameter_estimation_abort_rate():
     # The type-class proxy bound uses L1 radius 2*tol on a binary alphabet.
     # It is vacuous at this sample size, so also pin an empirical ceiling.
-    p = six_state_point(0.05)
-    m, tol = 10_000, 0.02
+    cfg = SessionConfig(channel=six_state_point(0.05), m=10_000, abort_tolerance=0.02)
     rng = np.random.default_rng(15)
     aborts = 0
     trials = 100
     for _ in range(trials):
-        x, y = sample_pair(p, m, rng)
-        aborts += isinstance(parameter_estimation(x, y, 0.05, tol), Abort)
-    assert aborts / trials <= type_deviation_bound(m, 2.0 * tol, 2)
+        x, y = sample_pair(cfg.channel, cfg.m, rng)
+        aborts += not cfg.accepts(parameter_estimation(x, y))
+    assert aborts / trials <= type_deviation_bound(cfg.m, 2.0 * cfg.abort_tolerance, 2)
     assert aborts / trials <= 0.05
 
 
@@ -224,16 +231,20 @@ def test_key_length():
         key_length(noiseless, 0, margin=0.0)
 
 
+def _plan(n0_bounds, crossovers, rate2=0.5):
+    """A plan for run_ir, which reads its window, both crossovers and round
+    two's rate; the point, round one's rate and the key length go unread."""
+    return SessionPlan(point=six_state_point(0.05), rates=(0.5, rate2), crossovers=crossovers,
+                       n0_bounds=n0_bounds, key_bits=0)
+
+
 def test_run_ir_noiseless():
     rng = np.random.default_rng(19)
     n = 64
     x = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
     code1 = dense_code(n, 0.5, seed=20)
-    ir = run_ir(
-        x, x.copy(), code1,
-        lambda n0: dense_code(n0, 0.2, seed=21),
-        (0, n), crossover1=0.01, crossover2=0.01, rng=np.random.default_rng(21),
-    )
+    ir = run_ir(x, x.copy(), code1, _plan((0, n), (0.01, 0.01), rate2=0.2),
+                rng_code2=np.random.default_rng(21), rng=np.random.default_rng(21))
     assert ir.reconciliation_ok
     assert ir.n_hat0 == n
     assert not ir.bounds_violated
@@ -274,11 +285,8 @@ def test_run_ir_single_block_error(exact_decode):
         == target and bin(v).count("1") <= 1
     ]
     assert matches == [0b00010000]
-    ir = run_ir(
-        x, y, code1,
-        lambda n0: dense_code(n0, 0.5, seed=23),
-        (0, n), crossover1=0.1, crossover2=0.01, rng=np.random.default_rng(23),
-    )
+    ir = run_ir(x, y, code1, _plan((0, n), (0.1, 0.01)),
+                rng_code2=np.random.default_rng(23), rng=np.random.default_rng(23))
     assert np.array_equal(_message(ir.transcript, "w1hat").payload, w1_true)
     assert ir.n_hat0 == 7
     assert ir.reconciliation_ok
@@ -295,11 +303,8 @@ def test_run_ir_bounds_violation_guess(exact_decode):
     x = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
     y = x.copy()
     y[10] ^= 1
-    ir = run_ir(
-        x, y, code1,
-        lambda n0: dense_code(n0, 0.5, seed=26),
-        (n, n), crossover1=0.05, crossover2=0.01, rng=np.random.default_rng(27),
-    )
+    ir = run_ir(x, y, code1, _plan((n, n), (0.05, 0.01)),
+                rng_code2=np.random.default_rng(26), rng=np.random.default_rng(27))
     assert ir.bounds_violated
     assert ir.decode2 is None
     assert _labels(ir.transcript) == ("t1", "w1hat")
@@ -317,11 +322,8 @@ def test_run_ir_no_survivors(exact_decode):
     x = rng.integers(0, 2, size=2 * n, dtype=np.uint8)
     y = x.copy()
     y[0::2] ^= 1
-    ir = run_ir(
-        x, y, code1,
-        lambda n0: dense_code(n0, 0.5, seed=29),
-        (0, n), crossover1=0.3, crossover2=0.01, rng=np.random.default_rng(29),
-    )
+    ir = run_ir(x, y, code1, _plan((0, n), (0.3, 0.01)),
+                rng_code2=np.random.default_rng(29), rng=np.random.default_rng(29))
     assert ir.n_hat0 == 0
     assert not ir.bounds_violated
     assert ir.decode2 is None
@@ -335,24 +337,55 @@ def test_run_ir_validation():
     n = 8
     code1 = dense_code(n, 0.5, seed=30)
     x = np.zeros(2 * n, dtype=np.uint8)
-    factory = lambda n0: dense_code(n0, 0.5, seed=31)
+    plan = _plan((0, n), (0.1, 0.1))
     rng = np.random.default_rng(32)
     with pytest.raises(ValueError):
-        run_ir(x, np.zeros(2 * n - 1, dtype=np.uint8), code1, factory, (0, n), 0.1, 0.1, rng)
+        run_ir(x, np.zeros(2 * n - 1, dtype=np.uint8), code1, plan, rng, rng)
     with pytest.raises(ValueError):
         run_ir(np.zeros(2 * n + 2, dtype=np.uint8), np.zeros(2 * n + 2, dtype=np.uint8),
-               code1, factory, (0, n), 0.1, 0.1, rng)
-    with pytest.raises(ValueError):
-        run_ir(x, x, code1, factory, (5, 3), 0.1, 0.1, rng)
-    with pytest.raises(ValueError):
-        run_ir(x, x, code1, factory, (0, n + 1), 0.1, 0.1, rng)
-    bad_factory = lambda n0: dense_code(n0 - 1, 0.5, seed=32)
-    ones = x.copy()
-    ones[0] ^= 1
-    with pytest.raises(ValueError):
-        run_ir(x, ones, code1, bad_factory, (0, n), 0.1, 0.1, rng)
+               code1, plan, rng, rng)
+    # The window is read with the count rule: a fraction is not truncated.
+    bad_windows = (((5, 3), "n0_bounds[1]=3 must be >= 5"),
+                   ((0, n + 1), "n0_bounds[1]=9 must be at most 8"),
+                   ((-1, 4), "n0_bounds[0]=-1 must be >= 0"),
+                   ((0.5, 4.9), "n0_bounds[0]=0.5 must be an integer"),
+                   ((0, 4.9), "n0_bounds[1]=4.9 must be an integer"),
+                   ((None, 4), "n0_bounds[0]=None must be an integer"))
+    for bounds, message in bad_windows:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_ir(x, x, code1, plan._replace(n0_bounds=bounds), rng, rng)
     with pytest.raises(TypeError, match="rng"):
-        run_ir(x, x, code1, factory, (0, n), 0.1, 0.1)
+        run_ir(x, x, code1, plan, rng)
+
+
+def test_run_ir_reads_its_plan(monkeypatch):
+    # The rounds differ in rate and crossover, so a swap between them shows;
+    # one flipped raw bit leaves 63 survivors and no round-two noise.
+    built, crossovers = [], []
+
+    def recorded_code(n, rate, rng):
+        built.append((n, rate, code_for_rate(n, rate, rng=rng)))
+        return built[-1][2]
+
+    def recorded_decode(code, t, crossover, **kwargs):
+        crossovers.append(crossover)
+        return bp_decode(code, t, crossover, **kwargs)
+
+    n = 64
+    code1 = code_for_rate(n, 0.6, rng=np.random.default_rng(43))
+    monkeypatch.setattr("qkdpost.protocol.code_for_rate", recorded_code)
+    monkeypatch.setattr("qkdpost.protocol.bp_decode", recorded_decode)
+    plan = _plan((0, n), (0.02, 0.004), rate2=0.3)
+    x = np.random.default_rng(44).integers(0, 2, size=2 * n, dtype=np.uint8)
+    y = x.copy()
+    y[10] ^= 1
+    ir = run_ir(x, y, code1, plan, np.random.default_rng(45), np.random.default_rng(46))
+    assert ir.reconciliation_ok and ir.n_hat0 == n - 1
+    assert [(size, rate) for size, rate, _ in built] == [(ir.n_hat0, plan.rates[1])]
+    reference = code_for_rate(ir.n_hat0, plan.rates[1], rng=np.random.default_rng(45))
+    assert np.array_equal(built[0][2].to_dense(), reference.to_dense())
+    assert tuple(crossovers) == plan.crossovers
+    assert ir.leak_bits == code1.m + reference.m
 
 
 def test_run_ir_operating_point():
@@ -364,15 +397,13 @@ def test_run_ir_operating_point():
     rate1 = binary_entropy(c1) + 0.05
     rate2 = binary_entropy(c2) + 0.05
     code1 = code_for_rate(n, rate1, rng=np.random.default_rng(33))
-    bounds = (math.floor(n * (0.905 - 0.05)), math.ceil(n * (0.905 + 0.05)))
+    plan = SessionPlan(point=p, rates=(rate1, rate2), crossovers=(c1, c2),
+                       n0_bounds=(math.floor(n * (0.905 - 0.05)), math.ceil(n * (0.905 + 0.05))),
+                       key_bits=key_length(p, n, 0.0))
     rng = np.random.default_rng(34)
     for _ in range(3):
         x, y = sample_pair(p, 2 * n, rng)
-        ir = run_ir(
-            x, y, code1,
-            lambda n0: code_for_rate(n0, rate2, rng=np.random.default_rng(35)),
-            bounds, c1, c2, np.random.default_rng(36),
-        )
+        ir = run_ir(x, y, code1, plan, np.random.default_rng(35), np.random.default_rng(36))
         assert ir.reconciliation_ok
         assert not ir.bounds_violated
         assert abs(ir.n_hat0 / n - 0.905) <= 0.01
@@ -417,7 +448,7 @@ def test_session_decode_call_pattern(monkeypatch, fail_first):
     n = 16
     code1 = dense_code(n, 0.5, seed=39)
     x = np.random.default_rng(40).integers(0, 2, size=2 * n, dtype=np.uint8)
-    ir = run_ir(x, x.copy(), code1, lambda n0: dense_code(n0, 0.5, seed=41), (0, n), 0.1, 0.01,
+    ir = run_ir(x, x.copy(), code1, _plan((0, n), (0.1, 0.01)), np.random.default_rng(41),
                 np.random.default_rng(42))
     assert calls == [{"max_iters": 300}] * (1 if fail_first else 2)
     if fail_first:
