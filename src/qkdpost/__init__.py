@@ -13,7 +13,9 @@ The package has three layers:
 
 The ``qkdpost`` console script exposes key-rate sweeps, end-to-end session
 simulation, and the verification suites. The package root holds only
-``__version__``; every other name is imported from its submodule.
+``__version__``; every other name is imported from its submodule. A record
+that only holds fields is a ``typing.NamedTuple``; a frozen dataclass is kept
+only where the class validates its fields.
 """
 
 __version__ = "0.1.0"

@@ -27,7 +27,7 @@ session's rate margins.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -108,8 +108,7 @@ def _in_runs(ordered: np.ndarray) -> np.ndarray:
     return mask
 
 
-@dataclass(frozen=True)
-class DecodeResult:
+class DecodeResult(NamedTuple):
     """Decoder output; converged guarantees the syndrome is matched.
 
     For a (B, m) syndrome stack, error_estimate is (B, n) and converged and

@@ -38,7 +38,7 @@ one bracket than building a BellDiagonal per step.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -158,8 +158,7 @@ _CLOSED_FORMS = {
 }
 
 
-@dataclass(frozen=True)
-class RatePoint:
+class RatePoint(NamedTuple):
     """All curves at one error rate; raw values, clamps via accessors.
 
     For BB84 rows, first_arg/second_arg are evaluated at the p11 minimizing
@@ -402,8 +401,7 @@ def bb84_curve(e_grid) -> list[RatePoint]:
     ]
 
 
-@dataclass(frozen=True)
-class ThresholdResult:
+class ThresholdResult(NamedTuple):
     """Zero crossing of a rate curve; e_star is None, and found False, when
     the curve stays positive on [0, 1/2]."""
 

@@ -29,6 +29,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -395,8 +396,7 @@ def discrete_twirl(sigma) -> np.ndarray:
     return out / 4.0
 
 
-@dataclass(frozen=True)
-class WorstCaseRecord:
+class WorstCaseRecord(NamedTuple):
     """Bracket quantities for a state and its twirl, plus the block laws."""
 
     first_original: float

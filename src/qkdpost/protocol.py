@@ -28,7 +28,7 @@ entropy quantities behind such a claim have no closed form here.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +72,10 @@ _LABEL_ORDER = tuple(_LABEL_DIRECTION)
 
 # Decoder validity clamp for degenerate estimates (noiseless or saturated).
 _CROSSOVER_FLOOR = 1e-12
+
+# The empty bit string every keyless record shares, read-only so none can change it.
+_NO_BITS = np.zeros(0, dtype=np.uint8)
+_NO_BITS.flags.writeable = False
 
 
 def _bits_hex(bits: np.ndarray) -> str:
@@ -142,8 +146,7 @@ def parameter_estimation(sample_x: np.ndarray, sample_y: np.ndarray) -> float:
     return float(np.sum(x ^ y)) / x.size
 
 
-@dataclass(frozen=True)
-class IrResult:
+class IrResult(NamedTuple):
     """Outputs of the reconciliation rounds.
 
     u_hat and u_tilde are Alice's and Bob's length-2n reconciled strings,
@@ -214,8 +217,14 @@ def run_ir(
         raise ValueError(f"raw key lengths differ: {x.size} vs {y.size}")
     if x.size != 2 * n:
         raise ValueError(f"raw key length {x.size}, expected {2 * n} for the round-one code")
-    lo = as_count("n0_bounds[0]", plan.n0_bounds[0], 0, n)
-    hi = as_count("n0_bounds[1]", plan.n0_bounds[1], lo, n)
+    # A hand-built plan is checked once, here, with each error naming its field.
+    for i in (0, 1):
+        if not 0.0 < as_real(f"plan.crossovers[{i}]", plan.crossovers[i]) < 0.5:
+            raise ValueError(f"plan.crossovers[{i}]={plan.crossovers[i]} must be in (0, 1/2)")
+    if not 0.0 < as_real("plan.rates[1]", plan.rates[1]) < 1.0:
+        raise ValueError(f"plan.rates[1]={plan.rates[1]} must be in (0, 1)")
+    lo = as_count("plan.n0_bounds[0]", plan.n0_bounds[0], 0, n)
+    hi = as_count("plan.n0_bounds[1]", plan.n0_bounds[1], lo, n)
 
     u1 = parity_seq(x)
     v1 = parity_seq(y)
@@ -224,8 +233,7 @@ def run_ir(
 
     decode1 = bp_decode(code1, t1 ^ code1.syndrome(v1), plan.crossovers[0], max_iters=300)
     if not decode1.converged:
-        empty = np.zeros(0, dtype=np.uint8)
-        return IrResult(u_hat=empty, u_tilde=empty, transcript=transcript, leak_bits=code1.m,
+        return IrResult(u_hat=_NO_BITS, u_tilde=_NO_BITS, transcript=transcript, leak_bits=code1.m,
                         n_hat0=0, bounds_violated=False, reconciliation_ok=False,
                         decode1=decode1, decode2=None)
     w1hat = decode1.error_estimate
@@ -364,8 +372,7 @@ class SessionConfig:
         return abs(estimate - self.channel.bit_flip_rate()) <= self.abort_tolerance
 
 
-@dataclass(frozen=True)
-class SessionReport:
+class SessionReport(NamedTuple):
     """Immutable record of one session.
 
     leak_bits is exactly |t1| + |t2|; empirical_key_rate is
@@ -375,17 +382,17 @@ class SessionReport:
     None for rounds that never ran. estimated_e sits next to the nominal
     rate so calibration drift is visible in the report itself. The defaults
     describe a session that stopped before reconciliation: no messages, no
-    leak, empty keys.
+    leak, empty keys; the empty keys are one shared read-only array.
     """
 
     aborted: bool
     nominal_e: float
     estimated_e: float
     n: int
-    transcript: Transcript = field(default_factory=Transcript)
+    transcript: Transcript = Transcript()
     leak_bits: int = 0
-    key_alice: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
-    key_bob: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.uint8))
+    key_alice: np.ndarray = _NO_BITS
+    key_bob: np.ndarray = _NO_BITS
     reconciliation_ok: bool = False
     key_match: bool = False
     empirical_key_rate: float = 0.0
@@ -415,7 +422,6 @@ class SessionReport:
         }
 
 
-# A NamedTuple: immutable, at an eighth of a frozen dataclass's import cost.
 class SessionPlan(NamedTuple):
     """Sizing of one session, fixed by its estimate before any syndrome is sent.
 

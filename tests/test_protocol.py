@@ -8,7 +8,6 @@ bp_decode calls a session makes. Hash claims are verified against the
 explicit matrix construction.
 """
 
-import dataclasses
 import functools
 import json
 import math
@@ -358,6 +357,31 @@ def test_run_ir_validation():
         run_ir(x, x, code1, plan, rng)
 
 
+def test_run_ir_checks_a_hand_built_plan(monkeypatch):
+    # Every plan field run_ir reads is checked before t1 is sent, so a bad
+    # round-two field fails even when round two would not run: this plan's
+    # (0, 0) window is missed by all 8 survivors.
+    n = 8
+    code1 = ParityCheck.from_dense(np.eye(n, dtype=np.uint8))
+    x = np.zeros(2 * n, dtype=np.uint8)
+    rng = np.random.default_rng(47)
+    sent = []
+    monkeypatch.setattr("qkdpost.protocol.Message",
+                        lambda label, payload: sent.append(label) or Message(label, payload))
+    plan = SessionPlan(point=six_state_point(0.05), rates=(0.5, 1.5), crossovers=(0.1, None),
+                       n0_bounds=(0, 0), key_bits=0)
+    fixed = plan._replace(crossovers=(0.1, 0.01))
+    bad_fields = ((plan, "plan.crossovers[1]=None must be a real number"),
+                  (fixed, "plan.rates[1]=1.5 must be in (0, 1)"),
+                  (fixed._replace(rates=(0.5, True)), "plan.rates[1]=True must be a real number"),
+                  (fixed._replace(crossovers=(0.5, 0.01)), "plan.crossovers[0]=0.5 must be in (0, 1/2)"),
+                  (fixed._replace(crossovers=(0.1, math.nan)), "plan.crossovers[1]=nan must be in (0, 1/2)"))
+    for bad, message in bad_fields:
+        with pytest.raises(ValueError, match=re.escape(message)):
+            run_ir(x, x, code1, bad, rng, rng)
+    assert sent == []
+
+
 def test_run_ir_reads_its_plan(monkeypatch):
     # The rounds differ in rate and crossover, so a swap between them shows;
     # one flipped raw bit leaves 63 survivors and no round-two noise.
@@ -429,7 +453,7 @@ def test_exact_and_starved_decoders():
 
 def _unconverged(code, t, crossover, **kwargs):
     """bp_decode, reporting non-convergence whatever it found."""
-    return dataclasses.replace(bp_decode(code, t, crossover, **kwargs), converged=False)
+    return bp_decode(code, t, crossover, **kwargs)._replace(converged=False)
 
 
 @pytest.mark.parametrize("fail_first", [False, True])
@@ -694,6 +718,8 @@ def test_full_session_abort():
     assert not report.key_match
     assert report.empirical_key_rate == 0.0
     assert report.decode1_converged is None
+    with pytest.raises(ValueError, match="read-only"):
+        report.key_alice[:] = 1
 
 
 def test_full_session_stops_after_failed_round_one(monkeypatch):
