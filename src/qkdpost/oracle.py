@@ -21,7 +21,10 @@ eavesdropper's system, and its probability is the trace (or squared norm).
 
 All computations stay at dimension <= 256. Every entropy and support comes
 from eigendecompositions of Hermitian matrices; fidelity alone takes the
-general eigenvalues of rho*sigma. Entropies are in bits.
+general eigenvalues of rho*sigma. Entropies are in bits. Each entropy helper
+has one core over (..., d, d) stacks; its public one-matrix function checks
+the input and calls that core, and lemma_suite solves a chunk of samples with
+one LAPACK call per quantity.
 """
 
 from __future__ import annotations
@@ -67,30 +70,26 @@ _MAX_DIM = 256
 QUANTUM = "quantum"
 
 
-def _as_matrix(rho) -> np.ndarray:
+def _finite(rho) -> np.ndarray:
+    """A public entry point's square matrix of dimension at most _MAX_DIM,
+    without NaN and infinite entries: LAPACK fails on some placements and
+    on others (a NaN on the diagonal) returns finite, wrong eigenvalues."""
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     if rho.shape[0] > _MAX_DIM:
         raise ValueError(f"dimension {rho.shape[0]} exceeds {_MAX_DIM}")
-    return rho
-
-
-def _finite(rho) -> np.ndarray:
-    """_as_matrix for a public entry point, rejecting NaN and infinite
-    entries: LAPACK fails on some placements and on others (a NaN on the
-    diagonal) returns finite, wrong eigenvalues."""
-    rho = _as_matrix(rho)
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
     return rho
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of two matrices by one broadcast product (the same products,
-    without np.kron's per-call shape handling)."""
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+    """np.kron of the last two axes, stacks broadcasting, by one broadcast
+    product (the same products, without np.kron's per-call shape handling)."""
+    (m, n), (p, q) = a.shape[-2:], b.shape[-2:]
+    prod = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return prod.reshape(prod.shape[:-4] + (m * p, n * q))
 
 
 def check_density(rho) -> np.ndarray:
@@ -108,35 +107,39 @@ def check_density(rho) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-sum lambda log2 lambda over the eigenvalues; zeros contribute 0."""
-    return _spectral_entropy(_finite(rho))
+    return _spectral_entropy(_finite(rho)[None])[0]
 
 
-def _spectral_entropy(rho: np.ndarray) -> float:
-    """-sum lambda log2 lambda of a positive semidefinite matrix built here
-    from finite inputs. Unit trace is not required: for a subnormalized
-    block A this is -tr A log2 A."""
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
+def _spectral_entropy(rho: np.ndarray) -> list:
+    """-sum lambda log2 lambda of each positive semidefinite matrix in a stack
+    built here from finite inputs. Unit trace is not required: for a
+    subnormalized block A this is -tr A log2 A. eigvalsh sorts ascending, so
+    terms holds each row's positive eigenvalues as one run, row after row."""
+    eigs = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
     if eigs.min() < -_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs.min()}")
-    eigs = eigs[eigs > 0.0]
-    return float(-np.sum(eigs * np.log2(eigs))) if eigs.size else 0.0
+    positive = eigs > 0.0
+    terms = eigs[positive] * np.log2(eigs[positive])
+    ends = np.cumsum(positive.sum(axis=-1)).tolist()
+    return [float(-np.sum(terms[a:b])) if b > a else 0.0 for a, b in zip([0, *ends], ends)]
 
 
 def max_entropy(rho) -> float:
     """log2 of the rank (eigenvalues above _TOL)."""
-    rho = _finite(rho)
-    eigs = np.linalg.eigvalsh((rho + rho.conj().T) / 2.0)
-    rank = int(np.count_nonzero(eigs > _TOL))
-    if rank == 0:
+    return _max_entropy(_finite(rho)[None])[0]
+
+
+def _max_entropy(rho: np.ndarray) -> list:
+    ranks = np.count_nonzero(np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2.0) > _TOL, axis=-1)
+    if not ranks.all():
         raise ValueError("zero operator has no rank")
-    return math.log2(rank)
+    return [math.log2(rank) for rank in ranks.tolist()]
 
 
-def _support(rho):
-    """(eigenvalues, isometry onto the support)."""
-    w, v = np.linalg.eigh((rho + rho.conj().T) / 2.0)
-    keep = w > _TOL
-    return w[keep], v[:, keep]
+def _support(rho: np.ndarray):
+    """(eigenvalues, eigenvectors, support size k) of each matrix; the support is the last k."""
+    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
+    return w, v, np.count_nonzero(w > _TOL, axis=-1)
 
 
 def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
@@ -151,55 +154,69 @@ def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
     da, db = dims
     if rho_ab.shape[0] != da * db or sigma_b.shape[0] != db:
         raise ValueError("dimension mismatch between state and conditioning system")
-    ws, vs = _support(sigma_b)
-    if ws.size == 0:
-        return float("-inf")
-    rho_b = partial_trace(rho_ab, (da, db), (1,))
-    leak = np.trace(rho_b).real - np.trace(vs.conj().T @ rho_b @ vs).real
-    if leak > _TOL:
-        return float("-inf")
-    iso = _kron(np.eye(da), vs)
-    core = iso.conj().T @ rho_ab @ iso
-    scale = _kron(np.eye(da), np.diag(ws**-0.5))
-    lam = float(np.linalg.eigvalsh(scale @ core @ scale).max())
-    if lam <= 0.0:
-        return float("inf")
-    return -math.log2(lam)
+    return float(_min_entropy(rho_ab[None], sigma_b[None], da, db)[0])
+
+
+def _min_entropy(rho_ab: np.ndarray, sigma_b: np.ndarray, da: int, db: int) -> np.ndarray:
+    """min_entropy of each pair in stacks (n, da*db, da*db) and (n, db, db), solved in groups
+    of one support size k of sigma_B, so each row runs the arithmetic of its one-matrix call."""
+    out = np.full(len(rho_ab), -math.inf)
+    w_all, v_all, ks = _support(sigma_b)
+    rho_b = _partial_trace(rho_ab, (da, db), (1,))
+    for k in np.unique(ks[ks > 0]).tolist():
+        rows = np.flatnonzero(ks == k)
+        vs = v_all[rows, :, db - k :]
+        inside = vs.conj().swapaxes(1, 2) @ rho_b[rows] @ vs
+        leak = np.trace(rho_b[rows], axis1=1, axis2=2).real - np.trace(inside, axis1=1, axis2=2).real
+        rows, vs = rows[~(leak > _TOL)], vs[~(leak > _TOL)]
+        iso = _kron(np.eye(da), vs)
+        scale = _kron(np.eye(da), (w_all[rows, db - k :] ** -0.5)[:, :, None] * np.eye(k))
+        lams = np.linalg.eigvalsh(scale @ (iso.conj().swapaxes(1, 2) @ rho_ab[rows] @ iso) @ scale)
+        out[rows] = [math.inf if lam <= 0.0 else -math.log2(lam) for lam in lams.max(axis=-1).tolist()]
+    return out
 
 
 def fidelity(rho, sigma) -> float:
     """Tr sqrt(sqrt(rho) sigma sqrt(rho)), via the eigenvalues of rho*sigma
     (same spectrum, no explicit square roots). Valid for subnormalized
     operators as well."""
-    rho = _finite(rho)
-    sigma = _finite(sigma)
+    return float(_fidelity(_finite(rho), _finite(sigma)))
+
+
+def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     eigs = np.linalg.eigvals(rho @ sigma)
-    return float(np.sum(np.sqrt(np.clip(eigs.real, 0.0, None))))
+    return np.sum(np.sqrt(np.clip(eigs.real, 0.0, None)), axis=-1)
 
 
 def trace_norm(op) -> float:
     """Sum of absolute eigenvalues (Hermitian input)."""
-    op = _finite(op)
-    return float(np.abs(np.linalg.eigvalsh((op + op.conj().T) / 2.0)).sum())
+    return float(_trace_norm(_finite(op)))
+
+
+def _trace_norm(op: np.ndarray) -> np.ndarray:
+    return np.abs(np.linalg.eigvalsh((op + op.conj().swapaxes(-1, -2)) / 2.0)).sum(axis=-1)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in keep (0-based, ascending)."""
-    rho = _as_matrix(rho)
+    rho = _finite(rho)
     dims = tuple(as_count("dims", d, 1) for d in dims)
     keep = sorted(set(keep))
-    k = len(dims)
     if rho.shape[0] != math.prod(dims):
         raise ValueError("dims do not factor the matrix dimension")
-    if any(i < 0 or i >= k for i in keep):
+    if any(i < 0 or i >= len(dims) for i in keep):
         raise ValueError("keep index out of range")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = [letters[i] for i in range(k)]
-    col = [letters[k + i] if i in keep else letters[i] for i in range(k)]
-    out = [letters[i] for i in keep] + [letters[k + i] for i in keep]
-    expr = "".join(row + col) + "->" + "".join(out)
-    d_keep = math.prod(dims[i] for i in keep) if keep else 1
-    return np.einsum(expr, rho.reshape(dims + dims)).reshape(d_keep, d_keep)
+    return _partial_trace(rho, dims, keep)
+
+
+def _partial_trace(rho: np.ndarray, dims: tuple, keep) -> np.ndarray:
+    """partial_trace of each matrix in a stack, unchecked."""
+    k, letters = len(dims), "abcdefghijklmnopqrstuvwxyz"
+    col = "".join(letters[k + i] if i in keep else letters[i] for i in range(k))
+    out = "".join(letters[i] for i in keep) + "".join(letters[k + i] for i in keep)
+    expr = f"...{letters[:k]}{col}->...{out}"
+    stack, d_keep = rho.shape[:-2], math.prod(dims[i] for i in keep)
+    return np.einsum(expr, rho.reshape(stack + dims + dims)).reshape(stack + (d_keep, d_keep))
 
 
 # --- purifications and the measured two-copy construction ---
@@ -228,8 +245,8 @@ def purify_bell_diagonal(p: BellDiagonal) -> np.ndarray:
 
 def purify_state(rho) -> np.ndarray:
     """Eigen-purification: sum_i sqrt(lambda_i) |v_i>|i>, environment = rank."""
-    w, v = _support(check_density(rho))
-    return (v * np.sqrt(w)).reshape(-1)
+    w, v, k = _support(check_density(rho))
+    return (v[:, w.size - k :] * np.sqrt(w[w.size - k :])).reshape(-1)
 
 
 @dataclass(frozen=True)
@@ -331,7 +348,7 @@ def _ccq_entropy(ccq: CcqState, names: set, with_quantum: bool) -> float:
         g = tuple(key[i] for i in idx)
         groups[g] = groups.get(g, 0.0) + op
     if with_quantum:
-        return math.fsum(_spectral_entropy(op) for op in groups.values())
+        return math.fsum(_spectral_entropy(np.stack(list(groups.values()))))
     probs = [float(np.trace(op).real) for op in groups.values()]
     return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
@@ -376,13 +393,11 @@ _PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
 _PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
 
 
-def _twirl_unitary(s: int, t: int) -> np.ndarray:
-    pauli = np.linalg.matrix_power(_PAULI_X, s) @ np.linalg.matrix_power(_PAULI_Z, t)
-    return _kron(pauli, pauli)
-
-
 # X^s Z^t (x) X^s Z^t for (s, t) = 00, 01, 10, 11
-_TWIRL_UNITARIES = tuple(_twirl_unitary(s, t) for s, t in itertools.product((0, 1), repeat=2))
+_PAULIS = np.stack(
+    [np.linalg.matrix_power(_PAULI_X, s) @ np.linalg.matrix_power(_PAULI_Z, t) for s in (0, 1) for t in (0, 1)]
+)
+_TWIRL_UNITARIES = _kron(_PAULIS, _PAULIS)
 
 
 def discrete_twirl(sigma) -> np.ndarray:
@@ -513,75 +528,79 @@ def random_bell_diagonal(rng: np.random.Generator) -> BellDiagonal:
     return BellDiagonal(*vals)
 
 
+_LEMMAS = ("monotonicity", "chain_rule", "removal", "sandwich_lower", "sandwich_upper", "operator_bound")
+# Samples per stack in lemma_suite: every LAPACK call sees a whole chunk,
+# and memory stays bounded at any sample count.
+_CHUNK = 256
+
+
 def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
     """Max violation per inequality over randomized instances.
 
     All instances are exact (no smoothing): each reported number should be
     <= 0 up to numerical noise, and the suite's consumers assert <= 1e-9.
+    Samples are drawn one by one and checked in stacks of at most _CHUNK.
     """
-    as_count("samples", samples, 1)
-    worst = {
-        "monotonicity": 0.0,
-        "chain_rule": 0.0,
-        "removal": 0.0,
-        "sandwich_lower": 0.0,
-        "sandwich_upper": 0.0,
-        "operator_bound": 0.0,
-    }
-    for _ in range(samples):
-        # monotonicity: adding a classical register cannot lower min-entropy
-        probs = rng.dirichlet(np.ones(2))
-        rho_bc_parts = [random_density(4, rng, rank=int(rng.integers(1, 5))) for _ in range(2)]
-        rho_xbc = np.zeros((8, 8), dtype=complex)
-        for x in range(2):
-            proj = np.zeros((2, 2), dtype=complex)
-            proj[x, x] = 1.0
-            rho_xbc += probs[x] * _kron(proj, rho_bc_parts[x])
-        rho_bc = probs[0] * rho_bc_parts[0] + probs[1] * rho_bc_parts[1]
-        sigma_c = random_density(2, rng)
-        lhs = min_entropy(rho_xbc, sigma_c, dims=(4, 2))
-        rhs = min_entropy(rho_bc, sigma_c, dims=(2, 2))
-        worst["monotonicity"] = max(worst["monotonicity"], rhs - lhs)
-
-        # chain rule witness: conditioning on B's uniformized support loses
-        # at most the max-entropy of B
-        rho_abc = random_density(8, rng, rank=int(rng.integers(1, 9)))
-        sigma_c = random_density(2, rng)
-        h_c = min_entropy(rho_abc, sigma_c, dims=(4, 2))
-        rho_b = partial_trace(rho_abc, (2, 2, 2), (1,))
-        wb, vb = _support(rho_b)
-        rank_b = wb.size
-        proj_b = vb @ vb.conj().T
-        sigma_bc = _kron(proj_b / rank_b, sigma_c)
-        h_bc = min_entropy(rho_abc, sigma_bc, dims=(2, 4))
-        worst["chain_rule"] = max(worst["chain_rule"], (h_c - math.log2(rank_b)) - h_bc)
-
-        # removal bound: discarding A costs at most its max-entropy
-        rho_abc = random_density(8, rng, rank=int(rng.integers(1, 9)))
-        sigma_c = random_density(2, rng)
-        lhs = min_entropy(rho_abc, sigma_c, dims=(4, 2))
-        rho_bc = partial_trace(rho_abc, (2, 2, 2), (1, 2))
-        rho_a = partial_trace(rho_abc, (2, 2, 2), (0,))
-        rhs = min_entropy(rho_bc, sigma_c, dims=(2, 2)) - max_entropy(rho_a)
-        worst["removal"] = max(worst["removal"], rhs - lhs)
-
-        # fidelity-distance sandwich on subnormalized operators
-        rho = random_density(4, rng) * float(rng.uniform(0.5, 1.0))
-        sig = random_density(4, rng) * float(rng.uniform(0.5, 1.0))
-        f = fidelity(rho, sig)
-        tn = trace_norm(rho - sig)
-        traces = np.trace(rho).real + np.trace(sig).real
-        worst["sandwich_lower"] = max(worst["sandwich_lower"], (traces - 2.0 * f) - tn)
-        worst["sandwich_upper"] = max(
-            worst["sandwich_upper"], tn - math.sqrt(max(traces**2 - 4.0 * f**2, 0.0))
-        )
-
-        # operator inequality behind the removal bound:
-        # rank(rho_A) id_A (x) rho_B >= rho_AB
-        rho_ab = random_density(4, rng, rank=int(rng.integers(1, 5)))
-        rho_a = partial_trace(rho_ab, (2, 2), (0,))
-        rho_b = partial_trace(rho_ab, (2, 2), (1,))
-        rank_a = int(np.count_nonzero(np.linalg.eigvalsh(rho_a) > _TOL))
-        gap = np.linalg.eigvalsh(rank_a * _kron(np.eye(2), rho_b) - rho_ab).min()
-        worst["operator_bound"] = max(worst["operator_bound"], -float(gap))
+    samples = as_count("samples", samples, 1)
+    worst = dict.fromkeys(_LEMMAS, 0.0)
+    for start in range(0, samples, _CHUNK):
+        for name, values in zip(_LEMMAS, _lemma_chunk(min(_CHUNK, samples - start), rng)):
+            worst[name] = max(worst[name], *values)
     return worst
+
+
+def _lemma_chunk(count: int, rng: np.random.Generator) -> tuple:
+    """Each inequality's violations on count fresh samples, in _LEMMAS and
+    sample order. A sample's inputs are drawn in the order its checks use them."""
+    draws = [
+        (
+            rng.dirichlet(np.ones(2)),
+            *(random_density(4, rng, rank=int(rng.integers(1, 5))) for _ in range(2)),
+            random_density(2, rng),
+            random_density(8, rng, rank=int(rng.integers(1, 9))),
+            random_density(2, rng),
+            random_density(8, rng, rank=int(rng.integers(1, 9))),
+            random_density(2, rng),
+            random_density(4, rng) * float(rng.uniform(0.5, 1.0)),
+            random_density(4, rng) * float(rng.uniform(0.5, 1.0)),
+            random_density(4, rng, rank=int(rng.integers(1, 5))),
+        )
+        for _ in range(count)
+    ]
+    probs, part0, part1, sigma_m, rho_c, sigma_c, rho_r, sigma_r, rho, sig, rho_ab = map(np.stack, zip(*draws))
+
+    # monotonicity: adding a classical register cannot lower min-entropy
+    rho_xbc = np.zeros((count, 8, 8), dtype=complex)
+    for x, part in enumerate((part0, part1)):
+        rho_xbc += probs[:, x, None, None] * _kron(np.diag([1.0 - x, x]), part)
+    rho_bc = probs[:, 0, None, None] * part0 + probs[:, 1, None, None] * part1
+    monotonicity = _min_entropy(rho_bc, sigma_m, 2, 2) - _min_entropy(rho_xbc, sigma_m, 4, 2)
+
+    # chain rule witness: conditioning on B's uniformized support loses
+    # at most the max-entropy of B
+    _, vb, rank_b = _support(_partial_trace(rho_c, (2, 2, 2), (1,)))
+    proj_b = np.empty((count, 2, 2), dtype=complex)
+    for k in np.unique(rank_b).tolist():
+        rows = np.flatnonzero(rank_b == k)
+        proj_b[rows] = vb[rows, :, 2 - k :] @ vb[rows, :, 2 - k :].conj().swapaxes(1, 2)
+    h_bc = _min_entropy(rho_c, _kron(proj_b / rank_b[:, None, None], sigma_c), 2, 4)
+    chain_rule = (_min_entropy(rho_c, sigma_c, 4, 2) - np.log2(rank_b)) - h_bc
+
+    # removal bound: discarding A costs at most its max-entropy
+    rho_bc = _partial_trace(rho_r, (2, 2, 2), (1, 2))
+    h_a = _max_entropy(_partial_trace(rho_r, (2, 2, 2), (0,)))
+    removal = (_min_entropy(rho_bc, sigma_r, 2, 2) - h_a) - _min_entropy(rho_r, sigma_r, 4, 2)
+
+    # fidelity-distance sandwich on subnormalized operators
+    fid, tn = _fidelity(rho, sig).tolist(), _trace_norm(rho - sig).tolist()
+    traces = np.trace(rho, axis1=1, axis2=2).real + np.trace(sig, axis1=1, axis2=2).real
+    # per-sample scalars, with the scalar powers and sqrt of the one-sample check
+    lower = [(t - 2.0 * f) - n for t, f, n in zip(traces, fid, tn)]
+    upper = [n - math.sqrt(max(t**2 - 4.0 * f**2, 0.0)) for t, f, n in zip(traces, fid, tn)]
+
+    # operator inequality behind the removal bound:
+    # rank(rho_A) id_A (x) rho_B >= rho_AB
+    rank_a = np.count_nonzero(np.linalg.eigvalsh(_partial_trace(rho_ab, (2, 2), (0,))) > _TOL, axis=-1)
+    bound = rank_a[:, None, None] * _kron(np.eye(2), _partial_trace(rho_ab, (2, 2), (1,))) - rho_ab
+    gaps = np.linalg.eigvalsh(bound).min(axis=-1)
+    return monotonicity.tolist(), chain_rule.tolist(), removal.tolist(), lower, upper, (-gaps).tolist()

@@ -9,6 +9,7 @@ construction itself is exercised, and test_oracle_stands_alone checks that
 it never reads the closed-form block laws.
 """
 
+import collections
 import itertools
 import math
 
@@ -20,11 +21,19 @@ from qkdpost.cli import SUITES
 from qkdpost.entropy import Dist, shannon_entropy
 from qkdpost.keyrate import rate_first_arg, rate_second_arg
 from qkdpost.oracle import (
+    _CHUNK,
     QUANTUM,
     CcqState,
     _coset_terms,
     _env_vector,
+    _fidelity,
     _kron,
+    _max_entropy,
+    _min_entropy,
+    _partial_trace,
+    _spectral_entropy,
+    _support,
+    _trace_norm,
     _two_copy_ccq_from_pure,
     assemble_two_copy_ccq,
     bell_basis_vector,
@@ -91,6 +100,7 @@ NON_FINITE_CALLS = {
     "fidelity": lambda m: fidelity(m, np.eye(4) / 4),
     "fidelity_sigma": lambda m: fidelity(np.eye(4) / 4, m),
     "discrete_twirl": lambda m: discrete_twirl(m),
+    "partial_trace": lambda m: partial_trace(m, (2, 2), (0,)),
 }
 
 
@@ -427,6 +437,105 @@ def test_lemma_suite():
     }
     for name, value in worst.items():
         assert value <= 1e-9, name
+
+
+# lemma_suite's exact dicts as recorded when it checked one sample at a time;
+# (200, 44) is criterion 06's draw.
+LEMMA_SUITE_PINNED = {
+    (200, 44): {
+        "monotonicity": "0.0",
+        "chain_rule": "1.5987211554602254e-14",
+        "removal": "0.0",
+        "sandwich_lower": "0.0",
+        "sandwich_upper": "0.0",
+        "operator_bound": "3.408205139269565e-16",
+    },
+    (60, 10): {
+        "monotonicity": "0.0",
+        "chain_rule": "1.1723955140041653e-13",
+        "removal": "0.0",
+        "sandwich_lower": "0.0",
+        "sandwich_upper": "0.0",
+        "operator_bound": "4.2328530079234257e-16",
+    },
+}
+
+
+@pytest.mark.parametrize("samples, seed", sorted(LEMMA_SUITE_PINNED))
+def test_lemma_suite_pinned(samples, seed):
+    worst = lemma_suite(samples, np.random.default_rng(seed))
+    assert {name: repr(value) for name, value in worst.items()} == LEMMA_SUITE_PINNED[samples, seed]
+
+
+def test_lemma_suite_chunks_draw_sample_by_sample():
+    # The stream is consumed sample by sample, so a run across a chunk
+    # boundary equals a full chunk followed by the rest on one generator.
+    whole = lemma_suite(_CHUNK + 7, np.random.default_rng(3))
+    rng = np.random.default_rng(3)
+    first, rest = lemma_suite(_CHUNK, rng), lemma_suite(7, rng)
+    assert whole == {name: max(first[name], rest[name]) for name in first}
+
+
+def test_lemma_suite_solves_in_stacks(monkeypatch):
+    # One LAPACK call per quantity and chunk: a per-sample loop would make
+    # the count grow with the sample count.
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    counts = []
+    for samples in (10, 100):
+        calls.clear()
+        lemma_suite(samples, np.random.default_rng(10))
+        counts.append(dict(calls))
+    assert counts[0] and counts[0] == counts[1]
+
+
+def _same(stacked, rows):
+    return np.asarray(stacked).tobytes() == np.asarray(rows).tobytes()
+
+
+def test_min_entropy_stack_equals_rows():
+    rng = np.random.default_rng(18)
+    b = np.diag([1.0, 0.0]).astype(complex)
+    rhos = [random_density(4, rng) for _ in range(4)]
+    sigmas = [random_density(2, rng) for _ in range(4)]
+    # a rank-1 sigma_B, a leak past it (-inf), a zero sigma_B (-inf) and a
+    # zero rho_AB, whose top eigenvalue 0 gives +inf
+    rhos += [_kron(random_density(2, rng), b), np.eye(4) / 4.0, random_density(4, rng), np.zeros((4, 4))]
+    sigmas += [b, b, np.zeros((2, 2)), random_density(2, rng)]
+    order = rng.permutation(len(rhos))
+    rhos, sigmas = np.stack(rhos)[order], np.stack(sigmas).astype(complex)[order]
+    stacked = _min_entropy(rhos, sigmas, 2, 2)
+    rows = [min_entropy(rho, sigma, dims=(2, 2)) for rho, sigma in zip(rhos, sigmas)]
+    assert _same(stacked, rows)
+    assert sorted(v for v in rows if not math.isfinite(v)) == [-math.inf, -math.inf, math.inf]
+    rhos = np.stack([random_density(8, rng, rank=r) for r in (1, 3, 8)])
+    sigmas = np.stack([random_density(4, rng, rank=r) for r in (4, 2, 4)])
+    stacked = _min_entropy(rhos, sigmas, 2, 4)
+    assert _same(stacked, [min_entropy(r, s, dims=(2, 4)) for r, s in zip(rhos, sigmas)])
+
+
+def test_entropy_cores_stack_equals_rows():
+    rng = np.random.default_rng(19)
+    ops = np.stack([random_density(4, rng, rank=r) for r in (1, 2, 3, 4, 4)] + [np.zeros((4, 4), complex)])
+    others = np.stack([random_density(4, rng) * 0.7 for _ in ops])
+    assert _same(_spectral_entropy(ops), [von_neumann_entropy(op) for op in ops])
+    assert _same(_max_entropy(ops[:-1]), [max_entropy(op) for op in ops[:-1]])
+    assert _same(_fidelity(ops, others), [fidelity(op, other) for op, other in zip(ops, others)])
+    assert _same(_trace_norm(ops - others), [trace_norm(op) for op in ops - others])
+    w, v, k = _support(ops)
+    for i, op in enumerate(ops):
+        assert all(_same(a[i], b) for a, b in zip((w, v, k), _support(op)))
+        assert _same(_kron(others, ops)[i], _kron(others[i], op))
+        assert _same(_kron(np.eye(2), ops)[i], np.kron(np.eye(2), op))
+    for dims, keep in (((2, 2), (0,)), ((2, 2), (1,)), ((2, 2), ()), ((4, 2), (1,))):
+        wide = ops if math.prod(dims) == 4 else np.stack([random_density(8, rng) for _ in range(3)])
+        stacked = _partial_trace(wide, dims, keep)
+        assert all(_same(stacked[i], partial_trace(op, dims, keep)) for i, op in enumerate(wide))
 
 
 @pytest.mark.parametrize("samples", [0, -1])
