@@ -208,17 +208,6 @@ class ParityCheck:
         return self._ml_cache
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    val = 0
-    for b in bits:
-        val = (val << 1) | int(b)
-    return val
-
-
-def _int_to_bits(val: int, width: int) -> np.ndarray:
-    return np.array([(val >> (width - 1 - i)) & 1 for i in range(width)], dtype=np.uint8)
-
-
 def ml_decode(H: ParityCheck, t: np.ndarray, crossover: float = 0.0) -> DecodeResult:
     """Exact ML for a BSC: minimum-weight coset member, lexicographic ties.
 
@@ -231,11 +220,11 @@ def ml_decode(H: ParityCheck, t: np.ndarray, crossover: float = 0.0) -> DecodeRe
     if t.size != H.m:
         raise ValueError(f"syndrome length {t.size}, expected {H.m}")
     synd, weight = H._ml_tables()
-    target = np.uint32(_bits_to_int(t))
-    cands = np.flatnonzero(synd == target)
+    # as in the tables, the first bit of a vector is the integer's highest
+    cands = np.flatnonzero(synd == t @ (1 << np.arange(H.m - 1, -1, -1)))
     key = (weight[cands].astype(np.int64) << H.n) | cands
-    best = int(cands[np.argmin(key)])
-    return DecodeResult(_int_to_bits(best, H.n), converged=True, iterations=0)
+    best = cands[np.argmin(key)]
+    return DecodeResult(((best >> np.arange(H.n - 1, -1, -1)) & 1).astype(np.uint8), converged=True, iterations=0)
 
 
 def bp_decode(

@@ -236,17 +236,20 @@ def _h(x: np.ndarray) -> np.ndarray:
 _BUILT_FROM = {"proposed": ("first_arg", "second_arg"), "bstep": ("second_arg",)}
 
 
-def _curves_vec(p00, p10, p01, p11, curves) -> dict[str, np.ndarray]:
-    """Raw values of the named curves on arrays of Bell-diagonal entries,
-    computing only the terms those curves need."""
+def _curves_vec(e, t, curves) -> dict[str, np.ndarray]:
+    """Raw values of the named curves on arrays of BB84 family points
+    (error rate e, p11 = t), computing only the terms those curves need.
+    The entries are _bb84_entries' unclamped: grid and polish points lie in
+    [0, e], and p10 = p01."""
     need = {term for c in curves for term in _BUILT_FROM.get(c, (c,))}
+    p01 = p10 = e - t
+    p00, p11 = 1.0 - 2.0 * e + t, t
     r0 = p00 + p01
     r1 = p10 + p11
     vals = {}
     if need & {"oneway", "first_arg", "vollbrecht"}:
         h10 = _plogp(p10)
-        h01 = h10 if p01 is p10 else _plogp(p01)
-        vals["oneway"] = base = 1.0 - (_plogp(p00) + h10 + h01 + _plogp(p11))
+        vals["oneway"] = base = 1.0 - (_plogp(p00) + h10 + h10 + _plogp(p11))
         denom = r0 * r1
         safe = denom > 0.0
     if "first_arg" in need:
@@ -266,12 +269,6 @@ def _curves_vec(p00, p10, p01, p11, curves) -> dict[str, np.ndarray]:
     if "bstep" in curves:
         vals["bstep"] = vals["second_arg"]
     return {c: vals[c] for c in curves}
-
-
-def _bb84_entries_vec(e, t):
-    """_bb84_entries on arrays, unclamped: grid and polish points lie in [0, e]."""
-    off = e - t
-    return 1.0 - 2.0 * e + t, off, off, t
 
 
 # e-rows per grid pass: an 8 x 2001 float64 temporary (128 064 B) stays under
@@ -295,7 +292,7 @@ def _bb84_grid(es: np.ndarray, curves) -> np.ndarray:
         e = es[rows, None]
         t = steps * (e / (_GRID_POINTS - 1))
         t[:, -1] = e[:, 0]
-        vals = _curves_vec(*_bb84_entries_vec(e, t), curves)
+        vals = _curves_vec(e, t, curves)
         r = np.arange(t.shape[0])
         for k, curve in enumerate(curves):
             best = np.argmin(vals[curve], axis=1)
@@ -348,7 +345,7 @@ def _bb84_polish(e: np.ndarray, curve: str, a: np.ndarray, b: np.ndarray):
     final point of each bracket and its value."""
 
     def f(idx, t):
-        return _curves_vec(*_bb84_entries_vec(e[idx], t), (curve,))[curve]
+        return _curves_vec(e[idx], t, (curve,))[curve]
 
     a, b = a.copy(), b.copy()
     every = np.arange(e.size)
@@ -390,7 +387,7 @@ def bb84_curve(e_grid) -> list[RatePoint]:
     grid_won = grid_val <= val
     val = np.where(grid_won, grid_val, val)
     t_star = np.where(grid_won, grid_t, t_star)
-    at_star = _curves_vec(*_bb84_entries_vec(es, t_star[0]), ("first_arg", "second_arg"))
+    at_star = _curves_vec(es, t_star[0], ("first_arg", "second_arg"))
     return [
         RatePoint(e=e_i, first_arg=first, second_arg=second, vollbrecht=voll, bstep=bstep,
                   oneway=oneway, p11_star=p11)

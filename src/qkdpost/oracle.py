@@ -434,42 +434,16 @@ def worst_case_check(sigma) -> WorstCaseRecord:
 # --- coset decomposition of averaged eavesdropper states ---
 
 
-def _env_vector(p: BellDiagonal, xbar: tuple, terms) -> np.ndarray:
-    """The subnormalized environment vector sum of sign * sqrt(P(xbar, z))
-    |xbar, z> over the (z, sign) terms, whose squared norm is their weight
-    sum of P(xbar, z). Each copy's basis label is 2*xbar_i + z_i."""
-    entries = {(0, 0): p.p00, (1, 0): p.p10, (0, 1): p.p01, (1, 1): p.p11}
-    vec = np.zeros(4 ** len(xbar), dtype=complex)
-    for z, sign in terms:
-        idx = 0
-        for xi, zi in zip(xbar, z):
-            idx = idx * 4 + (2 * xi + zi)
-        vec[idx] = sign * math.sqrt(math.prod(entries[xi, zi] for xi, zi in zip(xbar, z)))
-    return vec
-
-
-def _dual_code(code: list, m: int) -> list:
-    words = [tuple(w) for w in itertools.product((0, 1), repeat=m)]
-    return [w for w in words if all(sum(a * b for a, b in zip(w, c)) % 2 == 0 for c in code)]
-
-
-def _coset_reps(subgroup: list, m: int) -> list:
-    seen = set()
-    reps = []
-    for w in itertools.product((0, 1), repeat=m):
-        if w in seen:
-            continue
-        reps.append(w)
-        seen.update(tuple(a ^ b for a, b in zip(w, c)) for c in subgroup)
-    return reps
-
-
-def _coset_terms(shift: tuple, j: tuple, dual: list) -> list:
-    """(z, sign) terms of coset j: z = j + c and sign (-1)^(shift . c) for c in dual."""
-    return [
-        (tuple(ji ^ ci for ji, ci in zip(j, c)), (-1) ** (sum(a * b for a, b in zip(shift, c)) & 1))
-        for c in dual
-    ]
+def _coset_signs(words: np.ndarray, code: np.ndarray, shift: np.ndarray) -> np.ndarray:
+    """One row per coset of the dual code over the phase patterns words:
+    (-1)^(shift . (z + j)) on the words z of the coset whose first word is
+    j, 0 off it. Two words share a coset exactly when they have the same
+    parities against every code word, so those parities label the cosets
+    and the dual code is never listed."""
+    _, first, label = np.unique((words @ code.T) & 1, axis=0, return_index=True, return_inverse=True)
+    label = label.reshape(-1)
+    signs = 1 - 2 * (((words ^ words[first[label]]) @ shift) & 1)
+    return np.where(label == np.arange(first.size)[:, None], signs, 0)
 
 
 def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
@@ -478,7 +452,8 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
 
     code is a set of length-m words closed under XOR; shift is the common
     offset a. Patterns with zero probability are skipped (both sides are
-    conditioned on an impossible event).
+    conditioned on an impossible event). Given a discrepancy pattern xbar,
+    every vector lives on the 2^m phase patterns z.
     """
     code = [tuple(int(b) for b in w) for w in code]
     shift = tuple(int(b) for b in shift)
@@ -487,24 +462,24 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
         raise ValueError("coset check limited to blocks of length <= 3")
     if any(len(w) != m for w in code):
         raise ValueError("code word length mismatch")
-    dual = _dual_code(code, m)
-    reps = _coset_reps(dual, m)
-    words = list(itertools.product((0, 1), repeat=m))
+    words = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
+    code, shift = np.array(code, dtype=np.int64).reshape(len(code), m), np.array(shift, dtype=np.int64)
+    probs = np.array([[p.p00, p.p01], [p.p10, p.p11]])
+    # (-1)^(x . z) for Alice's bits x = c + shift, one row per code word
+    signs = 1 - 2 * (((code ^ shift) @ words.T) & 1)
+    cosets = _coset_signs(words, code, shift)
     worst = 0.0
     for xbar in words:
-        # Subnormalized environment vectors given Alice's bits x = c + shift,
-        # one per code word; each has squared norm P(xbar).
-        eve = []
-        for c in code:
-            x = tuple(ci ^ ai for ci, ai in zip(c, shift))
-            signs = [(-1) ** (sum(a * b for a, b in zip(x, z)) & 1) for z in words]
-            eve.append(_env_vector(p, xbar, zip(words, signs)))
-        px = float(np.vdot(eve[0], eve[0]).real)
+        # sqrt(P(xbar, z)) of each phase pattern z; Eve's subnormalized vector
+        # given x is (-1)^(x . z) sqrt(P(xbar, z)), of squared norm P(xbar),
+        # and each coset's vector carries its signs on the same amplitudes.
+        amps = np.sqrt(np.prod(probs[xbar, words], axis=1))
+        eve = signs * amps
+        px = float(eve[0] @ eve[0])
         if px <= 1e-14:
             continue
-        theta = [_env_vector(p, xbar, _coset_terms(shift, j, dual)) for j in reps]
-        lhs = sum(np.outer(vec, vec.conj()) for vec in eve) / len(code)
-        rhs = sum(np.outer(vec, vec.conj()) for vec in theta)
+        lhs = sum(np.outer(vec, vec) for vec in eve) / len(code)
+        rhs = sum(np.outer(vec, vec) for vec in cosets * amps)
         worst = max(worst, float(np.abs(lhs - rhs).max()) / px)
     return worst
 
@@ -537,12 +512,13 @@ _CHUNK = 256
 def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
     """Max violation per inequality over randomized instances.
 
-    All instances are exact (no smoothing): each reported number should be
-    <= 0 up to numerical noise, and the suite's consumers assert <= 1e-9.
-    Samples are drawn one by one and checked in stacks of at most _CHUNK.
+    All instances are exact (no smoothing): each reported number is the true
+    maximum, which should be <= 0 up to numerical noise, and the suite's
+    consumers assert <= 1e-9. Samples are drawn one by one and checked in
+    stacks of at most _CHUNK.
     """
     samples = as_count("samples", samples, 1)
-    worst = dict.fromkeys(_LEMMAS, 0.0)
+    worst = dict.fromkeys(_LEMMAS, -math.inf)
     for start in range(0, samples, _CHUNK):
         for name, values in zip(_LEMMAS, _lemma_chunk(min(_CHUNK, samples - start), rng)):
             worst[name] = max(worst[name], *values)
@@ -595,7 +571,7 @@ def _lemma_chunk(count: int, rng: np.random.Generator) -> tuple:
     fid, tn = _fidelity(rho, sig).tolist(), _trace_norm(rho - sig).tolist()
     traces = np.trace(rho, axis1=1, axis2=2).real + np.trace(sig, axis1=1, axis2=2).real
     # per-sample scalars, with the scalar powers and sqrt of the one-sample check
-    lower = [(t - 2.0 * f) - n for t, f, n in zip(traces, fid, tn)]
+    lower = [float((t - 2.0 * f) - n) for t, f, n in zip(traces, fid, tn)]
     upper = [n - math.sqrt(max(t**2 - 4.0 * f**2, 0.0)) for t, f, n in zip(traces, fid, tn)]
 
     # operator inequality behind the removal bound:

@@ -1,7 +1,10 @@
 """Every name a qkdpost module exports in __all__ is bound in that module,
-every dataclass validates its fields, and the README's library example runs
+every private module-level name is used by the package itself, every
+dataclass validates its fields, and the README's library example runs
 against the current API."""
 
+import ast
+import collections
 import contextlib
 import dataclasses
 import importlib
@@ -26,6 +29,43 @@ def test_all_names_resolve(name):
     module = importlib.import_module(f"qkdpost.{name}")
     for export in getattr(module, "__all__", ()):
         assert hasattr(module, export), f"qkdpost.{name}.__all__ names unbound {export!r}"
+
+
+def _loads(node) -> collections.Counter:
+    """How often each name is read in node, as a name or an attribute."""
+    return collections.Counter(
+        sub.id if isinstance(sub, ast.Name) else sub.attr
+        for sub in ast.walk(node)
+        if isinstance(sub, ast.Attribute) or (isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load))
+    )
+
+
+def _private_definitions(tree):
+    """(name, node) of every module-level private function, class or assignment."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names = [node.name]
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names = [t.id for t in targets if isinstance(t, ast.Name)]
+        else:
+            continue
+        yield from ((name, node) for name in names if name.startswith("_") and not name.startswith("__"))
+
+
+def test_private_names_used_in_src():
+    # A private helper that only tests reach is dead code that a test keeps
+    # alive: each must be read somewhere in the package outside its own
+    # definition.
+    trees = {path.stem: ast.parse(path.read_text()) for path in Path(qkdpost.__file__).parent.glob("*.py")}
+    reads = sum((_loads(tree) for tree in trees.values()), collections.Counter())
+    unused = [
+        f"{stem}.{name}"
+        for stem, tree in sorted(trees.items())
+        for name, node in _private_definitions(tree)
+        if reads[name] - _loads(node)[name] <= 0
+    ]
+    assert not unused, f"private names no program code reads: {unused}"
 
 
 @pytest.mark.parametrize("name", MODULES)

@@ -24,8 +24,7 @@ from qkdpost.oracle import (
     _CHUNK,
     QUANTUM,
     CcqState,
-    _coset_terms,
-    _env_vector,
+    _coset_signs,
     _fidelity,
     _kron,
     _max_entropy,
@@ -396,37 +395,32 @@ def test_coset_decomposition():
         coset_decomposition_check(p, [(0, 0, 0)], (0, 0))
 
 
-def test_coset_check_detects_a_flipped_term(monkeypatch):
-    # One wrong sign in each coset's superposition breaks the decomposition
-    # far beyond the 1e-10 bound the honest check meets.
+def test_coset_check_detects_a_set_not_closed_under_xor():
+    # A word set that is not a linear code has no coset decomposition, so
+    # the check reads far beyond the 1e-10 bound every code meets.
     p = random_bell_diagonal(np.random.default_rng(8))
-
-    def flipped(shift, j, dual):
-        (z, sign), *rest = _coset_terms(shift, j, dual)
-        return [(z, -sign), *rest]
-
-    monkeypatch.setattr("qkdpost.oracle._coset_terms", flipped)
-    for shift in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        assert coset_decomposition_check(p, [(0, 0), (1, 1)], shift) > 0.4
-    assert coset_decomposition_check(p, [(0, 0)], (0, 1)) > 0.4
+    for words in ([(1, 1)], [(0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0)], [(0, 0, 0), (1, 1, 0), (0, 1, 1)]):
+        for shift in itertools.product((0, 1), repeat=len(words[0])):
+            assert coset_decomposition_check(p, words, shift) > 0.05
 
 
 def test_theta_vectors_orthogonal_across_cosets():
     rng = np.random.default_rng(9)
     p = random_bell_diagonal(rng)
-    dual = [(0, 0), (1, 1)]
-    reps = [(0, 0), (0, 1)]
-    for xbar in ((0, 0), (0, 1), (1, 0), (1, 1)):
-        entries = {(0, 0): p.p00, (1, 0): p.p10, (0, 1): p.p01, (1, 1): p.p11}
-        vecs = []
-        for j in reps:
-            terms = _coset_terms((1, 0), j, dual)
-            weight = math.fsum(
-                math.prod(entries[xi, zi] for xi, zi in zip(xbar, z)) for z, _ in terms
-            )
-            vecs.append(_env_vector(p, xbar, terms))
-            assert np.vdot(vecs[-1], vecs[-1]).real == pytest.approx(weight, abs=1e-12)
-        assert abs(np.vdot(vecs[0], vecs[1])) <= 1e-12
+    words = np.array(list(itertools.product((0, 1), repeat=2)))
+    # {00, 11} is its own dual code; its cosets are {00, 11} and {01, 10}
+    code = np.array([(0, 0), (1, 1)])
+    entries = {(0, 0): p.p00, (1, 0): p.p10, (0, 1): p.p01, (1, 1): p.p11}
+    for xbar in words.tolist():
+        weights = [math.prod(entries[xi, zi] for xi, zi in zip(xbar, z)) for z in words.tolist()]
+        vecs = _coset_signs(words, code, np.array([1, 0])) * np.sqrt(weights)
+        assert vecs.shape == (2, 4)
+        for vec, coset in zip(vecs, ([0, 3], [1, 2])):
+            # (-1)^(shift . (z + j)) on the coset whose first word is j, 0 off it
+            assert np.flatnonzero(vec).tolist() == coset
+            assert np.sign(vec[coset]).tolist() == [1.0, -1.0]
+            assert vec @ vec == pytest.approx(math.fsum(weights[z] for z in coset), abs=1e-12)
+        assert abs(vecs[0] @ vecs[1]) <= 1e-12
 
 
 def test_lemma_suite():
@@ -439,23 +433,24 @@ def test_lemma_suite():
         assert value <= 1e-9, name
 
 
-# lemma_suite's exact dicts as recorded when it checked one sample at a time;
-# (200, 44) is criterion 06's draw.
+# lemma_suite's exact dicts, each value the true maximum over the samples
+# (negative where no sample comes near the bound); (200, 44) is criterion
+# 06's draw.
 LEMMA_SUITE_PINNED = {
     (200, 44): {
-        "monotonicity": "0.0",
+        "monotonicity": "-0.00012065549771467232",
         "chain_rule": "1.5987211554602254e-14",
-        "removal": "0.0",
-        "sandwich_lower": "0.0",
-        "sandwich_upper": "0.0",
+        "removal": "-0.43686006444981773",
+        "sandwich_lower": "-0.27639745486439693",
+        "sandwich_upper": "-0.01837912071259773",
         "operator_bound": "3.408205139269565e-16",
     },
     (60, 10): {
-        "monotonicity": "0.0",
+        "monotonicity": "-0.0013746015021307567",
         "chain_rule": "1.1723955140041653e-13",
-        "removal": "0.0",
-        "sandwich_lower": "0.0",
-        "sandwich_upper": "0.0",
+        "removal": "-0.2054175554903792",
+        "sandwich_lower": "-0.283665508505311",
+        "sandwich_upper": "-0.023573908095249063",
         "operator_bound": "4.2328530079234257e-16",
     },
 }
