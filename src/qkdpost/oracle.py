@@ -22,9 +22,9 @@ eavesdropper's system, and its probability is the trace (or squared norm).
 All computations stay at dimension <= 256. Every entropy and support comes
 from eigendecompositions of Hermitian matrices; fidelity alone takes the
 general eigenvalues of rho*sigma. Entropies are in bits. Each entropy helper
-has one core over (..., d, d) stacks; its public one-matrix function checks
-the input and calls that core, and lemma_suite solves a chunk of samples with
-one LAPACK call per quantity.
+has one core over (..., d, d) stacks, called by its public one-matrix
+function after the input checks. lemma_suite solves a chunk of samples with
+one LAPACK call per quantity; the brackets solve every marginal in one stack.
 """
 
 from __future__ import annotations
@@ -68,6 +68,8 @@ _TOL = 1e-10
 _MAX_DIM = 256
 
 QUANTUM = "quantum"
+# (u1, u2, w1) of each two-copy outcome (a1, b1, a2, b2) = (a, b, c, d), in itertools.product order
+_OUTCOME_KEYS = [(a ^ c, c * (a ^ b == c ^ d), a ^ b ^ c ^ d) for a, b, c, d in itertools.product((0, 1), repeat=4)]
 
 
 def _finite(rho) -> np.ndarray:
@@ -115,13 +117,13 @@ def _spectral_entropy(rho: np.ndarray) -> list:
     built here from finite inputs. Unit trace is not required: for a
     subnormalized block A this is -tr A log2 A. eigvalsh sorts ascending, so
     terms holds each row's positive eigenvalues as one run, row after row."""
-    eigs = np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
+    eigs = np.linalg.eigvalsh((rho.conj().swapaxes(-1, -2) + rho) * 0.5)
     if eigs.min() < -_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs.min()}")
     positive = eigs > 0.0
     terms = eigs[positive] * np.log2(eigs[positive])
     ends = np.cumsum(positive.sum(axis=-1)).tolist()
-    return [float(-np.sum(terms[a:b])) if b > a else 0.0 for a, b in zip([0, *ends], ends)]
+    return [float(-terms[a:b].sum()) if b > a else 0.0 for a, b in zip([0, *ends], ends)]
 
 
 def max_entropy(rho) -> float:
@@ -130,7 +132,7 @@ def max_entropy(rho) -> float:
 
 
 def _max_entropy(rho: np.ndarray) -> list:
-    ranks = np.count_nonzero(np.linalg.eigvalsh((rho + rho.conj().swapaxes(-1, -2)) / 2.0) > _TOL, axis=-1)
+    ranks = np.count_nonzero(np.linalg.eigvalsh((rho.conj().swapaxes(-1, -2) + rho) * 0.5) > _TOL, axis=-1)
     if not ranks.all():
         raise ValueError("zero operator has no rank")
     return [math.log2(rank) for rank in ranks.tolist()]
@@ -138,7 +140,7 @@ def _max_entropy(rho: np.ndarray) -> list:
 
 def _support(rho: np.ndarray):
     """(eigenvalues, eigenvectors, support size k) of each matrix; the support is the last k."""
-    w, v = np.linalg.eigh((rho + rho.conj().swapaxes(-1, -2)) / 2.0)
+    w, v = np.linalg.eigh((rho.conj().swapaxes(-1, -2) + rho) * 0.5)
     return w, v, np.count_nonzero(w > _TOL, axis=-1)
 
 
@@ -194,7 +196,7 @@ def trace_norm(op) -> float:
 
 
 def _trace_norm(op: np.ndarray) -> np.ndarray:
-    return np.abs(np.linalg.eigvalsh((op + op.conj().swapaxes(-1, -2)) / 2.0)).sum(axis=-1)
+    return np.abs(np.linalg.eigvalsh((op.conj().swapaxes(-1, -2) + op) * 0.5)).sum(axis=-1)
 
 
 def partial_trace(rho, dims, keep) -> np.ndarray:
@@ -264,53 +266,51 @@ class CcqState:
     blocks: dict
 
     def __post_init__(self):
-        blocks = {}
-        shape = None
-        for key, op in self.blocks.items():
-            try:
-                op = _finite(op)
-            except ValueError as err:
-                raise ValueError(f"block {key}: {err}") from None
-            shape = shape or op.shape
-            if op.shape != shape:
-                raise ValueError(f"block {key} has shape {op.shape}, the first block {shape}")
-            blocks[key] = op
-        object.__setattr__(self, "blocks", blocks)
-        mass = math.fsum(np.trace(op).real for op in blocks.values())
+        ops = [np.asarray(op, dtype=complex) for op in self.blocks.values()]
+        for key, op in zip(self.blocks, ops):
+            if op.ndim != 2 or op.shape != (len(op),) * 2 or op.shape != ops[0].shape:
+                raise ValueError(f"block {key} has shape {op.shape}: blocks are square matrices of one shape")
+        dim = len(ops[0]) if ops else 0
+        if len(ops) * dim > _MAX_DIM:
+            raise ValueError(f"total dimension {len(ops) * dim} exceeds {_MAX_DIM}")
+        stack = np.array(ops).reshape(len(ops), dim, dim)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        if not finite.all():
+            raise ValueError(f"block {list(self.blocks)[finite.argmin()]} has non-finite entries")
+        mass = math.fsum(np.trace(stack, axis1=1, axis2=2).real.tolist())
         if abs(mass - 1.0) > 1e-9:
             raise ValueError(f"block traces sum to {mass}")
-        total = len(blocks) * shape[0]
-        if total > _MAX_DIM:
-            raise ValueError(f"total dimension {total} exceeds {_MAX_DIM}")
+        object.__setattr__(self, "blocks", dict(zip(self.blocks, stack)))
+
+
+def _group_sums(stack: np.ndarray, labelled: list) -> tuple[list, np.ndarray]:
+    """The labels of (row, label) pairs in first-seen order, and for each 0.0 + stack[i] + stack[j] + ...
+    over its rows in order. A shorter group adds a zero row, exactly: 0.0 + x has no -0.0 entries."""
+    members: dict = {}
+    for i, label in labelled:
+        members.setdefault(label, []).append(i)
+    padded = np.concatenate([stack, np.zeros_like(stack[:1])])
+    out = np.zeros((len(members),) + stack.shape[1:], dtype=complex)
+    for column in itertools.zip_longest(*members.values(), fillvalue=-1):
+        out += padded.take(column, axis=0)
+    return list(members), out
 
 
 def _two_copy_ccq_from_pure(psi: np.ndarray) -> CcqState:
-    """Measure two copies of a tripartite pure state in the z basis on A,B
-    and label the outcomes with the block-reduction variables.
-
-    psi has shape (2, 2, dE); outcome (a, b) leaves the environment in the
-    subnormalized vector psi[a, b]. For outcomes (a1,b1), (a2,b2):
+    """Measure two copies of a tripartite pure state psi of shape (2, 2, dE)
+    in the z basis on A,B; outcome (a, b) leaves the environment in the
+    subnormalized vector psi[a, b]. Outcomes (a1,b1), (a2,b2) are labelled
     u1 = a1+a2, w1 = (a1+b1)+(a2+b2), and u2 = a2 where w1 = 0, else 0.
-    Each block is the sum of its outcomes' projectors, unnormalized.
-    """
+    Each block sums its outcomes' projectors in outcome order, unnormalized,
+    leaving out outcomes of squared norm <= 1e-300."""
     if psi.ndim != 3 or psi.shape[:2] != (2, 2):
         raise ValueError(f"expected shape (2, 2, dE), got {psi.shape}")
-    d_e = psi.shape[2]
-    # vecs[a1, b1, a2, b2] = psi[a1, b1] (x) psi[a2, b2], and their projectors
-    vecs = (psi[:, :, None, None, :, None] * psi[None, None, :, :, None, :]).reshape(2, 2, 2, 2, -1)
-    projectors = vecs[..., :, None] * vecs.conj()[..., None, :]
-    blocks: dict[tuple[int, int, int], np.ndarray] = {}
-    for a1, b1, a2, b2 in itertools.product((0, 1), repeat=4):
-        vec = vecs[a1, b1, a2, b2]
-        if np.vdot(vec, vec).real <= 1e-300:
-            continue
-        w1 = (a1 ^ b1) ^ (a2 ^ b2)
-        u1 = a1 ^ a2
-        u2 = a2 if w1 == 0 else 0
-        key = (u1, u2, w1)
-        blocks.setdefault(key, np.zeros((d_e * d_e, d_e * d_e), dtype=complex))
-        blocks[key] += projectors[a1, b1, a2, b2]
-    return CcqState(registers=("u1", "u2", "w1"), blocks=blocks)
+    # row 8*a1 + 4*b1 + 2*a2 + b2 is psi[a1, b1] (x) psi[a2, b2]
+    vecs = (psi[:, :, None, None, :, None] * psi[None, None, :, :, None, :]).reshape(16, -1)
+    norms = np.einsum("od,od->o", vecs.conj(), vecs).real.tolist()
+    labelled = [(i, key) for i, (key, norm) in enumerate(zip(_OUTCOME_KEYS, norms)) if norm > 1e-300]
+    keys, blocks = _group_sums(vecs[:, :, None] * vecs.conj()[:, None, :], labelled)
+    return CcqState(registers=("u1", "u2", "w1"), blocks=dict(zip(keys, blocks)))
 
 
 def assemble_two_copy_ccq(p: BellDiagonal) -> CcqState:
@@ -330,27 +330,27 @@ def conditional_entropy(ccq: CcqState, conditioned_on) -> float:
     unknown = names - set(ccq.registers)
     if unknown:
         raise ValueError(f"unknown registers {sorted(unknown)}")
-    joint = _ccq_entropy(ccq, set(ccq.registers), True)
-    if not names and not with_quantum:
-        return joint
-    return joint - _ccq_entropy(ccq, names, with_quantum)
+    marginals = [(ccq.registers, True)] + ([(names, with_quantum)] if names or with_quantum else [])
+    joint, *given = _ccq_entropies(ccq, marginals)
+    return joint - given[0] if given else joint
 
 
-def _ccq_entropy(ccq: CcqState, names: set, with_quantum: bool) -> float:
-    """Entropy of the marginal on the named registers (plus the quantum
-    part when requested). The blocks sharing the named values sum to one
-    subnormalized operator A_g of trace p_g; the entropy is
-    sum_g -tr A_g log2 A_g with the quantum part, -sum_g p_g log2 p_g
-    without it."""
-    idx = [i for i, r in enumerate(ccq.registers) if r in names]
-    groups: dict[tuple, np.ndarray] = {}
-    for key, op in ccq.blocks.items():
-        g = tuple(key[i] for i in idx)
-        groups[g] = groups.get(g, 0.0) + op
-    if with_quantum:
-        return math.fsum(_spectral_entropy(np.stack(list(groups.values()))))
-    probs = [float(np.trace(op).real) for op in groups.values()]
-    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+def _ccq_entropies(ccq: CcqState, marginals: list) -> list[float]:
+    """Entropy of each marginal (names, with_quantum). The blocks sharing the
+    named values sum, in block order, to one subnormalized operator A_g of
+    trace p_g; the entropy is sum_g -tr A_g log2 A_g with the quantum part,
+    -sum_g p_g log2 p_g without it. One eigvalsh call takes every quantum A_g."""
+    index = [[i for i, r in enumerate(ccq.registers) if r in names] for names, _ in marginals]
+    labelled = [(i, (m, tuple([k[j] for j in idx]))) for m, idx in enumerate(index) for i, k in enumerate(ccq.blocks)]
+    labels, sums = _group_sums(np.stack(list(ccq.blocks.values())), labelled)
+    quantum = [marginals[m][1] for m, _ in labels]
+    values = np.trace(sums, axis1=1, axis2=2).real
+    values[quantum] = _spectral_entropy(sums[quantum])
+    parts = [[v for (k, _), v in zip(labels, values.tolist()) if k == m] for m in range(len(marginals))]
+    return [
+        math.fsum(part) if with_quantum else -math.fsum(p * math.log2(p) for p in part if p > 0.0)
+        for part, (_, with_quantum) in zip(parts, marginals)
+    ]
 
 
 def _measured_block_laws(psi: np.ndarray) -> tuple[Dist, Dist]:
@@ -374,10 +374,8 @@ def _brackets(psi: np.ndarray) -> tuple[float, float, Dist, Dist]:
     ccq = _two_copy_ccq_from_pure(psi)
     w1, w2 = _measured_block_laws(psi)
     h_w2 = shannon_entropy(w2)
-    joint = _ccq_entropy(ccq, set(ccq.registers), True)
-    first = joint - _ccq_entropy(ccq, {"w1"}, True) - shannon_entropy(w1) - w1(0) * h_w2
-    second = joint - _ccq_entropy(ccq, {"u1", "w1"}, True) - w1(0) * h_w2
-    return first, second, w1, w2
+    joint, h_w1, h_u1_w1 = _ccq_entropies(ccq, [(ccq.registers, True), ({"w1"}, True), ({"u1", "w1"}, True)])
+    return joint - h_w1 - shannon_entropy(w1) - w1(0) * h_w2, joint - h_u1_w1 - w1(0) * h_w2, w1, w2
 
 
 def theorem3_direct(p: BellDiagonal) -> tuple[float, float]:
@@ -455,8 +453,10 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
     conditioned on an impossible event). Given a discrepancy pattern xbar,
     every vector lives on the 2^m phase patterns z.
     """
-    code = [tuple(int(b) for b in w) for w in code]
-    shift = tuple(int(b) for b in shift)
+    code, shift = [tuple(w) for w in code], tuple(shift)
+    for name, word in [*(("code word", w) for w in code), ("shift", shift)]:
+        if set(word) - {0, 1}:
+            raise ValueError(f"{name} {word} has an entry other than 0 or 1")
     m = len(shift)
     if m > 3:
         raise ValueError("coset check limited to blocks of length <= 3")

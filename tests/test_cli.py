@@ -260,7 +260,7 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
     (["verify", "--suite", "twirl", "--samples", "20", "--format", "json"],
      "9bf07ab3e7c1ec3eeb781ee8bc4b119635a1472922bddd2714c921b4f71a8764"),
     (["verify", "--suite", "lemmas", "--samples", "20", "--format", "json"],
-     "4112f82b27ce71a898ad4dc0d475aa3cb50cbef8c7ec37bdf3475997d8b6801b"),
+     "ae0d95dec892a14cf92e55466e30660a66f1e958bcad18c565de2130e05e76ef"),
     # Every BB84 curve to 1/2: the grid, the polish and the p11 argmin.
     (["keyrate", "--protocol", "bb84", "--emax", "0.5", "--curves",
       "proposed,first_arg,second_arg,vollbrecht,bstep,oneway", "--format", "json"],

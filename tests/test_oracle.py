@@ -16,7 +16,7 @@ import math
 import numpy as np
 import pytest
 
-from qkdpost.channel import BellDiagonal, derived_dists
+from qkdpost.channel import BellDiagonal, bb84_family, derived_dists, six_state_point
 from qkdpost.cli import SUITES
 from qkdpost.entropy import Dist, shannon_entropy
 from qkdpost.keyrate import rate_first_arg, rate_second_arg
@@ -311,6 +311,38 @@ def test_conditional_entropy_matches_normalized_form():
                     assert conditional_entropy(ccq, given) == pytest.approx(expected, abs=1e-12)
 
 
+def looped_marginal_entropy(ccq, names, with_quantum):
+    """One marginal at a time, summing each group's blocks from 0.0 in block
+    order: the arithmetic the stacked marginals must reproduce bit for bit."""
+    idx = [i for i, r in enumerate(ccq.registers) if r in names]
+    groups = {}
+    for key, op in ccq.blocks.items():
+        g = tuple(key[i] for i in idx)
+        groups[g] = groups.get(g, 0.0) + op
+    if with_quantum:
+        return math.fsum(_spectral_entropy(np.stack(list(groups.values()))))
+    probs = [float(np.trace(op).real) for op in groups.values()]
+    return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
+
+
+def test_conditional_entropy_equals_looped_marginals():
+    rng = np.random.default_rng(23)
+    states = [assemble_two_copy_ccq(BellDiagonal(0.7, 0.2, 0.1, 0.0))]
+    states += [assemble_two_copy_ccq(random_bell_diagonal(rng)) for _ in range(3)]
+    for rank in (1, 2, 4):
+        states.append(_two_copy_ccq_from_pure(purify_state(random_density(4, rng, rank=rank)).reshape(2, 2, -1)))
+    for ccq in states:
+        joint = looped_marginal_entropy(ccq, set(ccq.registers), True)
+        for size in range(len(ccq.registers) + 1):
+            for subset in itertools.combinations(ccq.registers, size):
+                for with_quantum in (False, True):
+                    given = subset + ((QUANTUM,) if with_quantum else ())
+                    expected = joint
+                    if given:
+                        expected -= looped_marginal_entropy(ccq, set(subset), with_quantum)
+                    assert conditional_entropy(ccq, given) == expected, given
+
+
 @pytest.mark.parametrize("where, value", [((0, 0), np.nan), ((0, 1), np.inf)])
 def test_ccq_state_rejects_non_finite_block(where, value):
     # LAPACK can return finite, wrong spectra for such a block.
@@ -327,6 +359,30 @@ def test_ccq_state_rejects_mismatched_blocks():
         CcqState(registers=("x",), blocks={(0,): np.ones((1, 2))})
 
 
+def test_ccq_state_rejects_traces_not_summing_to_one():
+    with pytest.raises(ValueError, match="block traces sum to 0.5"):
+        CcqState(registers=("x",), blocks={(0,): np.eye(2) / 4.0})
+
+
+def test_ccq_state_rejects_a_total_dimension_above_256():
+    # 17 blocks of dimension 16 hold a unit trace but exceed the bound.
+    blocks = {(x,): np.eye(16) / (16 * 17) for x in range(17)}
+    with pytest.raises(ValueError, match="total dimension 272 exceeds 256"):
+        CcqState(registers=("x",), blocks=blocks)
+
+
+def test_conditional_entropy_rejects_a_negative_eigenvalue():
+    ccq = CcqState(registers=("x",), blocks={(0,): np.diag([1.5, -0.5])})
+    with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+        conditional_entropy(ccq, ())
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 4, 4), (2, 2, 2, 2)])
+def test_two_copy_ccq_rejects_a_wrong_shape(shape):
+    with pytest.raises(ValueError, match=r"expected shape \(2, 2, dE\)"):
+        _two_copy_ccq_from_pure(np.ones(shape, dtype=complex) / 2.0)
+
+
 def test_theorem3_direct_anchors():
     first, second = theorem3_direct(BellDiagonal(1.0, 0.0, 0.0, 0.0))
     assert first == pytest.approx(1.0, abs=1e-9)
@@ -334,6 +390,72 @@ def test_theorem3_direct_anchors():
     first, second = theorem3_direct(BellDiagonal(0.25, 0.25, 0.25, 0.25))
     assert first == pytest.approx(-0.75, abs=1e-9)
     assert second == pytest.approx(-0.25, abs=1e-9)
+
+
+# Exact oracle values (float.hex): any change to the block sums, the marginal
+# groups or their order moves them.
+THEOREM3_PINNED = [
+    (BellDiagonal(1.0, 0.0, 0.0, 0.0), ("0x1.ffffffffffffbp-1", "0x1.ffffffffffffap-2")),
+    (BellDiagonal(0.25, 0.25, 0.25, 0.25), ("-0x1.7fffffffffff8p-1", "-0x1.fffffffffffe0p-3")),
+    (BellDiagonal(0.7, 0.2, 0.1, 0.0), ("-0x1.1df0659f6b258p-4", "-0x1.91af888b74c40p-7")),
+    (six_state_point(0.05), ("0x1.16b09f3639ae1p-1", "0x1.3a94f154e2b0fp-2")),
+    (bb84_family(0.11, 0.02), ("0x1.545d876c3b28ep-4", "0x1.4a2459c19f96ap-4")),
+    (BellDiagonal(0.4, 0.3, 0.2, 0.1), ("-0x1.38f87df0023a0p-1", "-0x1.cf69ea7e167fap-3")),
+]
+# (first, second) original, then twirled, for random_density(4, rank=r)
+# drawn in rank order from default_rng(29)
+WORST_CASE_PINNED = {
+    1: ("-0x1.41ebe6580f9a8p-4", "-0x1.4f6f929780a20p-6", "-0x1.361c601a6a20fp-1", "-0x1.5b611f609492ap-2"),
+    2: ("-0x1.96543dd9ff6dcp-1", "-0x1.97112cdb05dc3p-2", "-0x1.216437a607fe4p+0", "-0x1.df9330110b645p-2"),
+    3: ("-0x1.1be6fb4189723p+0", "-0x1.9fbd1afe0fa2dp-2", "-0x1.4fd41d2759478p+0", "-0x1.b79a902f6a96ap-2"),
+    4: ("-0x1.1a4489a2ec125p+0", "-0x1.9af3253d40b73p-2", "-0x1.33b7744985c8ep+0", "-0x1.b896ee09e2113p-2"),
+}
+# conditional_entropy on assemble_two_copy_ccq(six_state_point(0.05))
+CONDITIONAL_PINNED = {
+    (): "0x1.49514f9c7ca8bp+1",
+    ("w1", QUANTUM): "0x1.910152ea1446cp+0",
+    ("u1", "w1", QUANTUM): "0x1.474e42cdbb10cp-1",
+    (QUANTUM,): "0x1.910152ea1446cp+0",
+    ("u1",): "0x1.92a29f38f9516p+0",
+    ("u1", "u2"): "0x1.289bd4fb3fdf8p-1",
+}
+
+
+def test_oracle_values_pinned():
+    for p, expected in THEOREM3_PINNED:
+        assert tuple(v.hex() for v in theorem3_direct(p)) == expected, p
+    rng = np.random.default_rng(29)
+    for rank, expected in WORST_CASE_PINNED.items():
+        record = worst_case_check(random_density(4, rng, rank=rank))
+        assert tuple(v.hex() for v in record[:4]) == expected, rank
+    ccq = assemble_two_copy_ccq(six_state_point(0.05))
+    for given, expected in CONDITIONAL_PINNED.items():
+        assert conditional_entropy(ccq, given).hex() == expected, given
+
+
+@pytest.fixture
+def lapack_calls(monkeypatch):
+    """Counts calls of numpy's three eigenvalue solvers, by name."""
+    calls = collections.Counter()
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            calls[_name] += 1
+            return _solve(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+def test_brackets_solve_in_one_stack(lapack_calls):
+    # The joint, {w1} and {u1, w1} marginals of the brackets share one
+    # eigvalsh call, and so do the joint and the conditioning marginal.
+    theorem3_direct(six_state_point(0.05))
+    assert lapack_calls == {"eigvalsh": 1}
+    ccq = assemble_two_copy_ccq(six_state_point(0.05))
+    for given in ((), ("w1", QUANTUM), ("u1", "u2")):
+        lapack_calls.clear()
+        conditional_entropy(ccq, given)
+        assert lapack_calls == {"eigvalsh": 1}, given
 
 
 def test_oracle_stands_alone(monkeypatch):
@@ -393,6 +515,18 @@ def test_coset_decomposition():
         coset_decomposition_check(p, [(0, 0, 0, 0)], (0, 0, 0, 0))
     with pytest.raises(ValueError):
         coset_decomposition_check(p, [(0, 0, 0)], (0, 0))
+
+
+@pytest.mark.parametrize("code, shift, name", [
+    ([(0, 0), (2, 2)], (0, 0), r"code word \(2, 2\)"),
+    ([(0, 0), (1, 1)], (0, 2), r"shift \(0, 2\)"),
+    ([(0, 0), (1, 1)], (0, -1), r"shift \(0, -1\)"),
+])
+def test_coset_check_rejects_non_binary_entries(code, shift, name):
+    # Read modulo 2, each of these would pass as a code with deviation 0.
+    p = random_bell_diagonal(np.random.default_rng(8))
+    with pytest.raises(ValueError, match=name + " has an entry other than 0 or 1"):
+        coset_decomposition_check(p, code, shift)
 
 
 def test_coset_check_detects_a_set_not_closed_under_xor():
@@ -471,21 +605,14 @@ def test_lemma_suite_chunks_draw_sample_by_sample():
     assert whole == {name: max(first[name], rest[name]) for name in first}
 
 
-def test_lemma_suite_solves_in_stacks(monkeypatch):
+def test_lemma_suite_solves_in_stacks(lapack_calls):
     # One LAPACK call per quantity and chunk: a per-sample loop would make
     # the count grow with the sample count.
-    calls = collections.Counter()
-    for name in ("eigh", "eigvalsh", "eigvals"):
-        def counted(*args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
-            calls[_name] += 1
-            return _solve(*args, **kwargs)
-
-        monkeypatch.setattr(np.linalg, name, counted)
     counts = []
     for samples in (10, 100):
-        calls.clear()
+        lapack_calls.clear()
         lemma_suite(samples, np.random.default_rng(10))
-        counts.append(dict(calls))
+        counts.append(dict(lapack_calls))
     assert counts[0] and counts[0] == counts[1]
 
 
