@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import as_count
+from .blocks import as_count, as_real
 from .entropy import Dist
 
 __all__ = [
@@ -65,6 +65,7 @@ def six_state_point(e: float) -> BellDiagonal:
     All three marginal conditions p10+p11 = p01+p11 = p01+p10 = e hold, which
     forces (1 - 3e/2, e/2, e/2, e/2). Valid for 0 <= e <= 2/3.
     """
+    e = as_real("e", e)
     if not -_SUM_TOL <= e <= 2.0 / 3.0 + _SUM_TOL:
         raise ValueError(f"six-state error rate {e} outside [0, 2/3]")
     e = min(max(e, 0.0), 2.0 / 3.0)
@@ -77,6 +78,7 @@ def bb84_family(e: float, p11: float) -> BellDiagonal:
     BB84 estimation constrains only p10+p11 = e and p01+p11 = e, leaving the
     one-parameter family (1-2e+p11, e-p11, e-p11, p11) with p11 in [0, e].
     """
+    e, p11 = as_real("e", e), as_real("p11", p11)
     if not -_SUM_TOL <= e <= 0.5 + _SUM_TOL:
         raise ValueError(f"BB84 error rate {e} outside [0, 1/2]")
     if not -_SUM_TOL <= p11 <= e + _SUM_TOL:

@@ -69,8 +69,6 @@ _CYCLE_ROUNDS = 16
 def gf2_rank(mat: np.ndarray) -> int:
     """Rank over F2 via Gaussian elimination on bit-packed rows."""
     mat = np.asarray(mat, dtype=np.uint8) & 1
-    if mat.size == 0:
-        return 0
     words = np.packbits(mat, axis=1)
     m, n = mat.shape
     rank = 0

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .blocks import as_count
+from .blocks import as_count, as_real
 
 __all__ = [
     "Dist",
@@ -86,7 +86,7 @@ def type_deviation_bound(n: int, eps: float, alphabet_size: int) -> float:
     """
     n = as_count("n", n, 1)
     # Written so that NaN fails the check.
-    if not eps > 0.0:
+    if not as_real("eps", eps) > 0.0:
         raise ValueError("eps must be positive")
     alphabet_size = as_count("alphabet_size", alphabet_size, 2)
     # log2 of the bound; the exponent -eps^2*n/(2 ln 2) is already in bits.

@@ -42,6 +42,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .blocks import as_real
 from .channel import BellDiagonal, _bb84_entries, six_state_point
 from .entropy import binary_entropy
 
@@ -202,7 +203,7 @@ def rate_point(p: BellDiagonal, e: float) -> RatePoint:
 
 def sixstate_curve(e_grid) -> list[RatePoint]:
     """RatePoint rows along the six-state family, each carrying all curves."""
-    return [rate_point(six_state_point(float(e)), float(e)) for e in e_grid]
+    return [rate_point(six_state_point(e), e) for e in [as_real("e", v) for v in e_grid]]
 
 
 # --- vectorized core for the BB84 family grid ---
@@ -311,6 +312,7 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
     """
     if which not in CURVES:
         raise ValueError(f"unknown curve {which!r}")
+    e = as_real("e", e)
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"BB84 error rate {e} outside [0, 1/2]")
     closed_form = _CLOSED_FORMS[which]
@@ -332,8 +334,8 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
             a, x1, f1 = x1, x2, f2
             x2 = a + _GOLDEN * (b - a)
             f2 = f(x2)
-    t_star = x1 if f1 <= f2 else x2
-    val = float(min(f(t_star), grid_val))
+    t_star, val = (x1, f1) if f1 <= f2 else (x2, f2)
+    val = float(min(val, grid_val))
     if grid_val <= val:
         t_star = grid_t
     return val, float(t_star)
@@ -365,8 +367,7 @@ def _bb84_polish(e: np.ndarray, curve: str, a: np.ndarray, b: np.ndarray):
         x2[act] = np.where(left, y1, x_new)
         f1[act], f2[act] = np.where(left, f_new, f2[act]), np.where(left, f1[act], f_new)
         act = act[hi - lo > _POLISH_TOL]
-    t_star = np.where(f1 <= f2, x1, x2)
-    return t_star, f(every, t_star)
+    return np.where(f1 <= f2, x1, x2), np.where(f1 <= f2, f1, f2)
 
 
 def bb84_curve(e_grid) -> list[RatePoint]:
@@ -377,7 +378,7 @@ def bb84_curve(e_grid) -> list[RatePoint]:
     final rule per (e, curve) is bb84_rate's: the smaller of the polished
     and the best grid value.
     """
-    es = np.array([float(e) for e in e_grid], dtype=np.float64)
+    es = np.array([as_real("e", e) for e in e_grid], dtype=np.float64)
     bad = ~((es >= 0.0) & (es <= 0.5))
     if bad.any():
         raise ValueError(f"BB84 error rate {es[bad][0]} outside [0, 1/2]")
@@ -461,11 +462,11 @@ def sweep(emin: float, emax: float, step: float, protocol: str):
     top, label = _E_RANGE[protocol]
     # Written so that NaN and infinities fail the checks.
     for name, value in (("emin", emin), ("emax", emax)):
-        if not 0.0 <= value <= top:
+        if not 0.0 <= as_real(name, value) <= top:
             raise ValueError(f"{name}={value} outside [0, {label}] for {protocol}")
     if not emin < emax:
         raise ValueError(f"emin={emin} must be below emax={emax}")
-    if not 0.0 < step < math.inf:
+    if not 0.0 < as_real("step", step) < math.inf:
         raise ValueError(f"step={step} must be positive and finite")
     span = (emax - emin) / step + 1e-9
     if not span < _MAX_ROWS:

@@ -94,19 +94,6 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return prod.reshape(prod.shape[:-4] + (m * p, n * q))
 
 
-def check_density(rho) -> np.ndarray:
-    """Validate finiteness, Hermiticity, positivity and unit trace."""
-    rho = _finite(rho)
-    if np.abs(rho - rho.conj().T).max() > _TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
-    eigs = np.linalg.eigvalsh(rho)
-    if eigs.min() < -_TOL:
-        raise ValueError(f"matrix has negative eigenvalue {eigs.min()}")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError(f"trace {np.trace(rho).real}, expected 1")
-    return rho
-
-
 def von_neumann_entropy(rho) -> float:
     """-sum lambda log2 lambda over the eigenvalues; zeros contribute 0."""
     return _spectral_entropy(_finite(rho)[None])[0]
@@ -153,7 +140,7 @@ def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
     """
     rho_ab = _finite(rho_ab)
     sigma_b = _finite(sigma_b)
-    da, db = dims
+    da, db = (as_count("dims", d, 1) for d in dims)
     if rho_ab.shape[0] != da * db or sigma_b.shape[0] != db:
         raise ValueError("dimension mismatch between state and conditioning system")
     return float(_min_entropy(rho_ab[None], sigma_b[None], da, db)[0])
@@ -203,11 +190,9 @@ def partial_trace(rho, dims, keep) -> np.ndarray:
     """Trace out every subsystem not listed in keep (0-based, ascending)."""
     rho = _finite(rho)
     dims = tuple(as_count("dims", d, 1) for d in dims)
-    keep = sorted(set(keep))
+    keep = sorted({as_count("keep", k, 0, len(dims) - 1) for k in keep})
     if rho.shape[0] != math.prod(dims):
         raise ValueError("dims do not factor the matrix dimension")
-    if any(i < 0 or i >= len(dims) for i in keep):
-        raise ValueError("keep index out of range")
     return _partial_trace(rho, dims, keep)
 
 
@@ -246,8 +231,17 @@ def purify_bell_diagonal(p: BellDiagonal) -> np.ndarray:
 
 
 def purify_state(rho) -> np.ndarray:
-    """Eigen-purification: sum_i sqrt(lambda_i) |v_i>|i>, environment = rank."""
-    w, v, k = _support(check_density(rho))
+    """Eigen-purification: sum_i sqrt(lambda_i) |v_i>|i>, environment = rank.
+    rho must be a density matrix: finite, Hermitian, positive and of unit
+    trace; positivity is read from the eigenvalues it purifies with."""
+    rho = _finite(rho)
+    if np.abs(rho - rho.conj().T).max() > _TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
+    w, v, k = _support(rho)
+    if w[0] < -_TOL:
+        raise ValueError(f"matrix has negative eigenvalue {w[0]}")
+    if abs(np.trace(rho).real - 1.0) > 1e-8:
+        raise ValueError(f"trace {np.trace(rho).real}, expected 1")
     return (v[:, w.size - k :] * np.sqrt(w[w.size - k :])).reshape(-1)
 
 
@@ -403,10 +397,7 @@ def discrete_twirl(sigma) -> np.ndarray:
     sigma = _finite(sigma)
     if sigma.shape[0] != 4:
         raise ValueError("discrete twirl acts on two-qubit states")
-    out = np.zeros_like(sigma)
-    for u in _TWIRL_UNITARIES:
-        out += u @ sigma @ u.conj().T
-    return out / 4.0
+    return (_TWIRL_UNITARIES @ sigma @ _TWIRL_UNITARIES.conj().swapaxes(1, 2)).sum(axis=0, initial=0.0) / 4.0
 
 
 class WorstCaseRecord(NamedTuple):
@@ -457,6 +448,8 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
     for name, word in [*(("code word", w) for w in code), ("shift", shift)]:
         if set(word) - {0, 1}:
             raise ValueError(f"{name} {word} has an entry other than 0 or 1")
+    if not code:
+        raise ValueError("empty code: a set closed under XOR holds at least the zero word")
     m = len(shift)
     if m > 3:
         raise ValueError("coset check limited to blocks of length <= 3")
@@ -554,11 +547,8 @@ def _lemma_chunk(count: int, rng: np.random.Generator) -> tuple:
 
     # chain rule witness: conditioning on B's uniformized support loses
     # at most the max-entropy of B
-    _, vb, rank_b = _support(_partial_trace(rho_c, (2, 2, 2), (1,)))
-    proj_b = np.empty((count, 2, 2), dtype=complex)
-    for k in np.unique(rank_b).tolist():
-        rows = np.flatnonzero(rank_b == k)
-        proj_b[rows] = vb[rows, :, 2 - k :] @ vb[rows, :, 2 - k :].conj().swapaxes(1, 2)
+    wb, vb, rank_b = _support(_partial_trace(rho_c, (2, 2, 2), (1,)))
+    proj_b = (vb * (wb > _TOL)[:, None, :]) @ vb.conj().swapaxes(1, 2)
     h_bc = _min_entropy(rho_c, _kron(proj_b / rank_b[:, None, None], sigma_c), 2, 4)
     chain_rule = (_min_entropy(rho_c, sigma_c, 4, 2) - np.log2(rank_b)) - h_bc
 

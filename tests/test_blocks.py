@@ -8,10 +8,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkdpost.blocks import as_bits, as_count, as_real, parity_seq, partition, second_bit_seq
-from qkdpost.channel import derived_dists, sample_pair, six_state_point
+from qkdpost.channel import bb84_family, derived_dists, sample_pair, six_state_point
 from qkdpost.codes import ParityCheck, bp_decode, code_for_rate, ml_decode
 from qkdpost.entropy import type_deviation_bound
-from qkdpost.oracle import lemma_suite, partial_trace, random_density
+from qkdpost.keyrate import bb84_curve, bb84_rate, sixstate_curve, sweep
+from qkdpost.oracle import lemma_suite, min_entropy, partial_trace, random_density
 from qkdpost.protocol import SessionConfig, key_length, toeplitz_hash
 
 
@@ -68,6 +69,8 @@ _COUNT_ARGUMENTS = [
     ("random_density", "rank", lambda v: random_density(2, np.random.default_rng(0), rank=v)),
     ("lemma_suite", "samples", lambda v: lemma_suite(v, np.random.default_rng(0))),
     ("partial_trace", "dims", lambda v: partial_trace(np.eye(4) / 4, (v, 2), (0,))),
+    ("partial_trace", "keep", lambda v: partial_trace(np.eye(8) / 8, (2, 2, 2), (v,))),
+    ("min_entropy", "dims", lambda v: min_entropy(np.eye(4) / 4, np.eye(2) / 2, (v, 2))),
 ]
 
 
@@ -105,6 +108,16 @@ _REAL_ARGUMENTS = [
     ("code_for_rate", "target_rate", lambda v: code_for_rate(4, v, rng=np.random.default_rng(0))),
     ("bp_decode", "crossover", lambda v: bp_decode(_SMALL_CODE, np.ones(2, np.uint8), v)),
     ("ml_decode", "crossover", lambda v: ml_decode(_SMALL_CODE, np.ones(2, np.uint8), v)),
+    ("six_state_point", "e", lambda v: six_state_point(v)),
+    ("bb84_family", "e", lambda v: bb84_family(v, 0.0)),
+    ("bb84_family", "p11", lambda v: bb84_family(0.2, v)),
+    ("bb84_rate", "e", lambda v: bb84_rate(v)),
+    ("bb84_curve", "e", lambda v: bb84_curve([v])),
+    ("sixstate_curve", "e", lambda v: sixstate_curve([v])),
+    ("sweep", "emin", lambda v: sweep(v, 0.2, 0.05, "bb84")),
+    ("sweep", "emax", lambda v: sweep(0.0, v, 0.05, "bb84")),
+    ("sweep", "step", lambda v: sweep(0.0, 0.2, v, "bb84")),
+    ("type_deviation_bound", "eps", lambda v: type_deviation_bound(10, v, 2)),
 ]
 
 

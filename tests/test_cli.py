@@ -104,6 +104,12 @@ def test_keyrate_usage_errors(runner):
     assert missing.exit_code == 2
 
 
+def test_keyrate_empty_curve_list_is_usage_error(runner):
+    result = runner.invoke(cli.main, ["keyrate", "--protocol", "six-state", "--emax", "0.1", "--curves", ","])
+    assert result.exit_code == 2
+    assert "no curves requested" in result.output
+
+
 def test_keyrate_out_file(runner, tmp_path):
     target = tmp_path / "rates.csv"
     result = runner.invoke(cli.main, [

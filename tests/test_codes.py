@@ -83,6 +83,11 @@ def test_gf2_rank():
     assert gf2_rank(dup) == 2
 
 
+@pytest.mark.parametrize("shape", [(0, 5), (5, 0), (0, 0)])
+def test_gf2_rank_of_an_empty_matrix(shape):
+    assert gf2_rank(np.zeros(shape, dtype=np.uint8)) == 0
+
+
 def test_parity_check_validation():
     # ParityCheck(m, n, edge_var, edge_check, certificate): entry i is a 1 in
     # column edge_var[i], row edge_check[i].

@@ -29,6 +29,11 @@ def test_dist_validates_sum():
     assert len(d) == 2
 
 
+def test_dist_rejects_an_empty_alphabet():
+    with pytest.raises(ValueError, match="at least one symbol"):
+        Dist([])
+
+
 def test_binary_entropy_endpoints_and_symmetry():
     assert binary_entropy(0.0) == 0.0
     assert binary_entropy(1.0) == 0.0

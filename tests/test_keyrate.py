@@ -213,6 +213,17 @@ def test_bb84_rate_pinned():
         assert (rate.hex(), p11.hex()) == pinned, (e, curve)
 
 
+def test_bb84_rate_rejects_an_unknown_curve():
+    with pytest.raises(ValueError, match="unknown curve 'magic'"):
+        bb84_rate(0.1, "magic")
+
+
+def test_bb84_rate_reads_a_float32_error_rate_as_its_value():
+    # The grid and the polish run in float64 whatever float type e arrives in.
+    e = np.float32(0.1)
+    assert bb84_rate(e) == bb84_rate(float(e))
+
+
 def test_bb84_curve_matches_bb84_rate():
     grid = [i * 1e-3 for i in range(251)] + [0.5]
     rows = bb84_curve(grid)

@@ -36,7 +36,6 @@ from qkdpost.oracle import (
     _two_copy_ccq_from_pure,
     assemble_two_copy_ccq,
     bell_basis_vector,
-    check_density,
     conditional_entropy,
     coset_decomposition_check,
     discrete_twirl,
@@ -72,20 +71,20 @@ def bell_entries(sigma: np.ndarray) -> tuple:
     return tuple(float((b.conj() @ sigma @ b).real) for b in vecs)
 
 
-def test_check_density_validation():
+def test_purify_state_validation():
     with pytest.raises(ValueError):
-        check_density(np.array([[0.0, 1.0], [0.0, 1.0]]))
+        purify_state(np.array([[0.0, 1.0], [0.0, 1.0]]))
     with pytest.raises(ValueError):
-        check_density(np.diag([1.5, -0.5]))
+        purify_state(np.diag([1.5, -0.5]))
     with pytest.raises(ValueError):
-        check_density(np.diag([1.0, 1.0]))
+        purify_state(np.diag([1.0, 1.0]))
 
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), complex(0.0, float("nan"))])
 def test_non_finite_density_is_a_clear_error(bad):
     rho = random_density(4, np.random.default_rng(15))
     rho[1, 2] = bad
-    for call in (check_density, purify_state, worst_case_check):
+    for call in (purify_state, worst_case_check):
         with pytest.raises(ValueError, match="non-finite"):
             call(rho)
 
@@ -113,6 +112,17 @@ def test_non_finite_input_is_a_clear_error(name):
         m[pos] = bad
         with pytest.raises(ValueError, match="non-finite"):
             NON_FINITE_CALLS[name](m)
+
+
+@pytest.mark.parametrize("shape, message", [
+    ((2, 3), "expected a square matrix"),
+    ((4,), "expected a square matrix"),
+    ((257, 257), "dimension 257 exceeds 256"),
+])
+def test_matrix_shape_is_a_clear_error(shape, message):
+    for call in (von_neumann_entropy, purify_state, discrete_twirl):
+        with pytest.raises(ValueError, match=message):
+            call(np.zeros(shape))
 
 
 def test_kron_matches_numpy_bit_for_bit():
@@ -458,6 +468,18 @@ def test_brackets_solve_in_one_stack(lapack_calls):
         assert lapack_calls == {"eigvalsh": 1}, given
 
 
+def test_worst_case_check_solves_each_state_once(lapack_calls):
+    # purify_state validates on the eigendecomposition it purifies with, so
+    # worst_case_check makes one eigh per state (sigma and its twirl) and
+    # one eigvalsh per bracket stack.
+    sigma = random_density(4, np.random.default_rng(19), rank=3)
+    purify_state(sigma)
+    assert lapack_calls == {"eigh": 1}
+    lapack_calls.clear()
+    worst_case_check(sigma)
+    assert lapack_calls == {"eigh": 2, "eigvalsh": 2}
+
+
 def test_oracle_stands_alone(monkeypatch):
     # The oracle checks the closed forms, so it must reach the same brackets
     # with the closed-form block laws out of reach.
@@ -527,6 +549,22 @@ def test_coset_check_rejects_non_binary_entries(code, shift, name):
     p = random_bell_diagonal(np.random.default_rng(8))
     with pytest.raises(ValueError, match=name + " has an entry other than 0 or 1"):
         coset_decomposition_check(p, code, shift)
+
+
+def test_coset_check_rejects_an_empty_code():
+    # Every set closed under XOR holds the zero word, so an empty one is no code.
+    p = random_bell_diagonal(np.random.default_rng(8))
+    with pytest.raises(ValueError, match="empty code"):
+        coset_decomposition_check(p, [], (0, 1))
+
+
+def test_coset_check_skips_impossible_patterns():
+    # With zero Bell entries some discrepancy patterns have probability 0;
+    # they are skipped, and the rest still decompose.
+    for p in (BellDiagonal(1.0, 0.0, 0.0, 0.0), BellDiagonal(0.7, 0.2, 0.1, 0.0)):
+        for shift in itertools.product((0, 1), repeat=2):
+            worst = coset_decomposition_check(p, [(0, 0), (1, 1)], shift)
+            assert math.isfinite(worst) and worst <= 1e-10, (p, shift)
 
 
 def test_coset_check_detects_a_set_not_closed_under_xor():
