@@ -23,6 +23,7 @@ usage, 3 verification failure. Sizes out of range are bad usage: --trials,
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import json
 import math
 import sys
@@ -35,7 +36,9 @@ from .channel import bb84_family, sample_pair, six_state_point
 from .entropy import type_deviation_bound
 from .keyrate import TABLE_CURVES, rate_first_arg, rate_second_arg, render_json_rows, sweep
 from .oracle import (
+    bell_basis_vector,
     coset_decomposition_check,
+    discrete_twirl,
     lemma_suite,
     random_bell_diagonal,
     random_density,
@@ -227,11 +230,16 @@ def _suite_lemmas(samples: int, rng: np.random.Generator) -> list[dict]:
 
 
 def _suite_twirl(samples: int, rng: np.random.Generator) -> list[dict]:
-    first_excess = 0.0
-    second_excess = 0.0
+    # Columns are the Bell vectors: the twirl of sigma, written in this
+    # basis, is the diagonal matrix of sigma's Bell fidelities.
+    bell = np.stack([bell_basis_vector(x, z) for x, z in itertools.product((0, 1), repeat=2)], axis=1)
+    first_excess = -math.inf
+    second_excess = -math.inf
     law_dev = 0.0
+    bell_dev = 0.0
     for _ in range(samples):
-        rec = worst_case_check(random_density(4, rng))
+        sigma = random_density(4, rng)
+        rec = worst_case_check(sigma)
         first_excess = max(first_excess, rec.first_twirled - rec.first_original)
         second_excess = max(second_excess, rec.second_twirled - rec.second_original)
         law_dev = max(
@@ -239,10 +247,14 @@ def _suite_twirl(samples: int, rng: np.random.Generator) -> list[dict]:
             abs(rec.w1_original(0) - rec.w1_twirled(0)),
             abs(rec.w2_original(0) - rec.w2_twirled(0)),
         )
+        in_bell = bell.conj().T @ discrete_twirl(sigma) @ bell
+        fidelities = np.diag(bell.conj().T @ sigma @ bell)
+        bell_dev = max(bell_dev, float(np.abs(in_bell - np.diag(fidelities)).max()))
     return [
         {"name": "first_bracket_twirl_excess", "deviation": first_excess, "bound": 1e-9},
         {"name": "second_bracket_twirl_excess", "deviation": second_excess, "bound": 1e-9},
         {"name": "block_law_invariance", "deviation": law_dev, "bound": 1e-12},
+        {"name": "twirl_is_bell_diagonal", "deviation": bell_dev, "bound": 1e-12},
     ]
 
 

@@ -7,7 +7,8 @@ of the package obtains from closed forms, so the two routes can be compared:
   eavesdropper holding the purifying system;
 * the classical-classical-quantum state over (U1, U2, W1) and the two
   environment copies produced by measuring two purified copies in the z
-  basis and applying the length-2 block reduction;
+  basis and applying the length-2 block reduction, kept as one environment
+  vector per measurement outcome;
 * von Neumann, min- and max-entropies on dense Hermitian matrices, with the
   generalized eigenvalue problem solved by congruence on the support;
 * the discrete twirl (correlated Pauli averaging onto Bell-diagonal form);
@@ -16,15 +17,19 @@ of the package obtains from closed forms, so the two routes can be compared:
 * an entropy-inequality suite (monotonicity, a chain-rule instance, the
   removal bound, the fidelity-distance sandwich) on randomized inputs.
 
-A measurement outcome is one subnormalized operator (or vector) on the
-eavesdropper's system, and its probability is the trace (or squared norm).
+A measurement outcome is one subnormalized vector on the eavesdropper's
+system, and its probability is the squared norm. A group of outcomes has the
+block sum_i |x_i><x_i|, whose nonzero spectrum is that of the Gram matrix
+<x_i|x_j>, so every bracket and conditional entropy comes from Gram spectra
+of at most 8 x 8 for the two-copy state.
 
 All computations stay at dimension <= 256. Every entropy and support comes
 from eigendecompositions of Hermitian matrices; fidelity alone takes the
 general eigenvalues of rho*sigma. Entropies are in bits. Each entropy helper
 has one core over (..., d, d) stacks, called by its public one-matrix
 function after the input checks. lemma_suite solves a chunk of samples with
-one LAPACK call per quantity; the brackets solve every marginal in one stack.
+one LAPACK call per quantity and each conditioning state once; the brackets
+solve every marginal in one stack.
 """
 
 from __future__ import annotations
@@ -68,6 +73,7 @@ _TOL = 1e-10
 _MAX_DIM = 256
 
 QUANTUM = "quantum"
+_REGISTERS = ("u1", "u2", "w1")
 # (u1, u2, w1) of each two-copy outcome (a1, b1, a2, b2) = (a, b, c, d), in itertools.product order
 _OUTCOME_KEYS = [(a ^ c, c * (a ^ b == c ^ d), a ^ b ^ c ^ d) for a, b, c, d in itertools.product((0, 1), repeat=4)]
 
@@ -143,23 +149,27 @@ def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
     da, db = (as_count("dims", d, 1) for d in dims)
     if rho_ab.shape[0] != da * db or sigma_b.shape[0] != db:
         raise ValueError("dimension mismatch between state and conditioning system")
-    return float(_min_entropy(rho_ab[None], sigma_b[None], da, db)[0])
+    w, v, _ = _support(sigma_b[None])
+    return float(_min_entropy(rho_ab[None], w, v, da, db)[0])
 
 
-def _min_entropy(rho_ab: np.ndarray, sigma_b: np.ndarray, da: int, db: int) -> np.ndarray:
-    """min_entropy of each pair in stacks (n, da*db, da*db) and (n, db, db), solved in groups
-    of one support size k of sigma_B, so each row runs the arithmetic of its one-matrix call."""
+def _min_entropy(rho_ab: np.ndarray, w_b: np.ndarray, v_b: np.ndarray, da: int, db: int) -> np.ndarray:
+    """min_entropy of each rho_AB in a stack (n, da*db, da*db), against the
+    sigma_B whose eigendecomposition (w_b, v_b), eigenvalues ascending, is
+    given, so a caller solves each sigma_B once. Solved in groups of one
+    support size k of sigma_B, so each row runs the arithmetic of its
+    one-matrix call."""
     out = np.full(len(rho_ab), -math.inf)
-    w_all, v_all, ks = _support(sigma_b)
+    ks = np.count_nonzero(w_b > _TOL, axis=-1)
     rho_b = _partial_trace(rho_ab, (da, db), (1,))
     for k in np.unique(ks[ks > 0]).tolist():
         rows = np.flatnonzero(ks == k)
-        vs = v_all[rows, :, db - k :]
+        vs = v_b[rows, :, db - k :]
         inside = vs.conj().swapaxes(1, 2) @ rho_b[rows] @ vs
         leak = np.trace(rho_b[rows], axis1=1, axis2=2).real - np.trace(inside, axis1=1, axis2=2).real
         rows, vs = rows[~(leak > _TOL)], vs[~(leak > _TOL)]
         iso = _kron(np.eye(da), vs)
-        scale = _kron(np.eye(da), (w_all[rows, db - k :] ** -0.5)[:, :, None] * np.eye(k))
+        scale = _kron(np.eye(da), (w_b[rows, db - k :] ** -0.5)[:, :, None] * np.eye(k))
         lams = np.linalg.eigvalsh(scale @ (iso.conj().swapaxes(1, 2) @ rho_ab[rows] @ iso) @ scale)
         out[rows] = [math.inf if lam <= 0.0 else -math.log2(lam) for lam in lams.max(axis=-1).tolist()]
     return out
@@ -247,64 +257,48 @@ def purify_state(rho) -> np.ndarray:
 
 @dataclass(frozen=True)
 class CcqState:
-    """Classical registers plus one quantum system, block by block.
+    """Classical registers plus one quantum system, outcome by outcome.
 
-    blocks maps each tuple of register values to that outcome's
-    subnormalized operator on the quantum system; its trace is the outcome's
-    probability. The joint state is the direct sum of the blocks, so every
-    entropy reduces to per-block spectra. Every block must be a finite
-    square matrix of one shape; a ValueError names the block that is not.
+    keys holds each outcome's tuple of register values and vectors, one row
+    per outcome, its subnormalized vector on the quantum system; the squared
+    norm is the outcome's probability. A register value's block is the sum
+    of its outcomes' projectors, so every entropy reduces to the spectra of
+    Gram matrices of outcome vectors. A ValueError names the outcome whose
+    vector is not finite.
     """
 
     registers: tuple[str, ...]
-    blocks: dict
+    keys: tuple
+    vectors: np.ndarray
 
     def __post_init__(self):
-        ops = [np.asarray(op, dtype=complex) for op in self.blocks.values()]
-        for key, op in zip(self.blocks, ops):
-            if op.ndim != 2 or op.shape != (len(op),) * 2 or op.shape != ops[0].shape:
-                raise ValueError(f"block {key} has shape {op.shape}: blocks are square matrices of one shape")
-        dim = len(ops[0]) if ops else 0
-        if len(ops) * dim > _MAX_DIM:
-            raise ValueError(f"total dimension {len(ops) * dim} exceeds {_MAX_DIM}")
-        stack = np.array(ops).reshape(len(ops), dim, dim)
-        finite = np.isfinite(stack).all(axis=(1, 2))
+        keys, vectors = tuple(map(tuple, self.keys)), np.asarray(self.vectors, dtype=complex)
+        if vectors.ndim != 2 or len(vectors) != len(keys):
+            raise ValueError(f"vectors have shape {vectors.shape}: expected one row for each of {len(keys)} keys")
+        for what, size in (("outcome count", len(keys)), ("dimension", vectors.shape[1])):
+            if size > _MAX_DIM:
+                raise ValueError(f"{what} {size} exceeds {_MAX_DIM}")
+        finite = np.isfinite(vectors).all(axis=1)
         if not finite.all():
-            raise ValueError(f"block {list(self.blocks)[finite.argmin()]} has non-finite entries")
-        mass = math.fsum(np.trace(stack, axis1=1, axis2=2).real.tolist())
+            raise ValueError(f"outcome {keys[finite.argmin()]} has non-finite entries")
+        mass = math.fsum(np.einsum("od,od->o", vectors.conj(), vectors).real.tolist())
         if abs(mass - 1.0) > 1e-9:
-            raise ValueError(f"block traces sum to {mass}")
-        object.__setattr__(self, "blocks", dict(zip(self.blocks, stack)))
-
-
-def _group_sums(stack: np.ndarray, labelled: list) -> tuple[list, np.ndarray]:
-    """The labels of (row, label) pairs in first-seen order, and for each 0.0 + stack[i] + stack[j] + ...
-    over its rows in order. A shorter group adds a zero row, exactly: 0.0 + x has no -0.0 entries."""
-    members: dict = {}
-    for i, label in labelled:
-        members.setdefault(label, []).append(i)
-    padded = np.concatenate([stack, np.zeros_like(stack[:1])])
-    out = np.zeros((len(members),) + stack.shape[1:], dtype=complex)
-    for column in itertools.zip_longest(*members.values(), fillvalue=-1):
-        out += padded.take(column, axis=0)
-    return list(members), out
+            raise ValueError(f"squared norms sum to {mass}")
+        object.__setattr__(self, "keys", keys)
+        object.__setattr__(self, "vectors", vectors)
 
 
 def _two_copy_ccq_from_pure(psi: np.ndarray) -> CcqState:
     """Measure two copies of a tripartite pure state psi of shape (2, 2, dE)
     in the z basis on A,B; outcome (a, b) leaves the environment in the
     subnormalized vector psi[a, b]. Outcomes (a1,b1), (a2,b2) are labelled
-    u1 = a1+a2, w1 = (a1+b1)+(a2+b2), and u2 = a2 where w1 = 0, else 0.
-    Each block sums its outcomes' projectors in outcome order, unnormalized,
-    leaving out outcomes of squared norm <= 1e-300."""
+    u1 = a1+a2, w1 = (a1+b1)+(a2+b2), and u2 = a2 where w1 = 0, else 0;
+    each keeps its vector psi[a1, b1] (x) psi[a2, b2], zero or not."""
     if psi.ndim != 3 or psi.shape[:2] != (2, 2):
         raise ValueError(f"expected shape (2, 2, dE), got {psi.shape}")
     # row 8*a1 + 4*b1 + 2*a2 + b2 is psi[a1, b1] (x) psi[a2, b2]
     vecs = (psi[:, :, None, None, :, None] * psi[None, None, :, :, None, :]).reshape(16, -1)
-    norms = np.einsum("od,od->o", vecs.conj(), vecs).real.tolist()
-    labelled = [(i, key) for i, (key, norm) in enumerate(zip(_OUTCOME_KEYS, norms)) if norm > 1e-300]
-    keys, blocks = _group_sums(vecs[:, :, None] * vecs.conj()[:, None, :], labelled)
-    return CcqState(registers=("u1", "u2", "w1"), blocks=dict(zip(keys, blocks)))
+    return CcqState(registers=_REGISTERS, keys=_OUTCOME_KEYS, vectors=vecs)
 
 
 def assemble_two_copy_ccq(p: BellDiagonal) -> CcqState:
@@ -325,26 +319,53 @@ def conditional_entropy(ccq: CcqState, conditioned_on) -> float:
     if unknown:
         raise ValueError(f"unknown registers {sorted(unknown)}")
     marginals = [(ccq.registers, True)] + ([(names, with_quantum)] if names or with_quantum else [])
-    joint, *given = _ccq_entropies(ccq, marginals)
+    joint, *given = _ccq_entropies(ccq.vectors, marginals, _group_rows(ccq.registers, ccq.keys, marginals))
     return joint - given[0] if given else joint
 
 
-def _ccq_entropies(ccq: CcqState, marginals: list) -> list[float]:
-    """Entropy of each marginal (names, with_quantum). The blocks sharing the
-    named values sum, in block order, to one subnormalized operator A_g of
-    trace p_g; the entropy is sum_g -tr A_g log2 A_g with the quantum part,
-    -sum_g p_g log2 p_g without it. One eigvalsh call takes every quantum A_g."""
-    index = [[i for i, r in enumerate(ccq.registers) if r in names] for names, _ in marginals]
-    labelled = [(i, (m, tuple([k[j] for j in idx]))) for m, idx in enumerate(index) for i, k in enumerate(ccq.blocks)]
-    labels, sums = _group_sums(np.stack(list(ccq.blocks.values())), labelled)
-    quantum = [marginals[m][1] for m, _ in labels]
-    values = np.trace(sums, axis1=1, axis2=2).real
-    values[quantum] = _spectral_entropy(sums[quantum])
-    parts = [[v for (k, _), v in zip(labels, values.tolist()) if k == m] for m in range(len(marginals))]
+def _group_rows(registers, keys, marginals: list) -> tuple[list, np.ndarray]:
+    """The groups of every marginal (names, with_quantum): the outcomes that
+    share the named register values, in first-seen order. Returns the
+    marginal of each group and one row of outcome indices per group, padded
+    to the widest group with len(keys), the index of an appended zero row."""
+    owner, groups = [], []
+    for m, (names, _) in enumerate(marginals):
+        idx = [j for j, r in enumerate(registers) if r in names]
+        members: dict = {}
+        for i, key in enumerate(keys):
+            members.setdefault(tuple([key[j] for j in idx]), []).append(i)
+        owner += [m] * len(members)
+        groups += members.values()
+    width = max(map(len, groups))
+    return owner, np.array([group + [len(keys)] * (width - len(group)) for group in groups])
+
+
+def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[list, np.ndarray]) -> list[float]:
+    """Entropy of each marginal (names, with_quantum) from the outcome
+    vectors and their _group_rows layout. A group's block A_g = X X^dagger,
+    with its outcome vectors as the columns of X, has the nonzero spectrum
+    of the k x k Gram matrix X^dagger X, and a zero pad column adds a zero
+    eigenvalue. The entropy is sum_g -tr A_g log2 A_g with the quantum part,
+    -sum_g p_g log2 p_g, p_g the Gram trace, without it. One eigvalsh call
+    takes every quantum group. The Gram size k (at most 8 for the two-copy
+    state) serves every call, whatever the vector dimension d (1 to 16
+    there): at these sizes the call overhead, not the size, sets the time."""
+    owner, rows = layout
+    x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
+    gram = x.conj() @ x.swapaxes(1, 2)
+    quantum = [marginals[m][1] for m in owner]
+    values = np.trace(gram, axis1=1, axis2=2).real
+    values[quantum] = _spectral_entropy(gram[quantum])
+    parts = [[v for k, v in zip(owner, values.tolist()) if k == m] for m in range(len(marginals))]
     return [
         math.fsum(part) if with_quantum else -math.fsum(p * math.log2(p) for p in part if p > 0.0)
         for part, (_, with_quantum) in zip(parts, marginals)
     ]
+
+
+# The joint, {w1} and {u1, w1} marginals of the brackets, grouped once
+_BRACKET_MARGINALS = [(_REGISTERS, True), (("w1",), True), (("u1", "w1"), True)]
+_BRACKET_LAYOUT = _group_rows(_REGISTERS, _OUTCOME_KEYS, _BRACKET_MARGINALS)
 
 
 def _measured_block_laws(psi: np.ndarray) -> tuple[Dist, Dist]:
@@ -365,10 +386,10 @@ def _brackets(psi: np.ndarray) -> tuple[float, float, Dist, Dist]:
     first  = H(U1 U2 | W1 E1 E2) - H(P_W1) - P_W1(0) H(P_W2|W1=0)
     second = H(U2 | W1 U1 E1 E2) - P_W1(0) H(P_W2|W1=0)
     """
-    ccq = _two_copy_ccq_from_pure(psi)
+    vectors = _two_copy_ccq_from_pure(psi).vectors
     w1, w2 = _measured_block_laws(psi)
     h_w2 = shannon_entropy(w2)
-    joint, h_w1, h_u1_w1 = _ccq_entropies(ccq, [(ccq.registers, True), ({"w1"}, True), ({"u1", "w1"}, True)])
+    joint, h_w1, h_u1_w1 = _ccq_entropies(vectors, _BRACKET_MARGINALS, _BRACKET_LAYOUT)
     return joint - h_w1 - shannon_entropy(w1) - w1(0) * h_w2, joint - h_u1_w1 - w1(0) * h_w2, w1, w2
 
 
@@ -543,19 +564,25 @@ def _lemma_chunk(count: int, rng: np.random.Generator) -> tuple:
     for x, part in enumerate((part0, part1)):
         rho_xbc += probs[:, x, None, None] * _kron(np.diag([1.0 - x, x]), part)
     rho_bc = probs[:, 0, None, None] * part0 + probs[:, 1, None, None] * part1
-    monotonicity = _min_entropy(rho_bc, sigma_m, 2, 2) - _min_entropy(rho_xbc, sigma_m, 4, 2)
+    w_m, v_m, _ = _support(sigma_m)
+    monotonicity = _min_entropy(rho_bc, w_m, v_m, 2, 2) - _min_entropy(rho_xbc, w_m, v_m, 4, 2)
 
     # chain rule witness: conditioning on B's uniformized support loses
-    # at most the max-entropy of B
+    # at most the max-entropy of B. kron(P_B / r, sigma_C) is solved from
+    # the two factors, so both min-entropies read sigma_C's one solve.
     wb, vb, rank_b = _support(_partial_trace(rho_c, (2, 2, 2), (1,)))
-    proj_b = (vb * (wb > _TOL)[:, None, :]) @ vb.conj().swapaxes(1, 2)
-    h_bc = _min_entropy(rho_c, _kron(proj_b / rank_b[:, None, None], sigma_c), 2, 4)
-    chain_rule = (_min_entropy(rho_c, sigma_c, 4, 2) - np.log2(rank_b)) - h_bc
+    w_c, v_c, _ = _support(sigma_c)
+    w_bc = (((wb > _TOL) / rank_b[:, None])[:, :, None] * w_c[:, None, :]).reshape(count, 4)
+    order = np.argsort(w_bc, axis=-1, kind="stable")
+    w_bc, v_bc = np.take_along_axis(w_bc, order, -1), np.take_along_axis(_kron(vb, v_c), order[:, None, :], -1)
+    h_bc = _min_entropy(rho_c, w_bc, v_bc, 2, 4)
+    chain_rule = (_min_entropy(rho_c, w_c, v_c, 4, 2) - np.log2(rank_b)) - h_bc
 
     # removal bound: discarding A costs at most its max-entropy
     rho_bc = _partial_trace(rho_r, (2, 2, 2), (1, 2))
     h_a = _max_entropy(_partial_trace(rho_r, (2, 2, 2), (0,)))
-    removal = (_min_entropy(rho_bc, sigma_r, 2, 2) - h_a) - _min_entropy(rho_r, sigma_r, 4, 2)
+    w_r, v_r, _ = _support(sigma_r)
+    removal = (_min_entropy(rho_bc, w_r, v_r, 2, 2) - h_a) - _min_entropy(rho_r, w_r, v_r, 4, 2)
 
     # fidelity-distance sandwich on subnormalized operators
     fid, tn = _fidelity(rho, sig).tolist(), _trace_norm(rho - sig).tolist()

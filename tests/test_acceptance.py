@@ -108,10 +108,16 @@ def test_criterion_05_twirled_state_is_worst_case():
     elapsed = time.time() - start
     excess = max(dev["first_bracket_twirl_excess"], dev["second_bracket_twirl_excess"])
     law_dev = dev["block_law_invariance"]
-    ok = excess <= 1e-9 and law_dev <= 1e-12 and elapsed <= 120.0
-    report(5, ok, f"worst bracket excess {excess:.2e}, law deviation {law_dev:.2e}, {elapsed:.1f}s")
+    bell_dev = dev["twirl_is_bell_diagonal"]
+    ok = excess <= 1e-9 and law_dev <= 1e-12 and bell_dev <= 1e-12 and elapsed <= 120.0
+    report(
+        5, ok,
+        f"worst bracket excess {excess:.2e}, law deviation {law_dev:.2e}, "
+        f"Bell-diagonal deviation {bell_dev:.2e}, {elapsed:.1f}s",
+    )
     assert excess <= 1e-9
     assert law_dev <= 1e-12
+    assert bell_dev <= 1e-12
     assert elapsed <= 120.0
 
 

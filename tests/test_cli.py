@@ -262,11 +262,11 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
      "e65809bd3254ac57dbffd89764284dc0840cec461358ddc25137f917a3c989ec"),
     # The oracle's suites: any change to its numerics moves these bytes.
     (["verify", "--suite", "theorem3", "--samples", "20", "--format", "json"],
-     "762f9751062f19f3e2656547629cca7ac64890e73c1416ea9dfd34af1fc7107a"),
+     "dcfbd382d197837de336e29667a8edfef5270961745f0165fd35475d3f86cd63"),
     (["verify", "--suite", "twirl", "--samples", "20", "--format", "json"],
-     "9bf07ab3e7c1ec3eeb781ee8bc4b119635a1472922bddd2714c921b4f71a8764"),
+     "c353399260be3a54707c77c0ec4502f427e0f33c40b1c0f4656f5fed1557ea5d"),
     (["verify", "--suite", "lemmas", "--samples", "20", "--format", "json"],
-     "ae0d95dec892a14cf92e55466e30660a66f1e958bcad18c565de2130e05e76ef"),
+     "54883d0106856c63d4fe2ab19928e4e917229bd9d78bd4b9ea4a0860d230c599"),
     # Every BB84 curve to 1/2: the grid, the polish and the p11 argmin.
     (["keyrate", "--protocol", "bb84", "--emax", "0.5", "--curves",
       "proposed,first_arg,second_arg,vollbrecht,bstep,oneway", "--format", "json"],

@@ -19,9 +19,11 @@ import pytest
 from qkdpost.channel import BellDiagonal, bb84_family, derived_dists, six_state_point
 from qkdpost.cli import SUITES
 from qkdpost.entropy import Dist, shannon_entropy
+from qkdpost import keyrate, oracle
 from qkdpost.keyrate import rate_first_arg, rate_second_arg
 from qkdpost.oracle import (
     _CHUNK,
+    _TWIRL_UNITARIES,
     QUANTUM,
     CcqState,
     _coset_signs,
@@ -232,40 +234,40 @@ def test_two_copy_ccq_structure():
     p = random_bell_diagonal(rng)
     ccq = assemble_two_copy_ccq(p)
     assert ccq.registers == ("u1", "u2", "w1")
-    mass = math.fsum(np.trace(op).real for op in ccq.blocks.values())
-    assert mass == pytest.approx(1.0, abs=1e-12)
+    assert len(ccq.keys) == 16 and ccq.vectors.shape == (16, 16)
+    norms = np.einsum("od,od->o", ccq.vectors.conj(), ccq.vectors).real
+    assert math.fsum(norms) == pytest.approx(1.0, abs=1e-12)
     w1_law, _ = derived_dists(p)
     for value in (0, 1):
-        marginal = math.fsum(
-            np.trace(op).real for key, op in ccq.blocks.items() if key[2] == value
-        )
+        marginal = math.fsum(n for key, n in zip(ccq.keys, norms) if key[2] == value)
         assert marginal == pytest.approx(w1_law(value), abs=1e-12)
 
 
 def test_two_copy_ccq_matches_kron_reference():
-    # The outcome vectors come from one broadcast product; the blocks must
-    # equal, byte for byte, a sum of np.kron/np.outer terms in outcome order.
+    # The outcome vectors come from one broadcast product; they must equal,
+    # byte for byte, np.kron of the two copies' vectors in outcome order.
     p = random_bell_diagonal(np.random.default_rng(17))
     psi = purify_bell_diagonal(p).reshape(2, 2, 4)
-    expected = {}
+    keys, vecs = [], []
     for a1, b1, a2, b2 in itertools.product((0, 1), repeat=4):
-        vec = np.kron(psi[a1, b1], psi[a2, b2])
         w1 = a1 ^ b1 ^ a2 ^ b2
-        key = (a1 ^ a2, a2 if w1 == 0 else 0, w1)
-        expected.setdefault(key, np.zeros((16, 16), dtype=complex))
-        expected[key] += np.outer(vec, vec.conj())
-    blocks = assemble_two_copy_ccq(p).blocks
-    assert set(blocks) == set(expected)
-    for key, op in blocks.items():
-        assert op.tobytes() == expected[key].tobytes()
+        keys.append((a1 ^ a2, a2 if w1 == 0 else 0, w1))
+        vecs.append(np.kron(psi[a1, b1], psi[a2, b2]))
+    ccq = assemble_two_copy_ccq(p)
+    assert ccq.keys == tuple(keys)
+    assert ccq.vectors.tobytes() == np.array(vecs).tobytes()
 
 
 def test_two_copy_ccq_noiseless():
+    # Only outcomes with a1 = b1 and a2 = b2 occur, each with one environment
+    # vector of squared norm 1/4; the others keep a zero vector.
     ccq = assemble_two_copy_ccq(BellDiagonal(1.0, 0.0, 0.0, 0.0))
-    assert all(key[2] == 0 for key in ccq.blocks)
-    for op in ccq.blocks.values():
-        eigs = np.linalg.eigvalsh(op)
-        assert np.count_nonzero(eigs > 1e-10) == 1
+    norms = np.einsum("od,od->o", ccq.vectors.conj(), ccq.vectors).real
+    assert sorted(norms.tolist()) == pytest.approx([0.0] * 12 + [0.25] * 4, abs=1e-15)
+    blocks = {key: op for key, op in group_blocks(ccq, ccq.registers).items() if np.trace(op).real > 0.0}
+    assert len(blocks) == 4 and all(key[2] == 0 for key in blocks)
+    for op in blocks.values():
+        assert np.count_nonzero(np.linalg.eigvalsh(op) > 1e-10) == 1
         assert np.trace(op).real == pytest.approx(0.25, abs=1e-12)
 
 
@@ -279,29 +281,36 @@ def test_conditional_entropy_reductions():
 
 
 def test_conditional_entropy_classical_reduction():
-    # Identical conditionals factor out: H(X | quantum) = H(X).
-    half = np.eye(2, dtype=complex) / 2.0
-    ccq = CcqState(registers=("x",), blocks={(0,): 0.3 * half, (1,): 0.7 * half})
+    # Identical conditionals factor out: H(X | quantum) = H(X). Each value's
+    # block is its probability times id/2, the sum of two outcome projectors.
+    keys = [(0,), (0,), (1,), (1,)]
+    vectors = np.sqrt([0.15, 0.15, 0.35, 0.35])[:, None] * np.tile(np.eye(2), (2, 1))
+    ccq = CcqState(registers=("x",), keys=keys, vectors=vectors)
     expected = shannon_entropy(Dist((0.3, 0.7)))
     assert conditional_entropy(ccq, (QUANTUM,)) == pytest.approx(expected, abs=1e-12)
+
+
+def group_blocks(ccq, names):
+    """The d x d block of each group of outcomes that share the named register
+    values, built from the outcome vectors with np.outer, keyed by those values
+    in first-seen order."""
+    idx = [i for i, r in enumerate(ccq.registers) if r in names]
+    groups = {}
+    for key, vec in zip(ccq.keys, ccq.vectors):
+        g = tuple(key[i] for i in idx)
+        groups[g] = groups.get(g, 0.0) + np.outer(vec, vec.conj())
+    return groups
 
 
 def normalized_form_entropy(ccq, names, with_quantum):
     """The entropy in the (probability, normalized state) form: the Shannon
     entropy of the group traces p_g, plus sum_g p_g S(A_g / p_g) with the
-    quantum part."""
-    idx = [i for i, r in enumerate(ccq.registers) if r in names]
-    groups = {}
-    for key, op in ccq.blocks.items():
-        groups.setdefault(tuple(key[i] for i in idx), []).append(op)
-    probs, states = [], []
-    for members in groups.values():
-        a_g = sum(members)
-        probs.append(np.trace(a_g).real)
-        states.append(a_g / probs[-1])
+    quantum part. Groups of probability 0 carry no state."""
+    blocks = [a_g for a_g in group_blocks(ccq, names).values() if np.trace(a_g).real > 0.0]
+    probs = [np.trace(a_g).real for a_g in blocks]
     h = shannon_entropy(Dist(probs))
     if with_quantum:
-        h += sum(p_g * von_neumann_entropy(rho) for p_g, rho in zip(probs, states))
+        h += sum(p_g * von_neumann_entropy(a_g / p_g) for p_g, a_g in zip(probs, blocks))
     return h
 
 
@@ -322,20 +331,17 @@ def test_conditional_entropy_matches_normalized_form():
 
 
 def looped_marginal_entropy(ccq, names, with_quantum):
-    """One marginal at a time, summing each group's blocks from 0.0 in block
-    order: the arithmetic the stacked marginals must reproduce bit for bit."""
-    idx = [i for i, r in enumerate(ccq.registers) if r in names]
-    groups = {}
-    for key, op in ccq.blocks.items():
-        g = tuple(key[i] for i in idx)
-        groups[g] = groups.get(g, 0.0) + op
+    """The block-sum reference, one marginal at a time: each group's d x d
+    block summed from its outcome projectors, and its spectrum solved."""
+    blocks = list(group_blocks(ccq, names).values())
     if with_quantum:
-        return math.fsum(_spectral_entropy(np.stack(list(groups.values()))))
-    probs = [float(np.trace(op).real) for op in groups.values()]
+        return math.fsum(_spectral_entropy(np.stack(blocks)))
+    probs = [float(np.trace(op).real) for op in blocks]
     return -math.fsum(p * math.log2(p) for p in probs if p > 0.0)
 
 
 def test_conditional_entropy_equals_looped_marginals():
+    # The Gram spectra of the outcome vectors give the block sums' entropies.
     rng = np.random.default_rng(23)
     states = [assemble_two_copy_ccq(BellDiagonal(0.7, 0.2, 0.1, 0.0))]
     states += [assemble_two_copy_ccq(random_bell_diagonal(rng)) for _ in range(3)]
@@ -350,41 +356,44 @@ def test_conditional_entropy_equals_looped_marginals():
                     expected = joint
                     if given:
                         expected -= looped_marginal_entropy(ccq, set(subset), with_quantum)
-                    assert conditional_entropy(ccq, given) == expected, given
+                    assert conditional_entropy(ccq, given) == pytest.approx(expected, abs=1e-12), given
 
 
-@pytest.mark.parametrize("where, value", [((0, 0), np.nan), ((0, 1), np.inf)])
+@pytest.mark.parametrize("where, value", [((1, 0), np.nan), ((1, 1), np.inf)])
 def test_ccq_state_rejects_non_finite_block(where, value):
-    # LAPACK can return finite, wrong spectra for such a block.
-    bad = np.eye(2, dtype=complex) / 4.0
-    bad[where] = value
-    with pytest.raises(ValueError, match=r"block \(1,\).*non-finite"):
-        CcqState(registers=("x",), blocks={(0,): np.eye(2) / 4.0, (1,): bad})
+    # LAPACK can return finite, wrong spectra for such an outcome's block.
+    vectors = np.full((2, 2), 0.5, dtype=complex)
+    vectors[where] = value
+    with pytest.raises(ValueError, match=r"outcome \(1,\) has non-finite entries"):
+        CcqState(registers=("x",), keys=[(0,), (1,)], vectors=vectors)
 
 
 def test_ccq_state_rejects_mismatched_blocks():
-    with pytest.raises(ValueError, match=r"block \(1,\) has shape \(4, 4\)"):
-        CcqState(registers=("x",), blocks={(0,): np.eye(2) / 4.0, (1,): np.eye(4) / 8.0})
-    with pytest.raises(ValueError, match=r"block \(0,\).*square"):
-        CcqState(registers=("x",), blocks={(0,): np.ones((1, 2))})
+    with pytest.raises(ValueError, match=r"shape \(3, 2\): expected one row for each of 2 keys"):
+        CcqState(registers=("x",), keys=[(0,), (1,)], vectors=np.full((3, 2), 0.5))
+    with pytest.raises(ValueError, match=r"shape \(2,\): expected one row for each of 2 keys"):
+        CcqState(registers=("x",), keys=[(0,), (1,)], vectors=np.full(2, 0.5**0.5))
 
 
 def test_ccq_state_rejects_traces_not_summing_to_one():
-    with pytest.raises(ValueError, match="block traces sum to 0.5"):
-        CcqState(registers=("x",), blocks={(0,): np.eye(2) / 4.0})
+    with pytest.raises(ValueError, match="squared norms sum to 0.5"):
+        CcqState(registers=("x",), keys=[(0,), (1,)], vectors=np.full((2, 2), 0.5**1.5))
 
 
 def test_ccq_state_rejects_a_total_dimension_above_256():
-    # 17 blocks of dimension 16 hold a unit trace but exceed the bound.
-    blocks = {(x,): np.eye(16) / (16 * 17) for x in range(17)}
-    with pytest.raises(ValueError, match="total dimension 272 exceeds 256"):
-        CcqState(registers=("x",), blocks=blocks)
+    # Each state holds a unit mass but exceeds the bound, in the vector
+    # dimension or in the outcome count.
+    for shape, message in (((1, 257), "dimension 257"), ((257, 1), "outcome count 257")):
+        keys = [(x,) for x in range(shape[0])]
+        with pytest.raises(ValueError, match=message + " exceeds 256"):
+            CcqState(registers=("x",), keys=keys, vectors=np.full(shape, 257**-0.5))
 
 
 def test_conditional_entropy_rejects_a_negative_eigenvalue():
-    ccq = CcqState(registers=("x",), blocks={(0,): np.diag([1.5, -0.5])})
+    # A Gram matrix has no negative eigenvalue, so the check is met on a
+    # matrix given to the shared spectral core directly.
     with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
-        conditional_entropy(ccq, ())
+        von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 4, 4), (2, 2, 2, 2)])
@@ -402,32 +411,32 @@ def test_theorem3_direct_anchors():
     assert second == pytest.approx(-0.25, abs=1e-9)
 
 
-# Exact oracle values (float.hex): any change to the block sums, the marginal
-# groups or their order moves them.
+# Exact oracle values (float.hex): any change to the outcome vectors, the
+# marginal groups, their order or the Gram products moves them.
 THEOREM3_PINNED = [
-    (BellDiagonal(1.0, 0.0, 0.0, 0.0), ("0x1.ffffffffffffbp-1", "0x1.ffffffffffffap-2")),
-    (BellDiagonal(0.25, 0.25, 0.25, 0.25), ("-0x1.7fffffffffff8p-1", "-0x1.fffffffffffe0p-3")),
-    (BellDiagonal(0.7, 0.2, 0.1, 0.0), ("-0x1.1df0659f6b258p-4", "-0x1.91af888b74c40p-7")),
-    (six_state_point(0.05), ("0x1.16b09f3639ae1p-1", "0x1.3a94f154e2b0fp-2")),
-    (bb84_family(0.11, 0.02), ("0x1.545d876c3b28ep-4", "0x1.4a2459c19f96ap-4")),
-    (BellDiagonal(0.4, 0.3, 0.2, 0.1), ("-0x1.38f87df0023a0p-1", "-0x1.cf69ea7e167fap-3")),
+    (BellDiagonal(1.0, 0.0, 0.0, 0.0), ("0x1.fffffffffffecp-1", "0x1.ffffffffffffap-2")),
+    (BellDiagonal(0.25, 0.25, 0.25, 0.25), ("-0x1.8000000000000p-1", "-0x1.0000000000000p-2")),
+    (BellDiagonal(0.7, 0.2, 0.1, 0.0), ("-0x1.1df0659f6b2c8p-4", "-0x1.91af888b75040p-7")),
+    (six_state_point(0.05), ("0x1.16b09f3639adcp-1", "0x1.3a94f154e2b07p-2")),
+    (bb84_family(0.11, 0.02), ("0x1.545d876c3b1eep-4", "0x1.4a2459c19f8eap-4")),
+    (BellDiagonal(0.4, 0.3, 0.2, 0.1), ("-0x1.38f87df0023a8p-1", "-0x1.cf69ea7e167e2p-3")),
 ]
 # (first, second) original, then twirled, for random_density(4, rank=r)
 # drawn in rank order from default_rng(29)
 WORST_CASE_PINNED = {
-    1: ("-0x1.41ebe6580f9a8p-4", "-0x1.4f6f929780a20p-6", "-0x1.361c601a6a20fp-1", "-0x1.5b611f609492ap-2"),
-    2: ("-0x1.96543dd9ff6dcp-1", "-0x1.97112cdb05dc3p-2", "-0x1.216437a607fe4p+0", "-0x1.df9330110b645p-2"),
-    3: ("-0x1.1be6fb4189723p+0", "-0x1.9fbd1afe0fa2dp-2", "-0x1.4fd41d2759478p+0", "-0x1.b79a902f6a96ap-2"),
-    4: ("-0x1.1a4489a2ec125p+0", "-0x1.9af3253d40b73p-2", "-0x1.33b7744985c8ep+0", "-0x1.b896ee09e2113p-2"),
+    1: ("-0x1.41ebe6580fad8p-4", "-0x1.4f6f929780d60p-6", "-0x1.361c601a6a22bp-1", "-0x1.5b611f6094962p-2"),
+    2: ("-0x1.96543dd9ff708p-1", "-0x1.97112cdb05df3p-2", "-0x1.216437a607ff8p+0", "-0x1.df9330110b675p-2"),
+    3: ("-0x1.1be6fb4189739p+0", "-0x1.9fbd1afe0fa3dp-2", "-0x1.4fd41d2759482p+0", "-0x1.b79a902f6a962p-2"),
+    4: ("-0x1.1a4489a2ec129p+0", "-0x1.9af3253d40b33p-2", "-0x1.33b7744985ca4p+0", "-0x1.b896ee09e2153p-2"),
 }
 # conditional_entropy on assemble_two_copy_ccq(six_state_point(0.05))
 CONDITIONAL_PINNED = {
-    (): "0x1.49514f9c7ca8bp+1",
-    ("w1", QUANTUM): "0x1.910152ea1446cp+0",
-    ("u1", "w1", QUANTUM): "0x1.474e42cdbb10cp-1",
-    (QUANTUM,): "0x1.910152ea1446cp+0",
-    ("u1",): "0x1.92a29f38f9516p+0",
-    ("u1", "u2"): "0x1.289bd4fb3fdf8p-1",
+    (): "0x1.49514f9c7ca87p+1",
+    ("w1", QUANTUM): "0x1.910152ea14467p+0",
+    ("u1", "w1", QUANTUM): "0x1.474e42cdbb104p-1",
+    (QUANTUM,): "0x1.910152ea14468p+0",
+    ("u1",): "0x1.92a29f38f950ep+0",
+    ("u1", "u2"): "0x1.289bd4fb3fde8p-1",
 }
 
 
@@ -456,11 +465,17 @@ def lapack_calls(monkeypatch):
     return calls
 
 
-def test_brackets_solve_in_one_stack(lapack_calls):
+def test_brackets_solve_in_one_stack(lapack_calls, monkeypatch):
     # The joint, {w1} and {u1, w1} marginals of the brackets share one
     # eigvalsh call, and so do the joint and the conditioning marginal.
+    # Its input is the stack of 12 group Gram matrices, at most 8 x 8, not
+    # the 16 x 16 blocks of a full-rank state.
+    shapes = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: shapes.append(a.shape) or solve(a, *args, **kw))
     theorem3_direct(six_state_point(0.05))
     assert lapack_calls == {"eigvalsh": 1}
+    assert shapes == [(12, 8, 8)]
     ccq = assemble_two_copy_ccq(six_state_point(0.05))
     for given in ((), ("w1", QUANTUM), ("u1", "u2")):
         lapack_calls.clear()
@@ -611,7 +626,7 @@ def test_lemma_suite():
 LEMMA_SUITE_PINNED = {
     (200, 44): {
         "monotonicity": "-0.00012065549771467232",
-        "chain_rule": "1.5987211554602254e-14",
+        "chain_rule": "2.220446049250313e-15",
         "removal": "-0.43686006444981773",
         "sandwich_lower": "-0.27639745486439693",
         "sandwich_upper": "-0.01837912071259773",
@@ -619,7 +634,7 @@ LEMMA_SUITE_PINNED = {
     },
     (60, 10): {
         "monotonicity": "-0.0013746015021307567",
-        "chain_rule": "1.1723955140041653e-13",
+        "chain_rule": "1.7763568394002505e-15",
         "removal": "-0.2054175554903792",
         "sandwich_lower": "-0.283665508505311",
         "sandwich_upper": "-0.023573908095249063",
@@ -652,6 +667,67 @@ def test_lemma_suite_solves_in_stacks(lapack_calls):
         lemma_suite(samples, np.random.default_rng(10))
         counts.append(dict(lapack_calls))
     assert counts[0] and counts[0] == counts[1]
+    # One eigh for each conditioning state (sigma of monotonicity, removal
+    # and the chain rule) and for rho_B of the chain rule; the eigvalsh calls
+    # are one per min-entropy and support size, plus max-entropy, trace norm
+    # and the operator bound's two.
+    assert counts[0] == {"eigh": 4, "eigvalsh": 10, "eigvals": 1}
+
+
+# Benchmark oracle lemma seeds whose chain rule read 6.84e-9, 1.69e-9 and
+# 4.64e-9 while each min-entropy solved its own conditioning state: sigma_C
+# has an eigenvalue near 1e-8, and two solves erred apart.
+NEAR_SINGULAR_LEMMA_SEEDS = [769512071635823168, 8358529215191477859, 7399127668851441704]
+
+
+@pytest.mark.parametrize("seed", NEAR_SINGULAR_LEMMA_SEEDS)
+def test_lemma_suite_holds_for_a_nearly_singular_sigma(seed):
+    worst = lemma_suite(200, np.random.default_rng(seed))
+    for name, value in worst.items():
+        assert value <= 1e-9, name
+
+
+def failed(checks):
+    return {check["name"] for check in checks if not check["deviation"] <= check["bound"]}
+
+
+def _half_twirl(sigma):
+    """The average over the two Z-type unitaries alone (s = 0)."""
+    return (_TWIRL_UNITARIES[:2] @ sigma @ _TWIRL_UNITARIES[:2].conj().swapaxes(1, 2)).sum(axis=0) / 2.0
+
+
+@pytest.mark.parametrize("twirl", [np.asarray, _half_twirl], ids=["identity", "half"])
+def test_twirl_suite_fails_a_wrong_twirl(monkeypatch, twirl):
+    # Either map keeps the z-basis block laws and can only meet the one-sided
+    # excess checks, so the Bell-diagonal row alone tells it from the twirl.
+    assert not failed(SUITES["twirl"](20, np.random.default_rng(42)))
+    monkeypatch.setattr("qkdpost.oracle.discrete_twirl", twirl)
+    monkeypatch.setattr("qkdpost.cli.discrete_twirl", twirl)
+    assert failed(SUITES["twirl"](20, np.random.default_rng(42))) == {"twirl_is_bell_diagonal"}
+
+
+def test_theorem3_suite_fails_swapped_arguments(monkeypatch):
+    honest = keyrate._first_arg
+    monkeypatch.setattr(keyrate, "_first_arg", lambda p00, p10, p01, p11: honest(p00, p01, p10, p11))
+    checks = SUITES["theorem3"](100, np.random.default_rng(41))
+    assert failed(checks) == {"first_argument_vs_oracle"}
+    assert checks[0]["deviation"] > 0.05
+
+
+def test_lemma_suite_fails_a_min_entropy_that_ignores_sigma(monkeypatch):
+    # Criterion 06's draw. The mutation conditions on rho's own B marginal
+    # instead of the given sigma_B; the chain rule catches it. (The identity,
+    # id / d_B and sigma_B's support projector in place of sigma_B all keep
+    # every inequality and pass.)
+    honest = oracle._min_entropy
+
+    def own_marginal(rho_ab, w_b, v_b, da, db):
+        w, v, _ = _support(_partial_trace(rho_ab, (da, db), (1,)))
+        return honest(rho_ab, w, v, da, db)
+
+    monkeypatch.setattr(oracle, "_min_entropy", own_marginal)
+    worst = lemma_suite(200, np.random.default_rng(44))
+    assert worst["chain_rule"] > 0.05
 
 
 def _same(stacked, rows):
@@ -669,13 +745,13 @@ def test_min_entropy_stack_equals_rows():
     sigmas += [b, b, np.zeros((2, 2)), random_density(2, rng)]
     order = rng.permutation(len(rhos))
     rhos, sigmas = np.stack(rhos)[order], np.stack(sigmas).astype(complex)[order]
-    stacked = _min_entropy(rhos, sigmas, 2, 2)
+    stacked = _min_entropy(rhos, *_support(sigmas)[:2], 2, 2)
     rows = [min_entropy(rho, sigma, dims=(2, 2)) for rho, sigma in zip(rhos, sigmas)]
     assert _same(stacked, rows)
     assert sorted(v for v in rows if not math.isfinite(v)) == [-math.inf, -math.inf, math.inf]
     rhos = np.stack([random_density(8, rng, rank=r) for r in (1, 3, 8)])
     sigmas = np.stack([random_density(4, rng, rank=r) for r in (4, 2, 4)])
-    stacked = _min_entropy(rhos, sigmas, 2, 4)
+    stacked = _min_entropy(rhos, *_support(sigmas)[:2], 2, 4)
     assert _same(stacked, [min_entropy(r, s, dims=(2, 4)) for r, s in zip(rhos, sigmas)])
 
 
