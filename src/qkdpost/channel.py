@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .blocks import as_count, as_real
-from .entropy import Dist
+from .entropy import _SUM_TOL, Dist
 
 __all__ = [
     "BellDiagonal",
@@ -32,8 +32,6 @@ __all__ = [
     "derived_dists",
     "sample_pair",
 ]
-
-_SUM_TOL = 1e-12
 
 
 @dataclass(frozen=True)

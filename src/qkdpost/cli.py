@@ -23,7 +23,6 @@ usage, 3 verification failure. Sizes out of range are bad usage: --trials,
 from __future__ import annotations
 
 import dataclasses
-import itertools
 import json
 import math
 import sys
@@ -36,7 +35,7 @@ from .channel import bb84_family, sample_pair, six_state_point
 from .entropy import type_deviation_bound
 from .keyrate import TABLE_CURVES, rate_first_arg, rate_second_arg, render_json_rows, sweep
 from .oracle import (
-    bell_basis_vector,
+    _BELL,
     coset_decomposition_check,
     discrete_twirl,
     lemma_suite,
@@ -230,9 +229,8 @@ def _suite_lemmas(samples: int, rng: np.random.Generator) -> list[dict]:
 
 
 def _suite_twirl(samples: int, rng: np.random.Generator) -> list[dict]:
-    # Columns are the Bell vectors: the twirl of sigma, written in this
-    # basis, is the diagonal matrix of sigma's Bell fidelities.
-    bell = np.stack([bell_basis_vector(x, z) for x, z in itertools.product((0, 1), repeat=2)], axis=1)
+    # Columns of _BELL are the Bell vectors: the twirl of sigma, written in
+    # this basis, is the diagonal matrix of sigma's Bell fidelities.
     first_excess = -math.inf
     second_excess = -math.inf
     law_dev = 0.0
@@ -247,8 +245,8 @@ def _suite_twirl(samples: int, rng: np.random.Generator) -> list[dict]:
             abs(rec.w1_original(0) - rec.w1_twirled(0)),
             abs(rec.w2_original(0) - rec.w2_twirled(0)),
         )
-        in_bell = bell.conj().T @ discrete_twirl(sigma) @ bell
-        fidelities = np.diag(bell.conj().T @ sigma @ bell)
+        in_bell = _BELL.conj().T @ discrete_twirl(sigma) @ _BELL
+        fidelities = np.diag(_BELL.conj().T @ sigma @ _BELL)
         bell_dev = max(bell_dev, float(np.abs(in_bell - np.diag(fidelities)).max()))
     return [
         {"name": "first_bracket_twirl_excess", "deviation": first_excess, "bound": 1e-9},

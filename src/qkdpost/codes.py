@@ -15,8 +15,9 @@ plausible vector with a prescribed syndrome under an i.i.d. Bernoulli model:
 
 Construction: code_for_rate builds every code, at every size, in a sparse
 staircase form [S | T] whose lower-triangular tail T makes full row rank
-structural, so no elimination is needed; ParityCheck.from_dense wraps an
-explicit matrix after checking its rank. Staircase information columns
+structural, so no elimination is needed. The raw ParityCheck constructor
+trusts its caller for full row rank; ParityCheck.from_dense wraps an
+explicit 0/1 matrix after checking its rank. Staircase information columns
 follow one fixed, tuned degree profile, and a fixed fraction of tail
 columns carry a third entry below the diagonal; both set the
 belief-propagation threshold, which must sit comfortably above the session
@@ -26,6 +27,7 @@ session's rate margins.
 
 from __future__ import annotations
 
+import functools
 import math
 from typing import NamedTuple
 
@@ -67,8 +69,9 @@ _CYCLE_ROUNDS = 16
 
 
 def gf2_rank(mat: np.ndarray) -> int:
-    """Rank over F2 via Gaussian elimination on bit-packed rows."""
-    mat = np.asarray(mat, dtype=np.uint8) & 1
+    """Rank over F2 via Gaussian elimination on bit-packed rows of a 0/1 matrix."""
+    mat = np.asarray(mat)
+    mat = as_bits(mat.reshape(-1)).reshape(mat.shape)
     words = np.packbits(mat, axis=1)
     m, n = mat.shape
     rank = 0
@@ -81,11 +84,9 @@ def gf2_rank(mat: np.ndarray) -> int:
         if hits.size == 0:
             continue
         pivot = rank + int(hits[0])
-        if pivot != rank:
-            words[[rank, pivot]] = words[[pivot, rank]]
+        words[[rank, pivot]] = words[[pivot, rank]]
         below = rank + 1 + np.nonzero((words[rank + 1 :, word] >> shift) & 1)[0]
-        if below.size:
-            words[below] ^= words[rank]
+        words[below] ^= words[rank]
         rank += 1
     return rank
 
@@ -125,16 +126,12 @@ class ParityCheck:
     edge_check[i]. The entries must come column-major: columns ascending,
     rows ascending within a column, none repeated (the order np.nonzero of
     the transposed matrix gives); any other order is a ValueError, since
-    bp_decode reads each column's edges as one run. rank_certificate
-    records how full rank was established: "eliminated" (explicit F2
-    elimination) or "triangular" (staircase tail, structural).
+    bp_decode reads each column's edges as one run. Full row rank is the
+    caller's responsibility here: code_for_rate has it by construction, and
+    from_dense checks it.
     """
 
-    def __init__(
-        self, m: int, n: int, edge_var: np.ndarray, edge_check: np.ndarray, rank_certificate: str
-    ):
-        if rank_certificate not in ("eliminated", "triangular"):
-            raise ValueError(f"unknown rank certificate {rank_certificate!r}")
+    def __init__(self, m: int, n: int, edge_var: np.ndarray, edge_check: np.ndarray):
         m = as_count("m", m, 0)
         n = as_count("n", n, 0)
         ev = np.asarray(edge_var, dtype=np.int64)
@@ -150,23 +147,21 @@ class ParityCheck:
             raise ValueError("edges not column-major with rows ascending and none repeated")
         self.m = m
         self.n = n
-        self.rank_certificate = rank_certificate
         self._edge_var = ev
         self._edge_check = ec
-        self._ml_cache = None
 
     @classmethod
     def from_dense(cls, mat: np.ndarray) -> "ParityCheck":
-        """Wrap an explicit matrix; rejects anything below full row rank."""
+        """Wrap an explicit 0/1 matrix; rejects anything below full row rank."""
         mat = np.asarray(mat)
         if mat.ndim != 2:
             raise ValueError("parity check must be 2-d")
-        mat = (mat & 1).astype(np.uint8)
+        mat = as_bits(mat.reshape(-1)).reshape(mat.shape)
         m, n = mat.shape
         if gf2_rank(mat) != m:
             raise ValueError(f"matrix rank below row count {m}")
         edge_var, edge_check = np.nonzero(mat.T)
-        return cls(m, n, edge_var, edge_check, rank_certificate="eliminated")
+        return cls(m, n, edge_var, edge_check)
 
     def to_dense(self) -> np.ndarray:
         mat = np.zeros((self.m, self.n), dtype=np.uint8)
@@ -187,37 +182,34 @@ class ParityCheck:
 
     # --- decoder support ---
 
+    @functools.cached_property
     def _ml_tables(self):
-        if self._ml_cache is None:
-            if self.n > _ML_MAX_N:
-                raise ValueError(f"exhaustive decoding limited to n <= {_ML_MAX_N}")
-            col_ints = np.zeros(self.n, dtype=np.uint32)
-            bits = np.left_shift(1, self.m - 1 - self._edge_check).astype(np.uint32)
-            np.bitwise_or.at(col_ints, self._edge_var, bits)
-            size = 1 << self.n
-            synd = np.zeros(size, dtype=np.uint32)
-            weight = np.zeros(size, dtype=np.uint8)
-            for k in range(self.n):
-                block = 1 << k
-                # integer bit k corresponds to vector position n-1-k
-                synd[block : 2 * block] = synd[:block] ^ col_ints[self.n - 1 - k]
-                weight[block : 2 * block] = weight[:block] + 1
-            self._ml_cache = (synd, weight)
-        return self._ml_cache
+        if self.n > _ML_MAX_N:
+            raise ValueError(f"exhaustive decoding limited to n <= {_ML_MAX_N}")
+        col_ints = np.zeros(self.n, dtype=np.uint32)
+        bits = np.left_shift(1, self.m - 1 - self._edge_check).astype(np.uint32)
+        np.bitwise_or.at(col_ints, self._edge_var, bits)
+        size = 1 << self.n
+        synd = np.zeros(size, dtype=np.uint32)
+        weight = np.zeros(size, dtype=np.uint8)
+        for k in range(self.n):
+            block = 1 << k
+            # integer bit k corresponds to vector position n-1-k
+            synd[block : 2 * block] = synd[:block] ^ col_ints[self.n - 1 - k]
+            weight[block : 2 * block] = weight[:block] + 1
+        return synd, weight
 
 
-def ml_decode(H: ParityCheck, t: np.ndarray, crossover: float = 0.0) -> DecodeResult:
+def ml_decode(H: ParityCheck, t: np.ndarray) -> DecodeResult:
     """Exact ML for a BSC: minimum-weight coset member, lexicographic ties.
 
     Minimum weight is the likelihood order for every crossover below 1/2, so
-    the crossover enters only as a validity bound.
+    no crossover is needed.
     """
-    if not 0.0 <= as_real("crossover", crossover) < 0.5:
-        raise ValueError(f"crossover {crossover} not in [0, 1/2)")
     t = as_bits(t)
     if t.size != H.m:
         raise ValueError(f"syndrome length {t.size}, expected {H.m}")
-    synd, weight = H._ml_tables()
+    synd, weight = H._ml_tables
     # as in the tables, the first bit of a vector is the integer's highest
     cands = np.flatnonzero(synd == t @ (1 << np.arange(H.m - 1, -1, -1)))
     key = (weight[cands].astype(np.int64) << H.n) | cands
@@ -368,22 +360,17 @@ def _bp_stack(
 def code_for_rate(n: int, target_rate: float, rng: np.random.Generator) -> ParityCheck:
     """Build an m = ceil(n*target_rate) staircase parity check, deterministic per rng.
 
-    Any n >= 1: a one-column code is the single row [1].
+    [S | T]: T lower triangular (full rank structurally), S random with
+    balanced row loads and the column degrees of DEFAULT_INFO_DEGREES.
+    Tail column i holds rows {i, i+1}; a DEFAULT_TAIL_DEGREE3 fraction also
+    gets one extra row drawn from a bounded window below, which stays under
+    the diagonal and keeps the row loads near-uniform. Any n >= 1: a
+    one-column code is the single row [1].
     """
     if not 0.0 < as_real("target_rate", target_rate) < 1.0:
         raise ValueError(f"target rate {target_rate} not in (0, 1)")
     n = as_count("n", n, 1)
-    return _staircase_code(math.ceil(n * target_rate), n, rng)
-
-
-def _staircase_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
-    """[S | T]: T lower triangular (full rank structurally), S random with
-    balanced row loads and the column degrees of DEFAULT_INFO_DEGREES.
-
-    Tail column i holds rows {i, i+1}; a DEFAULT_TAIL_DEGREE3 fraction also
-    gets one extra row drawn from a bounded window below, which stays under
-    the diagonal and keeps the row loads near-uniform.
-    """
+    m = math.ceil(n * target_rate)
     k = n - m
     tail_extra = np.full(m, -1, dtype=np.int64)
     eligible = np.arange(m - 2)
@@ -421,7 +408,7 @@ def _staircase_code(m: int, n: int, rng: np.random.Generator) -> ParityCheck:
     edge_check = np.concatenate([info_rows, tail_rows])
     col_ptr = np.concatenate([[0], np.cumsum(col_degrees)])
     _break_low_degree_cycles(col_ptr, edge_check, m, k, rng)
-    return ParityCheck(m, n, edge_var, edge_check, rank_certificate="triangular")
+    return ParityCheck(m, n, edge_var, edge_check)
 
 
 def _break_low_degree_cycles(

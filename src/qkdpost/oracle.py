@@ -227,17 +227,16 @@ def bell_basis_vector(x: int, z: int) -> np.ndarray:
     return vec / math.sqrt(2.0)
 
 
+# Column 2x+z is bell_basis_vector(x, z).
+_BELL = np.stack([bell_basis_vector(x, z) for x in (0, 1) for z in (0, 1)], axis=1)
+
+
 def purify_bell_diagonal(p: BellDiagonal) -> np.ndarray:
     """Unit vector on A (x) B (x) E (2*2*4) whose E-trace is the mixture.
 
     The environment basis label 2x+z records which Bell component it
-    purifies."""
-    cols = np.zeros((4, 4), dtype=complex)
-    for x, z in itertools.product((0, 1), repeat=2):
-        weight = (p.p00, p.p10, p.p01, p.p11)[x + 2 * z]
-        if weight > 0.0:
-            cols[:, 2 * x + z] = math.sqrt(weight) * bell_basis_vector(x, z)
-    return cols.reshape(-1)
+    purifies. An entry that rounding leaves slightly negative counts as 0."""
+    return (_BELL * np.sqrt(np.maximum([p.p00, p.p01, p.p10, p.p11], 0.0))).reshape(-1)
 
 
 def purify_state(rho) -> np.ndarray:
@@ -288,22 +287,23 @@ class CcqState:
         object.__setattr__(self, "vectors", vectors)
 
 
-def _two_copy_ccq_from_pure(psi: np.ndarray) -> CcqState:
-    """Measure two copies of a tripartite pure state psi of shape (2, 2, dE)
-    in the z basis on A,B; outcome (a, b) leaves the environment in the
-    subnormalized vector psi[a, b]. Outcomes (a1,b1), (a2,b2) are labelled
-    u1 = a1+a2, w1 = (a1+b1)+(a2+b2), and u2 = a2 where w1 = 0, else 0;
-    each keeps its vector psi[a1, b1] (x) psi[a2, b2], zero or not."""
+def _two_copy_vectors(psi: np.ndarray) -> np.ndarray:
+    """The 16 outcome vectors of two copies of a tripartite pure state psi of
+    shape (2, 2, dE) measured in the z basis on A,B; outcome (a, b) leaves
+    the environment in the subnormalized vector psi[a, b]. Outcomes
+    (a1,b1), (a2,b2) are labelled by _OUTCOME_KEYS: u1 = a1+a2,
+    w1 = (a1+b1)+(a2+b2), and u2 = a2 where w1 = 0, else 0; each keeps its
+    vector psi[a1, b1] (x) psi[a2, b2], zero or not."""
     if psi.ndim != 3 or psi.shape[:2] != (2, 2):
         raise ValueError(f"expected shape (2, 2, dE), got {psi.shape}")
     # row 8*a1 + 4*b1 + 2*a2 + b2 is psi[a1, b1] (x) psi[a2, b2]
-    vecs = (psi[:, :, None, None, :, None] * psi[None, None, :, :, None, :]).reshape(16, -1)
-    return CcqState(registers=_REGISTERS, keys=_OUTCOME_KEYS, vectors=vecs)
+    return (psi[:, :, None, None, :, None] * psi[None, None, :, :, None, :]).reshape(16, -1)
 
 
 def assemble_two_copy_ccq(p: BellDiagonal) -> CcqState:
     """The (U1, U2, W1, E1 E2) state for two purified copies of p."""
-    return _two_copy_ccq_from_pure(purify_bell_diagonal(p).reshape(2, 2, 4))
+    vectors = _two_copy_vectors(purify_bell_diagonal(p).reshape(2, 2, 4))
+    return CcqState(registers=_REGISTERS, keys=_OUTCOME_KEYS, vectors=vectors)
 
 
 def conditional_entropy(ccq: CcqState, conditioned_on) -> float:
@@ -386,7 +386,7 @@ def _brackets(psi: np.ndarray) -> tuple[float, float, Dist, Dist]:
     first  = H(U1 U2 | W1 E1 E2) - H(P_W1) - P_W1(0) H(P_W2|W1=0)
     second = H(U2 | W1 U1 E1 E2) - P_W1(0) H(P_W2|W1=0)
     """
-    vectors = _two_copy_ccq_from_pure(psi).vectors
+    vectors = _two_copy_vectors(psi)
     w1, w2 = _measured_block_laws(psi)
     h_w2 = shannon_entropy(w2)
     joint, h_w1, h_u1_w1 = _ccq_entropies(vectors, _BRACKET_MARGINALS, _BRACKET_LAYOUT)
@@ -460,10 +460,10 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
     """Max entrywise deviation between the code-averaged environment state
     and its coset eigendecomposition, over all discrepancy patterns.
 
-    code is a set of length-m words closed under XOR; shift is the common
-    offset a. Patterns with zero probability are skipped (both sides are
-    conditioned on an impossible event). Given a discrepancy pattern xbar,
-    every vector lives on the 2^m phase patterns z.
+    code is a set of length-m words closed under XOR, a ValueError
+    otherwise; shift is the common offset a. Patterns with zero probability
+    are skipped (both sides are conditioned on an impossible event). Given a
+    discrepancy pattern xbar, every vector lives on the 2^m phase patterns z.
     """
     code, shift = [tuple(w) for w in code], tuple(shift)
     for name, word in [*(("code word", w) for w in code), ("shift", shift)]:
@@ -476,6 +476,9 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
         raise ValueError("coset check limited to blocks of length <= 3")
     if any(len(w) != m for w in code):
         raise ValueError("code word length mismatch")
+    for a, b in itertools.product(code, repeat=2):
+        if tuple(x ^ y for x, y in zip(a, b)) not in code:
+            raise ValueError(f"code is not closed under XOR: {a} + {b} is not a code word")
     words = (np.arange(2**m)[:, None] >> np.arange(m - 1, -1, -1)) & 1
     code, shift = np.array(code, dtype=np.int64).reshape(len(code), m), np.array(shift, dtype=np.int64)
     probs = np.array([[p.p00, p.p01], [p.p10, p.p11]])

@@ -72,6 +72,8 @@ _LABEL_ORDER = tuple(_LABEL_DIRECTION)
 
 # Decoder validity clamp for degenerate estimates (noiseless or saturated).
 _CROSSOVER_FLOOR = 1e-12
+# bp_decode's sweep budget in each reconciliation round.
+_SWEEPS = 300
 
 # The empty bit string every keyless record shares, read-only so none can change it.
 _NO_BITS = np.zeros(0, dtype=np.uint8)
@@ -205,7 +207,7 @@ def run_ir(
 
     rng is required and feeds only the violation-branch guess, so a seeded
     caller's run stays reproducible; rng_code2 draws only when round two
-    runs. Each round decodes with one 300-sweep bp_decode; it and
+    runs. Each round decodes with one bp_decode of _SWEEPS sweeps; it and
     code_for_rate are looked up in this module at call time, so a wrapper
     bound over protocol.bp_decode or protocol.code_for_rate sees every
     call. Decode failures are reported in the result, never raised.
@@ -231,7 +233,7 @@ def run_ir(
     t1 = code1.syndrome(u1)
     transcript = Transcript().with_message(Message("t1", t1))
 
-    decode1 = bp_decode(code1, t1 ^ code1.syndrome(v1), plan.crossovers[0], max_iters=300)
+    decode1 = bp_decode(code1, t1 ^ code1.syndrome(v1), plan.crossovers[0], max_iters=_SWEEPS)
     if not decode1.converged:
         return IrResult(u_hat=_NO_BITS, u_tilde=_NO_BITS, transcript=transcript, leak_bits=code1.m,
                         n_hat0=0, bounds_violated=False, reconciliation_ok=False,
@@ -257,7 +259,7 @@ def run_ir(
         transcript = transcript.with_message(Message("t2", t2))
         leak += code2.m
         v2_surv = v2_hat[survivors]
-        decode2 = bp_decode(code2, t2 ^ code2.syndrome(v2_surv), plan.crossovers[1], max_iters=300)
+        decode2 = bp_decode(code2, t2 ^ code2.syndrome(v2_surv), plan.crossovers[1], max_iters=_SWEEPS)
         u2_tilde[survivors] = v2_surv ^ decode2.error_estimate
 
     u_hat = _interleave(u1, u2_hat)
@@ -334,7 +336,7 @@ class SessionConfig:
     (code-rate margin and survivor-window radius) and mapping (how the
     estimate becomes a Bell-diagonal point) size the session as SessionPlan
     describes. Codes come from code_for_rate, and each round decodes with
-    one 300-sweep bp_decode.
+    one bp_decode of _SWEEPS sweeps.
     """
 
     channel: BellDiagonal
@@ -486,15 +488,12 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
     x, y = sample_pair(cfg.channel, 2 * cfg.n, rng_data)
     code1 = code_for_rate(cfg.n, plan.rates[0], rng=rng_code1)
     ir = run_ir(x, y, code1, plan, rng_code2, rng_guess)
-    if not ir.decode1.converged:
-        return SessionReport(aborted=False, nominal_e=nominal_e, estimated_e=estimate, n=cfg.n,
-                             transcript=ir.transcript, leak_bits=ir.leak_bits,
-                             decode1_converged=False)
-
-    hash_seed = rng_hash.integers(0, 2, size=2 * cfg.n + plan.key_bits - 1, dtype=np.uint8)
-    key_alice = toeplitz_hash(hash_seed, ir.u_hat, plan.key_bits)
-    key_bob = toeplitz_hash(hash_seed, ir.u_tilde, plan.key_bits)
-    transcript = ir.transcript.with_message(Message("hash_seed", hash_seed))
+    transcript, key_alice, key_bob = ir.transcript, _NO_BITS, _NO_BITS
+    if ir.decode1.converged:
+        hash_seed = rng_hash.integers(0, 2, size=2 * cfg.n + plan.key_bits - 1, dtype=np.uint8)
+        key_alice = toeplitz_hash(hash_seed, ir.u_hat, plan.key_bits)
+        key_bob = toeplitz_hash(hash_seed, ir.u_tilde, plan.key_bits)
+        transcript = transcript.with_message(Message("hash_seed", hash_seed))
     return SessionReport(
         aborted=False,
         nominal_e=nominal_e,
@@ -506,7 +505,7 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
         key_bob=key_bob,
         reconciliation_ok=ir.reconciliation_ok,
         key_match=key_alice.size > 0 and bool(np.array_equal(key_alice, key_bob)),
-        empirical_key_rate=key_alice.size / ir.u_hat.size,
+        empirical_key_rate=key_alice.size / (2 * cfg.n),
         n_hat0=ir.n_hat0,
         bounds_violated=ir.bounds_violated,
         decode1_converged=ir.decode1.converged,

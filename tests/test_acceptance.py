@@ -223,7 +223,7 @@ def test_criterion_10_decoder_oracle_small_codes():
         bp_ok = rb.converged & (rb.error_estimate == errors).all(axis=1)
         bp_err = int(np.count_nonzero(~bp_ok))
         ml_err = sum(
-            not np.array_equal(ml_decode(code, t, 0.1).error_estimate, e)
+            not np.array_equal(ml_decode(code, t).error_estimate, e)
             for e, t in zip(errors, syndromes)
         )
         assert bp_err >= ml_err

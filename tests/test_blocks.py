@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from qkdpost.blocks import as_bits, as_count, as_real, parity_seq, partition, second_bit_seq
 from qkdpost.channel import bb84_family, derived_dists, sample_pair, six_state_point
-from qkdpost.codes import ParityCheck, bp_decode, code_for_rate, ml_decode
+from qkdpost.codes import ParityCheck, bp_decode, code_for_rate
 from qkdpost.entropy import type_deviation_bound
 from qkdpost.keyrate import bb84_curve, bb84_rate, sixstate_curve, sweep
 from qkdpost.oracle import lemma_suite, min_entropy, partial_trace, random_density
@@ -58,8 +58,8 @@ _COUNT_ARGUMENTS = [
     ("SessionConfig", "seed", lambda v: SessionConfig(channel=six_state_point(0.05), seed=v)),
     ("toeplitz_hash", "ell", lambda v: toeplitz_hash(np.zeros(5, np.uint8), np.zeros(4, np.uint8), v)),
     ("key_length", "n", lambda v: key_length(six_state_point(0.05), v, 0.0)),
-    ("ParityCheck", "m", lambda v: ParityCheck(v, 4, [], [], "eliminated")),
-    ("ParityCheck", "n", lambda v: ParityCheck(2, v, [], [], "eliminated")),
+    ("ParityCheck", "m", lambda v: ParityCheck(v, 4, [], [])),
+    ("ParityCheck", "n", lambda v: ParityCheck(2, v, [], [])),
     ("code_for_rate", "n", lambda v: code_for_rate(v, 0.5, rng=np.random.default_rng(0))),
     ("bp_decode", "max_iters", lambda v: bp_decode(_SMALL_CODE, np.ones(2, np.uint8), 0.1, max_iters=v)),
     ("sample_pair", "length", lambda v: sample_pair(six_state_point(0.05), v, np.random.default_rng(0))),
@@ -107,7 +107,6 @@ _REAL_ARGUMENTS = [
     ("key_length", "margin", lambda v: key_length(six_state_point(0.05), 10, v)),
     ("code_for_rate", "target_rate", lambda v: code_for_rate(4, v, rng=np.random.default_rng(0))),
     ("bp_decode", "crossover", lambda v: bp_decode(_SMALL_CODE, np.ones(2, np.uint8), v)),
-    ("ml_decode", "crossover", lambda v: ml_decode(_SMALL_CODE, np.ones(2, np.uint8), v)),
     ("six_state_point", "e", lambda v: six_state_point(v)),
     ("bb84_family", "e", lambda v: bb84_family(v, 0.0)),
     ("bb84_family", "p11", lambda v: bb84_family(0.2, v)),

@@ -35,7 +35,7 @@ from qkdpost.oracle import (
     _spectral_entropy,
     _support,
     _trace_norm,
-    _two_copy_ccq_from_pure,
+    _two_copy_vectors,
     assemble_two_copy_ccq,
     bell_basis_vector,
     conditional_entropy,
@@ -55,6 +55,11 @@ from qkdpost.oracle import (
     von_neumann_entropy,
     worst_case_check,
 )
+
+
+def two_copy_ccq(psi: np.ndarray) -> CcqState:
+    """The two-copy ccq state of a general purification psi of shape (2, 2, dE)."""
+    return CcqState(registers=oracle._REGISTERS, keys=oracle._OUTCOME_KEYS, vectors=_two_copy_vectors(psi))
 
 
 def bell_density(p: BellDiagonal) -> np.ndarray:
@@ -317,7 +322,7 @@ def normalized_form_entropy(ccq, names, with_quantum):
 def test_conditional_entropy_matches_normalized_form():
     rng = np.random.default_rng(21)
     states = [assemble_two_copy_ccq(random_bell_diagonal(rng)) for _ in range(3)]
-    states.append(_two_copy_ccq_from_pure(purify_state(random_density(4, rng)).reshape(2, 2, -1)))
+    states.append(two_copy_ccq(purify_state(random_density(4, rng)).reshape(2, 2, -1)))
     for ccq in states:
         joint = normalized_form_entropy(ccq, set(ccq.registers), True)
         for size in range(len(ccq.registers) + 1):
@@ -346,7 +351,7 @@ def test_conditional_entropy_equals_looped_marginals():
     states = [assemble_two_copy_ccq(BellDiagonal(0.7, 0.2, 0.1, 0.0))]
     states += [assemble_two_copy_ccq(random_bell_diagonal(rng)) for _ in range(3)]
     for rank in (1, 2, 4):
-        states.append(_two_copy_ccq_from_pure(purify_state(random_density(4, rng, rank=rank)).reshape(2, 2, -1)))
+        states.append(two_copy_ccq(purify_state(random_density(4, rng, rank=rank)).reshape(2, 2, -1)))
     for ccq in states:
         joint = looped_marginal_entropy(ccq, set(ccq.registers), True)
         for size in range(len(ccq.registers) + 1):
@@ -399,7 +404,7 @@ def test_conditional_entropy_rejects_a_negative_eigenvalue():
 @pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 4, 4), (2, 2, 2, 2)])
 def test_two_copy_ccq_rejects_a_wrong_shape(shape):
     with pytest.raises(ValueError, match=r"expected shape \(2, 2, dE\)"):
-        _two_copy_ccq_from_pure(np.ones(shape, dtype=complex) / 2.0)
+        _two_copy_vectors(np.ones(shape, dtype=complex) / 2.0)
 
 
 def test_theorem3_direct_anchors():
@@ -495,6 +500,19 @@ def test_worst_case_check_solves_each_state_once(lapack_calls):
     assert lapack_calls == {"eigh": 2, "eigvalsh": 2}
 
 
+def test_brackets_build_no_ccq_state(monkeypatch):
+    # The brackets read the two-copy outcome vectors directly: neither
+    # theorem3_direct nor worst_case_check builds and validates a CcqState.
+    built = []
+    check = CcqState.__post_init__
+    monkeypatch.setattr(CcqState, "__post_init__", lambda self: built.append(self) or check(self))
+    theorem3_direct(six_state_point(0.05))
+    worst_case_check(random_density(4, np.random.default_rng(19), rank=3))
+    assert built == []
+    assemble_two_copy_ccq(six_state_point(0.05))
+    assert len(built) == 1
+
+
 def test_oracle_stands_alone(monkeypatch):
     # The oracle checks the closed forms, so it must reach the same brackets
     # with the closed-form block laws out of reach.
@@ -583,12 +601,18 @@ def test_coset_check_skips_impossible_patterns():
 
 
 def test_coset_check_detects_a_set_not_closed_under_xor():
-    # A word set that is not a linear code has no coset decomposition, so
-    # the check reads far beyond the 1e-10 bound every code meets.
-    p = random_bell_diagonal(np.random.default_rng(8))
-    for words in ([(1, 1)], [(0, 1), (1, 0)], [(0, 0), (0, 1), (1, 0)], [(0, 0, 0), (1, 1, 0), (0, 1, 1)]):
+    # A word set that is not a linear code has no coset decomposition, so it
+    # is rejected rather than read as a failure of the identity.
+    p = BellDiagonal(0.7, 0.1, 0.15, 0.05)
+    for words, pair in (
+        ([(1, 1)], r"\(1, 1\) \+ \(1, 1\)"),
+        ([(0, 1), (1, 0)], r"\(0, 1\) \+ \(0, 1\)"),
+        ([(0, 0), (1, 0), (0, 1)], r"\(1, 0\) \+ \(0, 1\)"),
+        ([(0, 0, 0), (1, 1, 0), (0, 1, 1)], r"\(1, 1, 0\) \+ \(0, 1, 1\)"),
+    ):
         for shift in itertools.product((0, 1), repeat=len(words[0])):
-            assert coset_decomposition_check(p, words, shift) > 0.05
+            with pytest.raises(ValueError, match=f"^code is not closed under XOR: {pair} is not a code word$"):
+                coset_decomposition_check(p, words, shift)
 
 
 def test_theta_vectors_orthogonal_across_cosets():

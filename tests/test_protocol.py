@@ -262,7 +262,7 @@ def test_run_ir_noiseless():
 def exact_decode(monkeypatch):
     """run_ir decodes both rounds with ml_decode in place of bp_decode."""
     monkeypatch.setattr("qkdpost.protocol.bp_decode",
-                        lambda code, t, crossover, max_iters: ml_decode(code, t, crossover))
+                        lambda code, t, crossover, max_iters: ml_decode(code, t))
 
 
 def test_run_ir_single_block_error(exact_decode):
@@ -436,7 +436,7 @@ def test_run_ir_operating_point():
 
 def test_exact_and_starved_decoders():
     code = dense_code(12, 0.5, seed=36)
-    res = ml_decode(code, np.zeros(code.m, dtype=np.uint8), 0.1)
+    res = ml_decode(code, np.zeros(code.m, dtype=np.uint8))
     assert res.converged
     assert not res.error_estimate.any()
     # An unsatisfiable iteration budget reports failure instead of raising.
@@ -515,9 +515,10 @@ def test_converged_decode_matches_syndrome(n, rate, code_seed, crossover, data):
     code = code_for_rate(n, rate, rng=np.random.default_rng(code_seed))
     bits = data.draw(st.lists(st.integers(0, 1), min_size=code.m, max_size=code.m))
     t = np.array(bits, dtype=np.uint8)
-    session_decode = functools.partial(bp_decode, max_iters=300)
-    for decode in (session_decode, ml_decode, functools.partial(bp_decode, max_iters=1)):
-        res = decode(code, t, crossover)
+    session_decode = functools.partial(bp_decode, crossover=crossover, max_iters=300)
+    starved_decode = functools.partial(bp_decode, crossover=crossover, max_iters=1)
+    for decode in (session_decode, ml_decode, starved_decode):
+        res = decode(code, t)
         if res.converged:
             assert np.array_equal(code.syndrome(res.error_estimate), t), decode
 
