@@ -32,9 +32,10 @@ def as_bits(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-d bit sequence, got shape {arr.shape}")
-    # Casting would truncate fractions (0.5 -> 0), so other dtypes must
-    # hold exact 0/1 values.
-    if arr.dtype.kind not in "biu" and not np.all((arr == 0) | (arr == 1)):
+    # Casting would truncate fractions (0.5 -> 0) and wrap wide integers
+    # (257 -> 1), so dtypes other than bool and uint8 must hold exact 0/1
+    # values before the cast.
+    if arr.dtype.char not in "?B" and not np.all((arr == 0) | (arr == 1)):
         raise ValueError("bit sequence contains values outside {0, 1}")
     arr = arr.astype(np.uint8, copy=False)
     if arr.size and int(arr.max(initial=0)) > 1:

@@ -8,7 +8,8 @@ of the package obtains from closed forms, so the two routes can be compared:
 * the classical-classical-quantum state over (U1, U2, W1) and the two
   environment copies produced by measuring two purified copies in the z
   basis and applying the length-2 block reduction, kept as one environment
-  vector per measurement outcome;
+  vector per measurement outcome, its probability the squared norm; a group
+  of outcomes has the nonzero spectrum of its Gram matrix <x_i|x_j>;
 * von Neumann, min- and max-entropies on dense Hermitian matrices, with the
   generalized eigenvalue problem solved by congruence on the support;
 * the discrete twirl (correlated Pauli averaging onto Bell-diagonal form);
@@ -17,19 +18,13 @@ of the package obtains from closed forms, so the two routes can be compared:
 * an entropy-inequality suite (monotonicity, a chain-rule instance, the
   removal bound, the fidelity-distance sandwich) on randomized inputs.
 
-A measurement outcome is one subnormalized vector on the eavesdropper's
-system, and its probability is the squared norm. A group of outcomes has the
-block sum_i |x_i><x_i|, whose nonzero spectrum is that of the Gram matrix
-<x_i|x_j>, so every bracket and conditional entropy comes from Gram spectra
-of at most 8 x 8 for the two-copy state.
-
 All computations stay at dimension <= 256. Every entropy and support comes
 from eigendecompositions of Hermitian matrices; fidelity alone takes the
 general eigenvalues of rho*sigma. Entropies are in bits. Each entropy helper
 has one core over (..., d, d) stacks, called by its public one-matrix
-function after the input checks. lemma_suite solves a chunk of samples with
-one LAPACK call per quantity and each conditioning state once; the brackets
-solve every marginal in one stack.
+function after the input checks. lemma_suite forms a chunk's densities in
+one product per (dim, rank) and solves the chunk with one LAPACK call per
+quantity; the brackets solve every marginal in one stack.
 """
 
 from __future__ import annotations
@@ -74,7 +69,7 @@ _MAX_DIM = 256
 
 QUANTUM = "quantum"
 _REGISTERS = ("u1", "u2", "w1")
-# (u1, u2, w1) of each two-copy outcome (a1, b1, a2, b2) = (a, b, c, d), in itertools.product order
+# (u1, u2, w1) = (a1+a2, a2 if w1 = 0 else 0, a1+b1+a2+b2) of outcome (a1, b1, a2, b2) = (a, b, c, d), product order
 _OUTCOME_KEYS = [(a ^ c, c * (a ^ b == c ^ d), a ^ b ^ c ^ d) for a, b, c, d in itertools.product((0, 1), repeat=4)]
 
 
@@ -138,14 +133,11 @@ def _support(rho: np.ndarray):
 
 
 def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
-    """-log2 of the least lambda with lambda*(id_A (x) sigma_B) >= rho_AB.
-
-    Solved as the top eigenvalue of the congruence-transformed operator on
-    the support of sigma_B. Returns -inf when rho's B-marginal leaks outside
-    that support (the defining infimum is then empty).
-    """
-    rho_ab = _finite(rho_ab)
-    sigma_b = _finite(sigma_b)
+    """-log2 of the least lambda with lambda*(id_A (x) sigma_B) >= rho_AB, solved
+    as the top eigenvalue of the congruence-transformed operator on the support
+    of sigma_B; -inf when rho's B-marginal leaks outside that support (the
+    defining infimum is then empty)."""
+    rho_ab, sigma_b = _finite(rho_ab), _finite(sigma_b)
     da, db = (as_count("dims", d, 1) for d in dims)
     if rho_ab.shape[0] != da * db or sigma_b.shape[0] != db:
         raise ValueError("dimension mismatch between state and conditioning system")
@@ -260,10 +252,8 @@ class CcqState:
 
     keys holds each outcome's tuple of register values and vectors, one row
     per outcome, its subnormalized vector on the quantum system; the squared
-    norm is the outcome's probability. A register value's block is the sum
-    of its outcomes' projectors, so every entropy reduces to the spectra of
-    Gram matrices of outcome vectors. A ValueError names the outcome whose
-    vector is not finite.
+    norm is the outcome's probability, and every entropy reduces to Gram
+    spectra of outcome vectors. A ValueError names a non-finite outcome.
     """
 
     registers: tuple[str, ...]
@@ -290,10 +280,9 @@ class CcqState:
 def _two_copy_vectors(psi: np.ndarray) -> np.ndarray:
     """The 16 outcome vectors of two copies of a tripartite pure state psi of
     shape (2, 2, dE) measured in the z basis on A,B; outcome (a, b) leaves
-    the environment in the subnormalized vector psi[a, b]. Outcomes
-    (a1,b1), (a2,b2) are labelled by _OUTCOME_KEYS: u1 = a1+a2,
-    w1 = (a1+b1)+(a2+b2), and u2 = a2 where w1 = 0, else 0; each keeps its
-    vector psi[a1, b1] (x) psi[a2, b2], zero or not."""
+    the environment in the subnormalized vector psi[a, b]. Outcome (a1, b1),
+    (a2, b2), labelled by _OUTCOME_KEYS, keeps psi[a1, b1] (x) psi[a2, b2],
+    zero or not."""
     if psi.ndim != 3 or psi.shape[:2] != (2, 2):
         raise ValueError(f"expected shape (2, 2, dE), got {psi.shape}")
     # row 8*a1 + 4*b1 + 2*a2 + b2 is psi[a1, b1] (x) psi[a2, b2]
@@ -347,9 +336,8 @@ def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[list, np.
     of the k x k Gram matrix X^dagger X, and a zero pad column adds a zero
     eigenvalue. The entropy is sum_g -tr A_g log2 A_g with the quantum part,
     -sum_g p_g log2 p_g, p_g the Gram trace, without it. One eigvalsh call
-    takes every quantum group. The Gram size k (at most 8 for the two-copy
-    state) serves every call, whatever the vector dimension d (1 to 16
-    there): at these sizes the call overhead, not the size, sets the time."""
+    takes every quantum group. The k x k Gram form serves every vector
+    dimension d: at these sizes (k <= 8, d <= 16) call overhead sets the time."""
     owner, rows = layout
     x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
     gram = x.conj() @ x.swapaxes(1, 2)
@@ -402,14 +390,9 @@ def theorem3_direct(p: BellDiagonal) -> tuple[float, float]:
 
 # --- discrete twirl and the worst-case comparison ---
 
-_PAULI_X = np.array([[0, 1], [1, 0]], dtype=complex)
-_PAULI_Z = np.array([[1, 0], [0, -1]], dtype=complex)
-
-
 # X^s Z^t (x) X^s Z^t for (s, t) = 00, 01, 10, 11
-_PAULIS = np.stack(
-    [np.linalg.matrix_power(_PAULI_X, s) @ np.linalg.matrix_power(_PAULI_Z, t) for s in (0, 1) for t in (0, 1)]
-)
+_X, _Z = np.array([[[0, 1], [1, 0]], [[1, 0], [0, -1]]], dtype=complex)
+_PAULIS = np.stack([np.linalg.matrix_power(_X, s) @ np.linalg.matrix_power(_Z, t) for s in (0, 1) for t in (0, 1)])
 _TWIRL_UNITARIES = _kron(_PAULIS, _PAULIS)
 
 
@@ -460,10 +443,10 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
     """Max entrywise deviation between the code-averaged environment state
     and its coset eigendecomposition, over all discrepancy patterns.
 
-    code is a set of length-m words closed under XOR, a ValueError
-    otherwise; shift is the common offset a. Patterns with zero probability
-    are skipped (both sides are conditioned on an impossible event). Given a
-    discrepancy pattern xbar, every vector lives on the 2^m phase patterns z.
+    code lists each word of a set of length-m words closed under XOR once,
+    a ValueError otherwise; shift is the common offset a. Patterns of zero
+    probability are skipped (both sides condition on an impossible event);
+    a discrepancy pattern xbar's vectors live on the 2^m phase patterns z.
     """
     code, shift = [tuple(w) for w in code], tuple(shift)
     for name, word in [*(("code word", w) for w in code), ("shift", shift)]:
@@ -476,6 +459,8 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
         raise ValueError("coset check limited to blocks of length <= 3")
     if any(len(w) != m for w in code):
         raise ValueError("code word length mismatch")
+    if len(set(code)) < len(code):
+        raise ValueError(f"code word {max(code, key=code.count)} is repeated")
     for a, b in itertools.product(code, repeat=2):
         if tuple(x ^ y for x, y in zip(a, b)) not in code:
             raise ValueError(f"code is not closed under XOR: {a} + {b} is not a code word")
@@ -504,20 +489,24 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
 # --- randomized entropy-inequality suite ---
 
 
+def _densities(g: np.ndarray) -> np.ndarray:
+    """Normalized G G^dagger of each G = g[i, 0] + 1j g[i, 1] in a stack of
+    shape (n, 2, dim, rank), each row with the arithmetic of a 2-D call."""
+    g = g[:, 0] + 1j * g[:, 1]
+    rho = g @ g.conj().swapaxes(1, 2)
+    return rho / np.trace(rho, axis1=1, axis2=2).real[:, None, None]
+
+
 def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) -> np.ndarray:
     """Normalized G G^dagger with complex Gaussian G of the given rank."""
     dim = as_count("dim", dim, 1)
     rank = dim if rank is None else as_count("rank", rank, 1)
-    g = rng.standard_normal((dim, rank)) + 1j * rng.standard_normal((dim, rank))
-    rho = g @ g.conj().T
-    return rho / np.trace(rho).real
+    return _densities(rng.standard_normal((1, 2, dim, rank)))[0]
 
 
 def random_bell_diagonal(rng: np.random.Generator) -> BellDiagonal:
-    probs = rng.dirichlet(np.ones(4))
-    vals = [float(v) for v in probs]
-    vals[0] = 1.0 - (vals[1] + vals[2] + vals[3])
-    return BellDiagonal(*vals)
+    p10, p01, p11 = rng.dirichlet(np.ones(4)).tolist()[1:]
+    return BellDiagonal(1.0 - (p10 + p01 + p11), p10, p01, p11)
 
 
 _LEMMAS = ("monotonicity", "chain_rule", "removal", "sandwich_lower", "sandwich_upper", "operator_bound")
@@ -531,8 +520,8 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
 
     All instances are exact (no smoothing): each reported number is the true
     maximum, which should be <= 0 up to numerical noise, and the suite's
-    consumers assert <= 1e-9. Samples are drawn one by one and checked in
-    stacks of at most _CHUNK.
+    consumers assert <= 1e-9. Samples are drawn one by one, and their
+    densities formed and checked in stacks of at most _CHUNK.
     """
     samples = as_count("samples", samples, 1)
     worst = dict.fromkeys(_LEMMAS, -math.inf)
@@ -542,25 +531,36 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
     return worst
 
 
+# (dim, rank) of a lemma sample's ten densities in draw order: a None rank is
+# drawn from 1..dim first, and _SCALED_SLOTS draw a scale in [0.5, 1) after.
+_SLOTS = ((4, None), (4, None), (2, 2), (8, None), (2, 2), (8, None), (2, 2), (4, 4), (4, 4), (4, None))
+_SCALED_SLOTS = (7, 8)
+
+
+def _lemma_draws(count: int, rng: np.random.Generator) -> list:
+    """The mixing weights and ten density stacks of count samples, drawn
+    sample by sample in _SLOTS order; each (dim, rank) forms its densities in
+    one _densities call, unpadded, since zero columns would change the bits."""
+    probs, gauss, scales, groups, rhos = [], [], [], {}, {}
+    for _ in range(count):
+        probs.append(rng.dirichlet(np.ones(2)))
+        for j, (dim, rank) in enumerate(_SLOTS):
+            shape = (2, dim, rank or int(rng.integers(1, dim + 1)))
+            groups.setdefault(shape, []).append(len(gauss))
+            gauss.append(rng.standard_normal(shape))
+            if j in _SCALED_SLOTS:
+                scales.append(rng.uniform(0.5, 1.0))
+    for rows in groups.values():
+        rhos.update(zip(rows, _densities(np.array([gauss[i] for i in rows]))))
+    slots = [np.array([rhos[i] for i in range(j, len(gauss), len(_SLOTS))]) for j in range(len(_SLOTS))]
+    for j, scale in zip(_SCALED_SLOTS, np.reshape(scales, (count, -1)).T):
+        slots[j] = slots[j] * scale[:, None, None]
+    return [np.array(probs), *slots]
+
+
 def _lemma_chunk(count: int, rng: np.random.Generator) -> tuple:
-    """Each inequality's violations on count fresh samples, in _LEMMAS and
-    sample order. A sample's inputs are drawn in the order its checks use them."""
-    draws = [
-        (
-            rng.dirichlet(np.ones(2)),
-            *(random_density(4, rng, rank=int(rng.integers(1, 5))) for _ in range(2)),
-            random_density(2, rng),
-            random_density(8, rng, rank=int(rng.integers(1, 9))),
-            random_density(2, rng),
-            random_density(8, rng, rank=int(rng.integers(1, 9))),
-            random_density(2, rng),
-            random_density(4, rng) * float(rng.uniform(0.5, 1.0)),
-            random_density(4, rng) * float(rng.uniform(0.5, 1.0)),
-            random_density(4, rng, rank=int(rng.integers(1, 5))),
-        )
-        for _ in range(count)
-    ]
-    probs, part0, part1, sigma_m, rho_c, sigma_c, rho_r, sigma_r, rho, sig, rho_ab = map(np.stack, zip(*draws))
+    """Each inequality's violations on count fresh samples, in _LEMMAS and sample order."""
+    probs, part0, part1, sigma_m, rho_c, sigma_c, rho_r, sigma_r, rho, sig, rho_ab = _lemma_draws(count, rng)
 
     # monotonicity: adding a classical register cannot lower min-entropy
     rho_xbc = np.zeros((count, 8, 8), dtype=complex)

@@ -29,6 +29,26 @@ def test_as_bits_rejects_non_binary():
     assert as_bits([]).size == 0
 
 
+@pytest.mark.parametrize("dtype", [np.int64, np.int16, np.int8, np.uint16, np.uint64])
+def test_as_bits_checks_integers_before_the_cast(dtype):
+    # A cast to uint8 would wrap 257 and -255 to 1 and 256 to 0, so wide
+    # integers are range-checked first; 0/1 values of any integer dtype pass.
+    for bad in ([257, 0], [-255, 1], [256, 1], [2, 0], [-1, 0]):
+        values = np.array(bad).astype(dtype)
+        if values.tolist() == bad:
+            with pytest.raises(ValueError, match=r"values outside \{0, 1\}"):
+                as_bits(values)
+    assert as_bits(np.array([1, 0, 1], dtype=dtype)).tolist() == [1, 0, 1]
+
+
+def test_as_bits_keeps_uint8_and_bool_input():
+    # A uint8 sequence is returned as it is, without a copy; bool input is cast.
+    bits = np.array([1, 0, 1], dtype=np.uint8)
+    assert as_bits(bits) is bits
+    flags = as_bits(np.array([True, False]))
+    assert flags.dtype == np.uint8 and flags.tolist() == [1, 0]
+
+
 def test_as_count():
     # Both bounds are inclusive; without a high bound there is no cap.
     assert as_count("k", 3, 3, 3) == 3

@@ -29,6 +29,7 @@ from qkdpost.oracle import (
     _coset_signs,
     _fidelity,
     _kron,
+    _lemma_draws,
     _max_entropy,
     _min_entropy,
     _partial_trace,
@@ -615,6 +616,20 @@ def test_coset_check_detects_a_set_not_closed_under_xor():
                 coset_decomposition_check(p, words, shift)
 
 
+def test_coset_check_rejects_a_repeated_code_word():
+    # A repeated word would weight the code-averaged side unevenly (it read
+    # 0.129 here for [(0, 0), (1, 1), (1, 1)]), so it is rejected as input.
+    p = BellDiagonal(0.7, 0.1, 0.15, 0.05)
+    for words, word in (
+        ([(0, 0), (1, 1), (1, 1)], r"\(1, 1\)"),
+        ([(0, 0), (0, 0)], r"\(0, 0\)"),
+        ([(1, 1, 0), (0, 0, 0), [1, 1, 0]], r"\(1, 1, 0\)"),
+    ):
+        with pytest.raises(ValueError, match=f"^code word {word} is repeated$"):
+            coset_decomposition_check(p, words, (0,) * len(words[0]))
+    assert coset_decomposition_check(p, [(0, 0), (1, 1)], (0, 0)) <= 1e-12
+
+
 def test_theta_vectors_orthogonal_across_cosets():
     rng = np.random.default_rng(9)
     p = random_bell_diagonal(rng)
@@ -682,6 +697,82 @@ def test_lemma_suite_chunks_draw_sample_by_sample():
     assert whole == {name: max(first[name], rest[name]) for name in first}
 
 
+# Benchmark oracle lemma seeds whose chain rule read 6.84e-9, 1.69e-9 and
+# 4.64e-9 while each min-entropy solved its own conditioning state: sigma_C
+# has an eigenvalue near 1e-8, and two solves erred apart.
+NEAR_SINGULAR_LEMMA_SEEDS = [769512071635823168, 8358529215191477859, 7399127668851441704]
+
+
+def per_sample_draws(count, rng):
+    """The lemma inputs of count samples, one random_density call at a time:
+    the per-sample draw tuple the stacked draws must reproduce bit for bit."""
+    draws = [
+        (
+            rng.dirichlet(np.ones(2)),
+            *(random_density(4, rng, rank=int(rng.integers(1, 5))) for _ in range(2)),
+            random_density(2, rng),
+            random_density(8, rng, rank=int(rng.integers(1, 9))),
+            random_density(2, rng),
+            random_density(8, rng, rank=int(rng.integers(1, 9))),
+            random_density(2, rng),
+            random_density(4, rng) * float(rng.uniform(0.5, 1.0)),
+            random_density(4, rng) * float(rng.uniform(0.5, 1.0)),
+            random_density(4, rng, rank=int(rng.integers(1, 5))),
+        )
+        for _ in range(count)
+    ]
+    return list(map(np.stack, zip(*draws)))
+
+
+def chunked_draws(samples, rng):
+    """_lemma_draws over lemma_suite's chunks, joined into one stack per input."""
+    chunks = [_lemma_draws(min(_CHUNK, samples - start), rng) for start in range(0, samples, _CHUNK)]
+    return [np.concatenate(parts) for parts in zip(*chunks)]
+
+
+@pytest.mark.parametrize(
+    "samples, seed", [(_CHUNK + 7, 3)] + [(200, seed) for seed in NEAR_SINGULAR_LEMMA_SEEDS]
+)
+def test_lemma_draws_match_per_sample_densities(samples, seed):
+    # The stacked densities keep the stream order and the bits of the
+    # per-sample calls, across a chunk boundary too, and leave the generator
+    # where the per-sample draws leave it.
+    rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    stacked, reference = chunked_draws(samples, rng), per_sample_draws(samples, ref_rng)
+    assert [a.shape for a in stacked] == [a.shape for a in reference]
+    for got, want in zip(stacked, reference):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+    assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def test_lemma_draws_form_densities_in_stacks(monkeypatch):
+    # One density product per (dim, rank) group and chunk: at most one for
+    # (2, 2), four for dim 4 and eight for dim 8, whatever the sample count.
+    counts = []
+    stacked = oracle._densities
+    monkeypatch.setattr(oracle, "_densities", lambda g: counts.append(len(g)) or stacked(g))
+    calls = []
+    for samples in (10, 100, _CHUNK):
+        counts.clear()
+        lemma_suite(samples, np.random.default_rng(10))
+        calls.append(len(counts))
+        assert sum(counts) == 10 * samples
+    assert max(calls) <= 13 and calls[-1] == 13
+
+
+def test_random_density_matches_the_two_dimensional_formula():
+    # random_density forms its density through the stacked helper on a
+    # one-row stack, with the bits of the 2-D arithmetic at every shape.
+    for dim in range(1, 9):
+        for rank, seed in itertools.product([None, *range(1, dim + 2)], range(3)):
+            rng = np.random.default_rng(seed)
+            cols = dim if rank is None else rank
+            g = rng.standard_normal((dim, cols)) + 1j * rng.standard_normal((dim, cols))
+            rho = g @ g.conj().T
+            expected = rho / np.trace(rho).real
+            assert random_density(dim, np.random.default_rng(seed), rank).tobytes() == expected.tobytes()
+
+
 def test_lemma_suite_solves_in_stacks(lapack_calls):
     # One LAPACK call per quantity and chunk: a per-sample loop would make
     # the count grow with the sample count.
@@ -696,12 +787,6 @@ def test_lemma_suite_solves_in_stacks(lapack_calls):
     # are one per min-entropy and support size, plus max-entropy, trace norm
     # and the operator bound's two.
     assert counts[0] == {"eigh": 4, "eigvalsh": 10, "eigvals": 1}
-
-
-# Benchmark oracle lemma seeds whose chain rule read 6.84e-9, 1.69e-9 and
-# 4.64e-9 while each min-entropy solved its own conditioning state: sigma_C
-# has an eigenvalue near 1e-8, and two solves erred apart.
-NEAR_SINGULAR_LEMMA_SEEDS = [769512071635823168, 8358529215191477859, 7399127668851441704]
 
 
 @pytest.mark.parametrize("seed", NEAR_SINGULAR_LEMMA_SEEDS)
