@@ -22,9 +22,12 @@ All computations stay at dimension <= 256. Every entropy and support comes
 from eigendecompositions of Hermitian matrices; fidelity alone takes the
 general eigenvalues of rho*sigma. Entropies are in bits. Each entropy helper
 has one core over (..., d, d) stacks, called by its public one-matrix
-function after the input checks. lemma_suite forms a chunk's densities in
-one product per (dim, rank) and solves the chunk with one LAPACK call per
-quantity; the brackets solve every marginal in one stack.
+function after the input checks (finite, nonempty and, for the entropies,
+fidelity and trace norm, Hermitian within _TOL). lemma_suite forms a
+chunk's densities in one product per (dim, rank) and solves the chunk with
+one LAPACK call per quantity; the brackets solve each distinct outcome group
+of their three marginals once, in one stack, and _spectral_entropy reduces
+the stack's spectra in one array pass.
 """
 
 from __future__ import annotations
@@ -80,10 +83,22 @@ def _finite(rho) -> np.ndarray:
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
+    if rho.shape[0] == 0:
+        raise ValueError("matrix has dimension 0")
     if rho.shape[0] > _MAX_DIM:
         raise ValueError(f"dimension {rho.shape[0]} exceeds {_MAX_DIM}")
     if not np.isfinite(rho).all():
         raise ValueError("matrix has non-finite entries")
+    return rho
+
+
+def _hermitian(rho) -> np.ndarray:
+    """_finite's matrix, Hermitian within _TOL, as every entropy, the fidelity
+    and the trace norm assume: eigvalsh and eigh read one triangle, so a
+    non-Hermitian input would be answered as some other matrix."""
+    rho = _finite(rho)
+    if np.abs(rho - rho.conj().T).max() > _TOL:
+        raise ValueError("matrix is not Hermitian within tolerance")
     return rho
 
 
@@ -97,30 +112,31 @@ def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 def von_neumann_entropy(rho) -> float:
     """-sum lambda log2 lambda over the eigenvalues; zeros contribute 0."""
-    return _spectral_entropy(_finite(rho)[None])[0]
+    return float(_spectral_entropy(_hermitian(rho)[None])[0])
 
 
-def _spectral_entropy(rho: np.ndarray) -> list:
-    """-sum lambda log2 lambda of each positive semidefinite matrix in a stack
-    built here from finite inputs. Unit trace is not required: for a
-    subnormalized block A this is -tr A log2 A. eigvalsh sorts ascending, so
-    terms holds each row's positive eigenvalues as one run, row after row."""
-    eigs = np.linalg.eigvalsh((rho.conj().swapaxes(-1, -2) + rho) * 0.5)
+def _spectral_entropy(rho: np.ndarray) -> np.ndarray:
+    """-sum lambda log2 lambda of each Hermitian positive semidefinite matrix
+    in a stack, as one array, +0.0 where no term is nonzero. eigvalsh reads
+    one triangle, so the callers pass Hermitian matrices: Gram matrices, or
+    a public entry point's checked input. Unit trace is not required: for a
+    subnormalized block A this is -tr A log2 A."""
+    eigs = np.linalg.eigvalsh(rho)
     if eigs.min() < -_TOL:
         raise ValueError(f"state has negative eigenvalue {eigs.min()}")
-    positive = eigs > 0.0
-    terms = eigs[positive] * np.log2(eigs[positive])
-    ends = np.cumsum(positive.sum(axis=-1)).tolist()
-    return [float(-terms[a:b].sum()) if b > a else 0.0 for a, b in zip([0, *ends], ends)]
+    return 0.0 - (eigs * np.log2(np.where(eigs > 0.0, eigs, 1.0))).sum(axis=-1)
 
 
 def max_entropy(rho) -> float:
     """log2 of the rank (eigenvalues above _TOL)."""
-    return _max_entropy(_finite(rho)[None])[0]
+    return _max_entropy(_hermitian(rho)[None])[0]
 
 
 def _max_entropy(rho: np.ndarray) -> list:
-    ranks = np.count_nonzero(np.linalg.eigvalsh((rho.conj().swapaxes(-1, -2) + rho) * 0.5) > _TOL, axis=-1)
+    eigs = np.linalg.eigvalsh((rho.conj().swapaxes(-1, -2) + rho) * 0.5)
+    if eigs.min() < -_TOL:
+        raise ValueError(f"state has negative eigenvalue {eigs.min()}")
+    ranks = np.count_nonzero(eigs > _TOL, axis=-1)
     if not ranks.all():
         raise ValueError("zero operator has no rank")
     return [math.log2(rank) for rank in ranks.tolist()]
@@ -137,7 +153,7 @@ def min_entropy(rho_ab, sigma_b, dims: tuple[int, int]) -> float:
     as the top eigenvalue of the congruence-transformed operator on the support
     of sigma_B; -inf when rho's B-marginal leaks outside that support (the
     defining infimum is then empty)."""
-    rho_ab, sigma_b = _finite(rho_ab), _finite(sigma_b)
+    rho_ab, sigma_b = _hermitian(rho_ab), _hermitian(sigma_b)
     da, db = (as_count("dims", d, 1) for d in dims)
     if rho_ab.shape[0] != da * db or sigma_b.shape[0] != db:
         raise ValueError("dimension mismatch between state and conditioning system")
@@ -171,7 +187,10 @@ def fidelity(rho, sigma) -> float:
     """Tr sqrt(sqrt(rho) sigma sqrt(rho)), via the eigenvalues of rho*sigma
     (same spectrum, no explicit square roots). Valid for subnormalized
     operators as well."""
-    return float(_fidelity(_finite(rho), _finite(sigma)))
+    rho, sigma = _hermitian(rho), _hermitian(sigma)
+    if rho.shape != sigma.shape:
+        raise ValueError(f"dimension mismatch between rho ({len(rho)}) and sigma ({len(sigma)})")
+    return float(_fidelity(rho, sigma))
 
 
 def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
@@ -181,7 +200,7 @@ def _fidelity(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
 
 def trace_norm(op) -> float:
     """Sum of absolute eigenvalues (Hermitian input)."""
-    return float(_trace_norm(_finite(op)))
+    return float(_trace_norm(_hermitian(op)))
 
 
 def _trace_norm(op: np.ndarray) -> np.ndarray:
@@ -235,9 +254,7 @@ def purify_state(rho) -> np.ndarray:
     """Eigen-purification: sum_i sqrt(lambda_i) |v_i>|i>, environment = rank.
     rho must be a density matrix: finite, Hermitian, positive and of unit
     trace; positivity is read from the eigenvalues it purifies with."""
-    rho = _finite(rho)
-    if np.abs(rho - rho.conj().T).max() > _TOL:
-        raise ValueError("matrix is not Hermitian within tolerance")
+    rho = _hermitian(rho)
     w, v, k = _support(rho)
     if w[0] < -_TOL:
         raise ValueError(f"matrix has negative eigenvalue {w[0]}")
@@ -312,43 +329,39 @@ def conditional_entropy(ccq: CcqState, conditioned_on) -> float:
     return joint - given[0] if given else joint
 
 
-def _group_rows(registers, keys, marginals: list) -> tuple[list, np.ndarray]:
+def _group_rows(registers, keys, marginals: list) -> tuple[np.ndarray, list]:
     """The groups of every marginal (names, with_quantum): the outcomes that
-    share the named register values, in first-seen order. Returns the
-    marginal of each group and one row of outcome indices per group, padded
-    to the widest group with len(keys), the index of an appended zero row."""
-    owner, groups = [], []
-    for m, (names, _) in enumerate(marginals):
+    share the named register values, in first-seen order. Returns one row of
+    outcome indices per distinct group, padded to the widest group with
+    len(keys), the index of an appended zero row, and for each marginal the
+    rows of its groups, so a group that marginals share is solved once."""
+    rows, members = {}, []
+    for names, _ in marginals:
         idx = [j for j, r in enumerate(registers) if r in names]
-        members: dict = {}
+        groups: dict = {}
         for i, key in enumerate(keys):
-            members.setdefault(tuple([key[j] for j in idx]), []).append(i)
-        owner += [m] * len(members)
-        groups += members.values()
-    width = max(map(len, groups))
-    return owner, np.array([group + [len(keys)] * (width - len(group)) for group in groups])
+            groups.setdefault(tuple([key[j] for j in idx]), []).append(i)
+        members.append([rows.setdefault(tuple(group), len(rows)) for group in groups.values()])
+    width = max(map(len, rows))
+    return np.array([[*group] + [len(keys)] * (width - len(group)) for group in rows]), members
 
 
-def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[list, np.ndarray]) -> list[float]:
+def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[np.ndarray, list]) -> list[float]:
     """Entropy of each marginal (names, with_quantum) from the outcome
     vectors and their _group_rows layout. A group's block A_g = X X^dagger,
     with its outcome vectors as the columns of X, has the nonzero spectrum
     of the k x k Gram matrix X^dagger X, and a zero pad column adds a zero
-    eigenvalue. The entropy is sum_g -tr A_g log2 A_g with the quantum part,
-    -sum_g p_g log2 p_g, p_g the Gram trace, without it. One eigvalsh call
-    takes every quantum group. The k x k Gram form serves every vector
-    dimension d: at these sizes (k <= 8, d <= 16) call overhead sets the time."""
-    owner, rows = layout
+    eigenvalue. The entropy is the math.fsum over the marginal's groups of
+    -tr A_g log2 A_g with the quantum part, of -p_g log2 p_g, p_g the Gram
+    trace, without it. One eigvalsh call takes every distinct group. The
+    k x k Gram form serves every vector dimension d: at these sizes (k <= 8,
+    d <= 16) call overhead sets the time."""
+    rows, members = layout
     x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
     gram = x.conj() @ x.swapaxes(1, 2)
-    quantum = [marginals[m][1] for m in owner]
-    values = np.trace(gram, axis1=1, axis2=2).real
-    values[quantum] = _spectral_entropy(gram[quantum])
-    parts = [[v for k, v in zip(owner, values.tolist()) if k == m] for m in range(len(marginals))]
-    return [
-        math.fsum(part) if with_quantum else -math.fsum(p * math.log2(p) for p in part if p > 0.0)
-        for part, (_, with_quantum) in zip(parts, marginals)
-    ]
+    shannon = [-p * math.log2(p) if p > 0.0 else 0.0 for p in np.trace(gram, axis1=1, axis2=2).real.tolist()]
+    spectral = _spectral_entropy(gram).tolist()
+    return [math.fsum((spectral if q else shannon)[g] for g in groups) for groups, (_, q) in zip(members, marginals)]
 
 
 # The joint, {w1} and {u1, w1} marginals of the brackets, grouped once

@@ -262,7 +262,7 @@ def test_simulate_stdout_pinned(runner, protocol, expected):
      "e65809bd3254ac57dbffd89764284dc0840cec461358ddc25137f917a3c989ec"),
     # The oracle's suites: any change to its numerics moves these bytes.
     (["verify", "--suite", "theorem3", "--samples", "20", "--format", "json"],
-     "dcfbd382d197837de336e29667a8edfef5270961745f0165fd35475d3f86cd63"),
+     "d91e03b062de031d59119af30b1343cdfab87c8fcf91cfc163335f3c707085f5"),
     (["verify", "--suite", "twirl", "--samples", "20", "--format", "json"],
      "c353399260be3a54707c77c0ec4502f427e0f33c40b1c0f4656f5fed1557ea5d"),
     (["verify", "--suite", "lemmas", "--samples", "20", "--format", "json"],

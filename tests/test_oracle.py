@@ -122,15 +122,51 @@ def test_non_finite_input_is_a_clear_error(name):
             NON_FINITE_CALLS[name](m)
 
 
+# Without the check each of these would be answered as its symmetrized
+# form, silently: von_neumann_entropy read -0.0 on the first, max_entropy
+# 0.0 on the second (whose symmetrized form has the eigenvalue -2.19).
+NON_HERMITIAN = [
+    [[0.5, 1.0], [0.0, 0.5]], [[1.0, 5.0], [0.0, 0.0]], [[0.0, 1.0], [0.0, 0.0]], [[0.5, 1e-9j], [0.0, 0.5]],
+]
+NON_HERMITIAN_CALLS = {
+    "von_neumann_entropy": lambda m: von_neumann_entropy(m),
+    "max_entropy": lambda m: max_entropy(m),
+    "trace_norm": lambda m: trace_norm(m),
+    "min_entropy": lambda m: min_entropy(np.kron(m, np.eye(2) / 2), np.eye(2) / 2, dims=(2, 2)),
+    "min_entropy_sigma": lambda m: min_entropy(np.eye(4) / 4, m, dims=(2, 2)),
+    "fidelity": lambda m: fidelity(m, np.eye(2) / 2),
+    "fidelity_sigma": lambda m: fidelity(np.eye(2) / 2, m),
+    "purify_state": lambda m: purify_state(m),
+}
+
+
+@pytest.mark.parametrize("name", sorted(NON_HERMITIAN_CALLS))
+def test_non_hermitian_input_is_a_clear_error(name):
+    for m in NON_HERMITIAN:
+        with pytest.raises(ValueError, match="not Hermitian within tolerance"):
+            NON_HERMITIAN_CALLS[name](np.array(m))
+    # an asymmetry within the tolerance is accepted
+    NON_HERMITIAN_CALLS[name](np.array([[0.5, 1e-12], [0.0, 0.5]]))
+
+
 @pytest.mark.parametrize("shape, message", [
     ((2, 3), "expected a square matrix"),
     ((4,), "expected a square matrix"),
     ((257, 257), "dimension 257 exceeds 256"),
+    ((0, 0), "matrix has dimension 0"),
 ])
 def test_matrix_shape_is_a_clear_error(shape, message):
-    for call in (von_neumann_entropy, purify_state, discrete_twirl):
+    # A 0 x 0 matrix is refused, not met with numpy's zero-size reduction
+    # error or a silent 0.0 from trace_norm and fidelity.
+    for call in (von_neumann_entropy, max_entropy, trace_norm, lambda m: fidelity(m, m), purify_state, discrete_twirl):
         with pytest.raises(ValueError, match=message):
             call(np.zeros(shape))
+
+
+def test_fidelity_dimension_mismatch_is_a_clear_error():
+    # numpy's matmul named only its gufunc signature
+    with pytest.raises(ValueError, match=r"dimension mismatch between rho \(2\) and sigma \(4\)"):
+        fidelity(np.eye(2) / 2, np.eye(4) / 4)
 
 
 def test_kron_matches_numpy_bit_for_bit():
@@ -152,6 +188,43 @@ def test_von_neumann_entropy():
     assert von_neumann_entropy(diag) == pytest.approx(
         shannon_entropy(Dist(probs)), abs=1e-12
     )
+    # a pure state reads +0.0, not -0.0
+    for state in (np.diag([1.0, 0.0]), pure, np.zeros((2, 2))):
+        assert math.copysign(1.0, von_neumann_entropy(state)) == 1.0
+
+
+def bracket_gram_stacks():
+    """The brackets' Gram stacks of a noiseless, a Bell-diagonal and a
+    general state of each rank, as _ccq_entropies forms them."""
+    rng = np.random.default_rng(31)
+    psis = [purify_bell_diagonal(p).reshape(2, 2, 4) for p in (BellDiagonal(1.0, 0.0, 0.0, 0.0), six_state_point(0.05))]
+    psis += [purify_state(random_density(4, rng, rank=r)).reshape(2, 2, -1) for r in (1, 2, 3, 4)]
+    rows, _ = oracle._BRACKET_LAYOUT
+    stacks = []
+    for psi in psis:
+        vectors = _two_copy_vectors(psi)
+        x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
+        stacks.append(x.conj() @ x.swapaxes(1, 2))
+    return stacks
+
+
+def test_spectral_entropy_matches_fsum_of_terms():
+    # One masked pass and one row reduction against a per-matrix fsum of the
+    # sorted terms, on rows with 0, 1, several and all 8 positive eigenvalues
+    # and with an eigenvalue in (-_TOL, 0].
+    positives, near_zero = set(), 0
+    for stack in bracket_gram_stacks():
+        got = _spectral_entropy(stack)
+        assert got.dtype == np.float64 and got.shape == (len(stack),)
+        for value, gram in zip(got.tolist(), stack):
+            eigs = np.linalg.eigvalsh(gram)
+            positives.add(int(np.count_nonzero(eigs > 0.0)))
+            near_zero += bool(eigs.min() <= 0.0 < eigs.min() + oracle._TOL)
+            terms = sorted(lam * math.log2(lam) for lam in eigs.tolist() if lam > 0.0)
+            assert abs(value - (-math.fsum(terms))) <= 1e-15
+            if not terms:
+                assert math.copysign(1.0, value) == 1.0
+    assert {0, 1, 8} <= positives and positives - {0, 1, 8} and near_zero
 
 
 def test_max_entropy():
@@ -159,6 +232,9 @@ def test_max_entropy():
     assert max_entropy(np.eye(3) / 3.0) == pytest.approx(math.log2(3))
     with pytest.raises(ValueError):
         max_entropy(np.zeros((2, 2)))
+    # as von_neumann_entropy does, it rejects a negative eigenvalue
+    with pytest.raises(ValueError, match="negative eigenvalue -0.5"):
+        max_entropy(np.diag([1.5, -0.5]))
 
 
 def test_min_entropy_uniform():
@@ -422,18 +498,18 @@ def test_theorem3_direct_anchors():
 THEOREM3_PINNED = [
     (BellDiagonal(1.0, 0.0, 0.0, 0.0), ("0x1.fffffffffffecp-1", "0x1.ffffffffffffap-2")),
     (BellDiagonal(0.25, 0.25, 0.25, 0.25), ("-0x1.8000000000000p-1", "-0x1.0000000000000p-2")),
-    (BellDiagonal(0.7, 0.2, 0.1, 0.0), ("-0x1.1df0659f6b2c8p-4", "-0x1.91af888b75040p-7")),
+    (BellDiagonal(0.7, 0.2, 0.1, 0.0), ("-0x1.1df0659f6b2d8p-4", "-0x1.91af888b75040p-7")),
     (six_state_point(0.05), ("0x1.16b09f3639adcp-1", "0x1.3a94f154e2b07p-2")),
     (bb84_family(0.11, 0.02), ("0x1.545d876c3b1eep-4", "0x1.4a2459c19f8eap-4")),
-    (BellDiagonal(0.4, 0.3, 0.2, 0.1), ("-0x1.38f87df0023a8p-1", "-0x1.cf69ea7e167e2p-3")),
+    (BellDiagonal(0.4, 0.3, 0.2, 0.1), ("-0x1.38f87df0023a8p-1", "-0x1.cf69ea7e167eap-3")),
 ]
 # (first, second) original, then twirled, for random_density(4, rank=r)
 # drawn in rank order from default_rng(29)
 WORST_CASE_PINNED = {
     1: ("-0x1.41ebe6580fad8p-4", "-0x1.4f6f929780d60p-6", "-0x1.361c601a6a22bp-1", "-0x1.5b611f6094962p-2"),
-    2: ("-0x1.96543dd9ff708p-1", "-0x1.97112cdb05df3p-2", "-0x1.216437a607ff8p+0", "-0x1.df9330110b675p-2"),
+    2: ("-0x1.96543dd9ff710p-1", "-0x1.97112cdb05df3p-2", "-0x1.216437a607ff8p+0", "-0x1.df9330110b675p-2"),
     3: ("-0x1.1be6fb4189739p+0", "-0x1.9fbd1afe0fa3dp-2", "-0x1.4fd41d2759482p+0", "-0x1.b79a902f6a962p-2"),
-    4: ("-0x1.1a4489a2ec129p+0", "-0x1.9af3253d40b33p-2", "-0x1.33b7744985ca4p+0", "-0x1.b896ee09e2153p-2"),
+    4: ("-0x1.1a4489a2ec129p+0", "-0x1.9af3253d40b33p-2", "-0x1.33b7744985ca4p+0", "-0x1.b896ee09e215bp-2"),
 }
 # conditional_entropy on assemble_two_copy_ccq(six_state_point(0.05))
 CONDITIONAL_PINNED = {
@@ -474,19 +550,32 @@ def lapack_calls(monkeypatch):
 def test_brackets_solve_in_one_stack(lapack_calls, monkeypatch):
     # The joint, {w1} and {u1, w1} marginals of the brackets share one
     # eigvalsh call, and so do the joint and the conditioning marginal.
-    # Its input is the stack of 12 group Gram matrices, at most 8 x 8, not
-    # the 16 x 16 blocks of a full-rank state.
+    # Its input is the stack of the 10 distinct group Gram matrices (the
+    # joint's two w1 = 1 groups are also {u1, w1} groups), at most 8 x 8,
+    # not the 16 x 16 blocks of a full-rank state.
     shapes = []
     solve = np.linalg.eigvalsh
     monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: shapes.append(a.shape) or solve(a, *args, **kw))
     theorem3_direct(six_state_point(0.05))
     assert lapack_calls == {"eigvalsh": 1}
-    assert shapes == [(12, 8, 8)]
+    assert shapes == [(10, 8, 8)]
     ccq = assemble_two_copy_ccq(six_state_point(0.05))
     for given in ((), ("w1", QUANTUM), ("u1", "u2")):
         lapack_calls.clear()
         conditional_entropy(ccq, given)
         assert lapack_calls == {"eigvalsh": 1}, given
+
+
+def test_bracket_layout_lists_each_group_once():
+    # A repeated group would be solved twice; each marginal's groups still
+    # split the 16 outcomes.
+    rows, members = oracle._BRACKET_LAYOUT
+    groups = [frozenset(row) - {16} for row in rows.tolist()]
+    assert len(set(groups)) == len(groups) == 10
+    joint, _, u1_w1 = ({groups[g] for g in marginal} for marginal in members)
+    assert {frozenset({1, 4, 11, 14}), frozenset({2, 7, 8, 13})} <= joint & u1_w1
+    for marginal in members:
+        assert sorted(i for g in marginal for i in groups[g]) == list(range(16))
 
 
 def test_worst_case_check_solves_each_state_once(lapack_calls):
