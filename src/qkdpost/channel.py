@@ -87,9 +87,12 @@ def bb84_family(e: float, p11: float) -> BellDiagonal:
 def _bb84_entries(e: float, p11: float) -> tuple[float, float, float, float]:
     """Entries (p00, p10, p01, p11) of bb84_family for e in [0, 1/2], with
     p11 clamped into [0, e] and p00 clamped at 0; the key rates evaluate
-    these without building a BellDiagonal."""
-    p11 = min(max(p11, 0.0), e)
-    return max(1.0 - 2.0 * e + p11, 0.0), e - p11, e - p11, p11
+    these without building a BellDiagonal. The clamps are conditional
+    expressions, which return what min and max return without a call."""
+    p11 = 0.0 if 0.0 > p11 else p11
+    p11 = e if e < p11 else p11
+    p00 = 1.0 - 2.0 * e + p11
+    return 0.0 if 0.0 > p00 else p00, e - p11, e - p11, p11
 
 
 def derived_dists(p: BellDiagonal) -> tuple[Dist, Dist]:

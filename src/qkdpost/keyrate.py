@@ -31,8 +31,8 @@ the four TABLE_CURVES at once: one grid pass over (e, p11), then, curve by
 curve, golden-section polishing as array operations on every e bracket.
 bb84_rate, which serves one error rate and one curve at a time (threshold
 searches, the session's BB84 mapping), grids that curve alone and polishes
-with the scalar closed forms on the family's entries, which is faster for
-one bracket than building a BellDiagonal per step.
+with the scalar closed forms on the family's entries. These take four
+floats and build no list, and no BellDiagonal, per evaluation.
 """
 
 from __future__ import annotations
@@ -75,14 +75,24 @@ _GRID_POINTS = 2001
 _GOLDEN = (math.sqrt(5.0) - 1.0) / 2.0
 
 
-def _entropy_xz(*entries: float) -> float:
-    clipped = [v if v > 0.0 else 0.0 for v in entries]
-    total = math.fsum(clipped)
-    return -math.fsum([q * math.log2(q) for q in [v / total for v in clipped] if q > 0.0])
+def _entropy_xz(a: float, b: float, c: float, d: float) -> float:
+    """Entropy in bits of the four weights, each clipped at 0, over their
+    fsum. Takes four floats and builds no list; a zero weight adds an exact
+    0.0 term, which leaves the fsum unchanged."""
+    a = a if a > 0.0 else 0.0
+    b = b if b > 0.0 else 0.0
+    c = c if c > 0.0 else 0.0
+    d = d if d > 0.0 else 0.0
+    total = math.fsum((a, b, c, d))
+    a, b, c, d = a / total, b / total, c / total, d / total
+    return -math.fsum((a * math.log2(a) if a > 0.0 else 0.0, b * math.log2(b) if b > 0.0 else 0.0,
+                       c * math.log2(c) if c > 0.0 else 0.0, d * math.log2(d) if d > 0.0 else 0.0))
 
 
 # Closed forms on the entries (p00, p10, p01, p11); the rate_* functions
-# below are their BellDiagonal entry points.
+# below are their BellDiagonal entry points. Each two-argument max(a, b) is
+# written b if b > a else a, and min(a, b) b if b < a else a, which return
+# what the builtins return, NaN and signed zeros included, without a call.
 
 
 def _first_arg(p00: float, p10: float, p01: float, p11: float) -> float:
@@ -93,22 +103,26 @@ def _first_arg(p00: float, p10: float, p01: float, p11: float) -> float:
     if denom <= 0.0:
         return base
     arg = (p00 * p10 + p01 * p11) / denom
-    return base + denom * binary_entropy(min(max(arg, 0.0), 1.0))
+    arg = 0.0 if 0.0 > arg else arg
+    return base + denom * binary_entropy(1.0 if 1.0 < arg else arg)
 
 
 def _second_arg(p00: float, p10: float, p01: float, p11: float) -> float:
-    r0 = max(0.0, p00 + p01)
-    r1 = max(0.0, p10 + p11)
+    r0 = p00 + p01
+    r0 = r0 if r0 > 0.0 else 0.0
+    r1 = p10 + p11
+    r1 = r1 if r1 > 0.0 else 0.0
     pbar0 = r0 * r0 + r1 * r1
-    q = [(p00 * p00 + p01 * p01) / pbar0, 2.0 * p00 * p01 / pbar0,
-         (p10 * p10 + p11 * p11) / pbar0, 2.0 * p10 * p11 / pbar0]
-    qs = sum(q)
+    q0, q1 = (p00 * p00 + p01 * p01) / pbar0, 2.0 * p00 * p01 / pbar0
+    q2, q3 = (p10 * p10 + p11 * p11) / pbar0, 2.0 * p10 * p11 / pbar0
+    qs = q0 + q1 + q2 + q3
     # P_Xbar(0) over (r0 + r1)^2, which is 1 up to rounding
-    return 0.5 * (pbar0 / (pbar0 + 2.0 * r0 * r1)) * (1.0 - _entropy_xz(*[v / qs for v in q]))
+    return 0.5 * (pbar0 / (pbar0 + 2.0 * r0 * r1)) * (1.0 - _entropy_xz(q0 / qs, q1 / qs, q2 / qs, q3 / qs))
 
 
 def _proposed(p00: float, p10: float, p01: float, p11: float) -> float:
-    return max(_first_arg(p00, p10, p01, p11), _second_arg(p00, p10, p01, p11))
+    first, second = _first_arg(p00, p10, p01, p11), _second_arg(p00, p10, p01, p11)
+    return second if second > first else first
 
 
 def _vollbrecht(p00: float, p10: float, p01: float, p11: float) -> float:

@@ -353,15 +353,18 @@ def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[np.ndarra
     of the k x k Gram matrix X^dagger X, and a zero pad column adds a zero
     eigenvalue. The entropy is the math.fsum over the marginal's groups of
     -tr A_g log2 A_g with the quantum part, of -p_g log2 p_g, p_g the Gram
-    trace, without it. One eigvalsh call takes every distinct group. The
+    trace, without it; the traces are formed only when such a marginal
+    asks. One eigvalsh call takes every distinct group. The
     k x k Gram form serves every vector dimension d: at these sizes (k <= 8,
     d <= 16) call overhead sets the time."""
     rows, members = layout
     x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
     gram = x.conj() @ x.swapaxes(1, 2)
-    shannon = [-p * math.log2(p) if p > 0.0 else 0.0 for p in np.trace(gram, axis1=1, axis2=2).real.tolist()]
-    spectral = _spectral_entropy(gram).tolist()
-    return [math.fsum((spectral if q else shannon)[g] for g in groups) for groups, (_, q) in zip(members, marginals)]
+    entropies = {True: _spectral_entropy(gram).tolist()}
+    if not all(q for _, q in marginals):
+        traces = np.trace(gram, axis1=1, axis2=2).real.tolist()
+        entropies[False] = [-p * math.log2(p) if p > 0.0 else 0.0 for p in traces]
+    return [math.fsum(entropies[q][g] for g in groups) for groups, (_, q) in zip(members, marginals)]
 
 
 # The joint, {w1} and {u1, w1} marginals of the brackets, grouped once

@@ -8,18 +8,25 @@ which test_bracket_oracle_equivalence runs at its own seed. Threshold
 regressions are frozen from a bisection refined to 1e-4.
 """
 
+import hashlib
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from qkdpost.channel import BellDiagonal, bb84_family, six_state_point
+from qkdpost import keyrate
+from qkdpost.channel import BellDiagonal, _bb84_entries, bb84_family, six_state_point
 from qkdpost.cli import SUITES
 from qkdpost.entropy import binary_entropy, shannon_entropy
 from qkdpost.keyrate import (
     CURVES,
+    _first_arg,
     _h,
+    _oneway,
+    _proposed,
+    _second_arg,
+    _vollbrecht,
     bb84_curve,
     bb84_rate,
     rate_first_arg,
@@ -211,6 +218,66 @@ def test_bb84_rate_pinned():
     for (e, curve), pinned in BB84_RATE_PINS.items():
         rate, p11 = bb84_rate(e, curve)
         assert (rate.hex(), p11.hex()) == pinned, (e, curve)
+
+
+def _digest_entries():
+    """Entries (p00, p10, p01, p11) for the closed forms: a seeded Dirichlet
+    draw with exact zeros, subnormals and negative-rounded entries mixed in,
+    hand-picked edges, and _bb84_entries outside and at the ends of its range."""
+    rng = np.random.default_rng(36)
+    draws = rng.dirichlet(np.full(4, 0.5), size=200)
+    draws[::5, 3] = 0.0
+    draws[1::5, 3] = -1e-15 * draws[1::5, 1]
+    draws[2::5, 2] = 5e-324
+    points = [tuple(p) for p in draws.tolist()] + [
+        (1.0, 0.0, 0.0, 0.0), (0.0, 0.5, 0.0, 0.5), (0.25, 0.25, 0.25, 0.25), (0.5, 0.0, 0.5, 0.0),
+        (1.0, 5e-324, 5e-324, 5e-324), (0.5, 5e-324, 0.5, 0.0), (1.0 - 2e-308, 1e-308, 0.0, 1e-308),
+        (0.6, 0.3, 0.1 + 1e-13, -1e-13), (0.7, -1e-17, 0.3, 1e-17),
+    ]
+    family = [(0.1, -0.01), (0.1, 0.2), (0.1, -0.0), (0.0, -0.0), (0.5, -0.0), (0.5, 0.0), (0.5, 0.25),
+              (0.5, 0.5), (0.5, 0.7), (0.5, -1.0), (0.14, 1e-3), (5e-324, 5e-324), (0.3, 0.3)]
+    return points + [_bb84_entries(e, t) for e, t in family]
+
+
+# sha256 over float.hex of _bb84_entries at a NaN, signed-zero and
+# out-of-range p11, the five closed forms on _digest_entries(), and
+# bb84_rate(e, curve) for every curve on _DIGEST_ES, as computed before the
+# closed forms took four floats.
+_DIGEST_ES = [0.0, 5e-324, 1e-300, 1e-12, 1e-6, *(i / 40 for i in range(1, 20)), 0.11, 0.14, 0.1407, 0.499, 0.5]
+CLOSED_FORM_DIGEST = "6c8f567f7d61b06d443bd832fcbd823d7757643fbf3011db262043f9672d4c9d"
+
+
+def test_closed_forms_bit_exact_digest():
+    edges = [(0.1, float("nan")), (0.0, -0.0), (0.2, -0.0), (0.5, 0.6), (0.3, -5e-324)]
+    values = [v for e, t in edges for v in _bb84_entries(e, t)]
+    for p in _digest_entries():
+        values += [f(*p) for f in (_first_arg, _second_arg, _proposed, _vollbrecht, _oneway)]
+    for curve in CURVES:
+        for e in _DIGEST_ES:
+            values += bb84_rate(e, curve)
+    assert hashlib.sha256("\n".join(v.hex() for v in values).encode()).hexdigest() == CLOSED_FORM_DIGEST
+
+
+def test_bb84_rate_solves_one_grid_and_one_polish(monkeypatch):
+    # One bb84_rate call evaluates the p11 grid once and polishes it with
+    # the scalar closed form: a 1e-12 golden-section search from a bracket
+    # of two grid steps takes about 40 evaluations.
+    counts = {"grid": 0, "closed_form": 0}
+    curves_vec, closed_form = keyrate._curves_vec, keyrate._CLOSED_FORMS["proposed"]
+
+    def counted_grid(*args):
+        counts["grid"] += 1
+        return curves_vec(*args)
+
+    def counted_closed_form(*entries):
+        counts["closed_form"] += 1
+        return closed_form(*entries)
+
+    monkeypatch.setattr(keyrate, "_curves_vec", counted_grid)
+    monkeypatch.setitem(keyrate._CLOSED_FORMS, "proposed", counted_closed_form)
+    bb84_rate(0.14)
+    assert counts["grid"] == 1
+    assert 0 < counts["closed_form"] <= 45
 
 
 def test_bb84_rate_rejects_an_unknown_curve():
