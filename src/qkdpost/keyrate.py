@@ -30,9 +30,10 @@ argument, second argument, Vollbrecht). bb84_curve solves a whole e-grid and
 the four TABLE_CURVES at once: one grid pass over (e, p11), then, curve by
 curve, golden-section polishing as array operations on every e bracket.
 bb84_rate, which serves one error rate and one curve at a time (threshold
-searches, the session's BB84 mapping), grids that curve alone and polishes
-with the scalar closed forms on the family's entries. These take four
-floats and build no list, and no BellDiagonal, per evaluation.
+searches, the session's BB84 mapping), evaluates that curve alone on one grid
+row, reads its best point and bracket as floats, and polishes with the scalar
+closed forms on the family's entries. These take four floats and build no
+list, and no BellDiagonal, per evaluation.
 """
 
 from __future__ import annotations
@@ -223,27 +224,24 @@ def sixstate_curve(e_grid) -> list[RatePoint]:
 # --- vectorized core for the BB84 family grid ---
 
 
-# One in-place kernel, _plogp, computes np.maximum and np.where with out=
-# buffers; each element goes through the same operations as in those forms,
-# which keeps every pinned rate bit for bit. _h builds on it and, as in
-# entropy.py, keeps exact zeros exact with no flooring near 0 or 1.
+# The kernels give entropy terms negated, x log2 x in three passes, and each
+# caller folds the sign into its sum (1 - H is 1 + (a + b + b + c)); rounding
+# is symmetric in sign, so every rate keeps its bits. They need x >= 0, true
+# of the family entries at 0 <= t <= e; only 1 - x, which can fall a rounding
+# below 0, is clamped. As in entropy.py, nothing is floored near 0 or 1.
 
 
-def _plogp(x: np.ndarray) -> np.ndarray:
-    """-x log2 x, and 0 wherever x is not positive."""
+def _xlog2x(x: np.ndarray) -> np.ndarray:
+    """x log2 x of each element of x >= 0; -0.0 at x = 0."""
     out = np.maximum(x, 1e-300)
     np.log2(out, out=out)
     out *= x
-    np.negative(out, out=out)
-    not_pos = x > 0.0
-    np.logical_not(not_pos, out=not_pos)
-    np.copyto(out, 0.0, where=not_pos)
     return out
 
 
-def _h(x: np.ndarray) -> np.ndarray:
-    """Binary entropy h of each element of x in [0, 1]; h(0) = h(1) = 0."""
-    return _plogp(x) + _plogp(1.0 - x)
+def _neg_h(x: np.ndarray) -> np.ndarray:
+    """-h(x) of each element of x in [0, 1], 1 exceeded by at most a rounding."""
+    return _xlog2x(x) + _xlog2x(np.maximum(1.0 - x, 0.0))
 
 
 # The curves that proposed and bstep are built from; every other curve is
@@ -254,8 +252,9 @@ _BUILT_FROM = {"proposed": ("first_arg", "second_arg"), "bstep": ("second_arg",)
 def _curves_vec(e, t, curves) -> dict[str, np.ndarray]:
     """Raw values of the named curves on arrays of BB84 family points
     (error rate e, p11 = t), computing only the terms those curves need.
-    The entries are _bb84_entries' unclamped: grid and polish points lie in
-    [0, e], and p10 = p01."""
+    The entries are _bb84_entries' unclamped, so every point must satisfy
+    0 <= t <= e, as grid, polish and argmin points do. Then p10 = p01,
+    r0 >= 1/2, and r0 r1 = 0 only where p10 = p11 = 0, which zero its numerators."""
     need = {term for c in curves for term in _BUILT_FROM.get(c, (c,))}
     p01 = p10 = e - t
     p00, p11 = 1.0 - 2.0 * e + t, t
@@ -263,22 +262,20 @@ def _curves_vec(e, t, curves) -> dict[str, np.ndarray]:
     r1 = p10 + p11
     vals = {}
     if need & {"oneway", "first_arg", "vollbrecht"}:
-        h10 = _plogp(p10)
-        vals["oneway"] = base = 1.0 - (_plogp(p00) + h10 + h10 + _plogp(p11))
+        s10 = _xlog2x(p10)
+        vals["oneway"] = base = 1.0 + (_xlog2x(p00) + s10 + s10 + _xlog2x(p11))
         denom = r0 * r1
-        safe = denom > 0.0
     if "first_arg" in need:
-        arg = np.where(safe, (p00 * p10 + p01 * p11) / np.where(safe, denom, 1.0), 0.0)
-        vals["first_arg"] = base + np.where(safe, denom * _h(arg), 0.0)
+        arg = (p00 * p10 + p01 * p11) / np.where(denom > 0.0, denom, 1.0)
+        vals["first_arg"] = base - denom * _neg_h(arg)
     if "second_arg" in need:
         pbar0 = r0 * r0 + r1 * r1
-        h_q = (_plogp((p00 * p00 + p01 * p01) / pbar0) + _plogp(2.0 * p00 * p01 / pbar0)
-               + _plogp((p10 * p10 + p11 * p11) / pbar0) + _plogp(2.0 * p10 * p11 / pbar0))
-        vals["second_arg"] = 0.5 * pbar0 * (1.0 - h_q)
+        s_q = (_xlog2x((p00 * p00 + p01 * p01) / pbar0) + _xlog2x(2.0 * p00 * p01 / pbar0)
+               + _xlog2x((p10 * p10 + p11 * p11) / pbar0) + _xlog2x(2.0 * p10 * p11 / pbar0))
+        vals["second_arg"] = 0.5 * pbar0 * (1.0 + s_q)
     if "vollbrecht" in need:
-        # safe zeroes the rows with r0 r1 = 0; the denominators keep them finite.
-        voll_h = _h(p01 / np.where(r0 > 0.0, r0, 1.0)) + _h(p11 / np.where(r1 > 0.0, r1, 1.0))
-        vals["vollbrecht"] = base + np.where(safe, 0.5 * denom * voll_h, 0.0)
+        voll = _neg_h(p01 / r0) + _neg_h(p11 / np.where(r1 > 0.0, r1, 1.0))
+        vals["vollbrecht"] = base - 0.5 * denom * voll
     if "proposed" in curves:
         vals["proposed"] = np.maximum(vals["first_arg"], vals["second_arg"])
     if "bstep" in curves:
@@ -292,30 +289,18 @@ _GRID_ROWS = 8
 _POLISH_TOL = 1e-12
 
 
-def _bb84_grid(es: np.ndarray, curves) -> np.ndarray:
-    """Best point of the p11 grid on [0, e] for each curve and each e in es.
+def _p11_grid(e):
+    """The p11 grid on [0, e], a row for a float e or for each e of a column;
+    a row is np.linspace(0, e, _GRID_POINTS) unless e / (_GRID_POINTS - 1) is 0."""
+    t = np.arange(_GRID_POINTS) * (e / (_GRID_POINTS - 1))
+    t[..., -1:] = e
+    return t
 
-    Returns an array of shape (4, len(curves), len(es)) holding the best grid
-    value, its p11, and the p11 bracket [lo, hi] of its grid neighbours. Each
-    row of the grid equals np.linspace(0, e, _GRID_POINTS) bit for bit
-    whenever the step e / (_GRID_POINTS - 1) does not underflow to 0.
-    """
-    out = np.empty((4, len(curves), es.size))
-    steps = np.arange(_GRID_POINTS)
-    for start in range(0, es.size, _GRID_ROWS):
-        rows = slice(start, start + _GRID_ROWS)
-        e = es[rows, None]
-        t = steps * (e / (_GRID_POINTS - 1))
-        t[:, -1] = e[:, 0]
-        vals = _curves_vec(e, t, curves)
-        r = np.arange(t.shape[0])
-        for k, curve in enumerate(curves):
-            best = np.argmin(vals[curve], axis=1)
-            out[0, k, rows] = vals[curve][r, best]
-            out[1, k, rows] = t[r, best]
-            out[2, k, rows] = t[r, np.maximum(best - 1, 0)]
-            out[3, k, rows] = t[r, np.minimum(best + 1, _GRID_POINTS - 1)]
-    return out
+
+def _best(vals):
+    """Grid indices of each row's least value and of its clamped neighbours."""
+    best = np.argmin(vals, axis=-1)
+    return best, np.maximum(best - 1, 0), np.minimum(best + 1, _GRID_POINTS - 1)
 
 
 def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
@@ -330,7 +315,10 @@ def bb84_rate(e: float, which: str = "proposed") -> tuple[float, float]:
     if not 0.0 <= e <= 0.5:
         raise ValueError(f"BB84 error rate {e} outside [0, 1/2]")
     closed_form = _CLOSED_FORMS[which]
-    grid_val, grid_t, lo, hi = _bb84_grid(np.array([e]), (which,))[:, 0, 0].tolist()
+    t = _p11_grid(e)
+    vals = _curves_vec(e, t, (which,))[which]
+    best, lo, hi = _best(vals)
+    grid_val, grid_t, lo, hi = vals.item(best), t.item(best), t.item(lo), t.item(hi)
 
     def f(t: float) -> float:
         return closed_form(*_bb84_entries(e, t))
@@ -396,7 +384,17 @@ def bb84_curve(e_grid) -> list[RatePoint]:
     bad = ~((es >= 0.0) & (es <= 0.5))
     if bad.any():
         raise ValueError(f"BB84 error rate {es[bad][0]} outside [0, 1/2]")
-    grid_val, grid_t, lo, hi = _bb84_grid(es, TABLE_CURVES)
+    # the best grid value of each curve and row, its p11 and its p11 bracket
+    grid = np.empty((4, len(TABLE_CURVES), es.size))
+    for start in range(0, es.size, _GRID_ROWS):
+        rows = slice(start, start + _GRID_ROWS)
+        t = _p11_grid(es[rows, None])
+        vals = _curves_vec(es[rows, None], t, TABLE_CURVES)
+        r = np.arange(t.shape[0])
+        for k, curve in enumerate(TABLE_CURVES):
+            best, lo, hi = _best(vals[curve])
+            grid[:, k, rows] = vals[curve][r, best], t[r, best], t[r, lo], t[r, hi]
+    grid_val, grid_t, lo, hi = grid
     polished = np.array([_bb84_polish(es, c, a, b) for c, a, b in zip(TABLE_CURVES, lo, hi)])
     t_star, val = polished[:, 0], polished[:, 1]
     grid_won = grid_val <= val

@@ -354,16 +354,19 @@ def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[np.ndarra
     eigenvalue. The entropy is the math.fsum over the marginal's groups of
     -tr A_g log2 A_g with the quantum part, of -p_g log2 p_g, p_g the Gram
     trace, without it; the traces are formed only when such a marginal
-    asks. One eigvalsh call takes every distinct group. The
-    k x k Gram form serves every vector dimension d: at these sizes (k <= 8,
-    d <= 16) call overhead sets the time."""
+    asks. One eigvalsh call takes the groups up to the last one a quantum
+    marginal reads: exactly theirs when, as in every caller, the quantum
+    marginals come first. The k x k Gram form serves every vector dimension
+    d: at these sizes (k <= 8, d <= 16) call overhead sets the time."""
     rows, members = layout
     x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
     gram = x.conj() @ x.swapaxes(1, 2)
-    entropies = {True: _spectral_entropy(gram).tolist()}
+    solved, entropies = len(rows), {}
     if not all(q for _, q in marginals):
         traces = np.trace(gram, axis1=1, axis2=2).real.tolist()
         entropies[False] = [-p * math.log2(p) if p > 0.0 else 0.0 for p in traces]
+        solved = 1 + max(g for groups, (_, q) in zip(members, marginals) if q for g in groups)
+    entropies[True] = _spectral_entropy(gram[:solved]).tolist()
     return [math.fsum(entropies[q][g] for g in groups) for groups, (_, q) in zip(members, marginals)]
 
 

@@ -22,7 +22,7 @@ from qkdpost.entropy import binary_entropy, shannon_entropy
 from qkdpost.keyrate import (
     CURVES,
     _first_arg,
-    _h,
+    _neg_h,
     _oneway,
     _proposed,
     _second_arg,
@@ -171,10 +171,10 @@ def test_bb84_rate_noiseless():
 
 
 def test_vector_binary_entropy_matches_scalar():
-    # The BB84 core's h keeps the scalar closed forms' convention: exact
+    # The BB84 core's -h keeps the scalar closed forms' convention: exact
     # zeros at 0 and 1, and no flooring next to them.
     points = [0.0, 1e-300, 1e-13, 1e-12, 0.3, 1.0 - 1e-13, 1.0]
-    assert _h(np.array(points)).tolist() == [binary_entropy(x) for x in points]
+    assert (-_neg_h(np.array(points))).tolist() == [binary_entropy(x) for x in points]
 
 
 def test_bb84_minimization_certificate():
@@ -278,6 +278,26 @@ def test_bb84_rate_solves_one_grid_and_one_polish(monkeypatch):
     bb84_rate(0.14)
     assert counts["grid"] == 1
     assert 0 < counts["closed_form"] <= 45
+
+
+def test_vector_core_points_satisfy_its_precondition(monkeypatch):
+    # The core's kernels have no mask for a negative entry or a vanishing
+    # r0 r1, which needs 0 <= p11 <= e at every point: grid rows, polish
+    # brackets and the proposed argmin, on the batch and the scalar path.
+    in_range = []
+    curves_vec = keyrate._curves_vec
+
+    def checked(e, t, curves):
+        in_range.append(bool(np.all((0.0 <= t) & (t <= e))))
+        return curves_vec(e, t, curves)
+
+    monkeypatch.setattr(keyrate, "_curves_vec", checked)
+    sweep(0.0, 0.5, 1e-3, "bb84")
+    for curve in CURVES:
+        for e in _DIGEST_ES:
+            bb84_rate(e, curve)
+    assert len(in_range) > len(CURVES) * len(_DIGEST_ES)
+    assert all(in_range)
 
 
 def test_bb84_rate_rejects_an_unknown_curve():

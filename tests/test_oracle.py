@@ -566,6 +566,20 @@ def test_brackets_solve_in_one_stack(lapack_calls, monkeypatch):
         assert lapack_calls == {"eigvalsh": 1}, given
 
 
+def test_conditional_entropy_solves_no_classical_group(monkeypatch):
+    # A classical conditioning marginal reads its groups' Gram traces, not
+    # their spectra, so only the joint's 6 groups are solved, at the pad
+    # width of the widest group of either marginal.
+    shapes = []
+    solve = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a, *args, **kw: shapes.append(a.shape) or solve(a, *args, **kw))
+    ccq = assemble_two_copy_ccq(six_state_point(0.05))
+    for given, shape in ((("u1", "u2"), (6, 6, 6)), (("u1",), (6, 8, 8))):
+        shapes.clear()
+        conditional_entropy(ccq, given)
+        assert shapes == [shape], given
+
+
 def test_bracket_layout_lists_each_group_once():
     # A repeated group would be solved twice; each marginal's groups still
     # split the 16 outcomes.
