@@ -20,6 +20,7 @@ import numpy as np
 __all__ = [
     "as_bits",
     "as_count",
+    "as_instance",
     "as_real",
     "parity_seq",
     "second_bit_seq",
@@ -63,6 +64,14 @@ def as_real(name: str, value) -> float:
     if type(value) is not float and (isinstance(value, bool) or not isinstance(value, numbers.Real)):
         raise ValueError(f"{name}={value!r} must be a real number")
     return float(value)
+
+
+def as_instance(name: str, value, kind: type):
+    """value when it is an instance of kind, else a ValueError naming name (rather
+    than the AttributeError a missing field or method would raise later)."""
+    if not isinstance(value, kind):
+        raise ValueError(f"{name}={value!r} must be a {kind.__name__}")
+    return value
 
 
 def parity_seq(s: np.ndarray) -> np.ndarray:

@@ -26,8 +26,9 @@ function after the input checks (finite, nonempty and, for the entropies,
 fidelity and trace norm, Hermitian within _TOL). lemma_suite forms a
 chunk's densities in one product per (dim, rank) and solves the chunk with
 one LAPACK call per quantity; the brackets solve each distinct outcome group
-of their three marginals once, in one stack, and _spectral_entropy reduces
-the stack's spectra in one array pass.
+of their three marginals once, in one stack over all their states, and
+_spectral_entropy reduces the stack's spectra in one array pass.
+worst_case_check purifies sigma and its twirl from one eigh of the pair.
 """
 
 from __future__ import annotations
@@ -35,11 +36,11 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .blocks import as_count
+from .blocks import as_count, as_instance
 from .channel import BellDiagonal
 from .entropy import Dist, shannon_entropy
 
@@ -176,9 +177,9 @@ def _min_entropy(rho_ab: np.ndarray, w_b: np.ndarray, v_b: np.ndarray, da: int, 
         inside = vs.conj().swapaxes(1, 2) @ rho_b[rows] @ vs
         leak = np.trace(rho_b[rows], axis1=1, axis2=2).real - np.trace(inside, axis1=1, axis2=2).real
         rows, vs = rows[~(leak > _TOL)], vs[~(leak > _TOL)]
-        iso = _kron(np.eye(da), vs)
-        scale = _kron(np.eye(da), (w_b[rows, db - k :] ** -0.5)[:, :, None] * np.eye(k))
-        lams = np.linalg.eigvalsh(scale @ (iso.conj().swapaxes(1, 2) @ rho_ab[rows] @ iso) @ scale)
+        iso, s = _kron(np.eye(da), vs), np.tile(w_b[rows, db - k :] ** -0.5, da)
+        # s is the diagonal of kron(id_A, sigma_B^(-1/2)) on the support
+        lams = np.linalg.eigvalsh(iso.conj().swapaxes(1, 2) @ rho_ab[rows] @ iso * s[:, :, None] * s[:, None, :])
         out[rows] = [math.inf if lam <= 0.0 else -math.log2(lam) for lam in lams.max(axis=-1).tolist()]
     return out
 
@@ -247,20 +248,30 @@ def purify_bell_diagonal(p: BellDiagonal) -> np.ndarray:
 
     The environment basis label 2x+z records which Bell component it
     purifies. An entry that rounding leaves slightly negative counts as 0."""
+    p = as_instance("p", p, BellDiagonal)
     return (_BELL * np.sqrt(np.maximum([p.p00, p.p01, p.p10, p.p11], 0.0))).reshape(-1)
 
 
 def purify_state(rho) -> np.ndarray:
     """Eigen-purification: sum_i sqrt(lambda_i) |v_i>|i>, environment = rank.
     rho must be a density matrix: finite, Hermitian, positive and of unit
-    trace; positivity is read from the eigenvalues it purifies with."""
-    rho = _hermitian(rho)
+    trace; positivity is read from the eigenvalues it purifies with, solved
+    by _purifications as a stack of one."""
+    return _purifications(_hermitian(rho)[None])[0].reshape(-1)
+
+
+def _purifications(rho: np.ndarray) -> np.ndarray:
+    """purify_state of each Hermitian matrix in a stack (b, d, d), as
+    (b, d, dE), from one eigh, each row checked in turn; dE is the largest
+    rank, and a row of lower rank gets zero columns on its null space."""
     w, v, k = _support(rho)
-    if w[0] < -_TOL:
-        raise ValueError(f"matrix has negative eigenvalue {w[0]}")
-    if abs(np.trace(rho).real - 1.0) > 1e-8:
-        raise ValueError(f"trace {np.trace(rho).real}, expected 1")
-    return (v[:, w.size - k :] * np.sqrt(w[w.size - k :])).reshape(-1)
+    for low, trace in zip(w[:, 0].tolist(), np.trace(rho, axis1=1, axis2=2).real.tolist()):
+        if low < -_TOL:
+            raise ValueError(f"matrix has negative eigenvalue {low}")
+        if abs(trace - 1.0) > 1e-8:
+            raise ValueError(f"trace {trace}, expected 1")
+    w, v = w[:, w.shape[1] - k.max() :], v[:, :, w.shape[1] - k.max() :]
+    return v * np.sqrt(np.where(w > _TOL, w, 0.0))[:, None, :]
 
 
 @dataclass(frozen=True)
@@ -295,20 +306,20 @@ class CcqState:
 
 
 def _two_copy_vectors(psi: np.ndarray) -> np.ndarray:
-    """The 16 outcome vectors of two copies of a tripartite pure state psi of
-    shape (2, 2, dE) measured in the z basis on A,B; outcome (a, b) leaves
-    the environment in the subnormalized vector psi[a, b]. Outcome (a1, b1),
-    (a2, b2), labelled by _OUTCOME_KEYS, keeps psi[a1, b1] (x) psi[a2, b2],
-    zero or not."""
-    if psi.ndim != 3 or psi.shape[:2] != (2, 2):
-        raise ValueError(f"expected shape (2, 2, dE), got {psi.shape}")
+    """The 16 outcome vectors, as (b, 16, dE^2), of two copies of each
+    tripartite pure state of a stack psi (b, 2, 2, dE) measured in the z
+    basis on A,B; outcome (a, b) leaves the environment in the subnormalized
+    vector psi[a, b]. Outcome (a1, b1), (a2, b2), labelled by _OUTCOME_KEYS,
+    keeps psi[a1, b1] (x) psi[a2, b2], zero or not."""
+    if psi.ndim != 4 or psi.shape[1:3] != (2, 2):
+        raise ValueError(f"expected shape (b, 2, 2, dE), got {psi.shape}")
     # row 8*a1 + 4*b1 + 2*a2 + b2 is psi[a1, b1] (x) psi[a2, b2]
-    return (psi[:, :, None, None, :, None] * psi[None, None, :, :, None, :]).reshape(16, -1)
+    return (psi[:, :, :, None, None, :, None] * psi[:, None, None, :, :, None, :]).reshape(len(psi), 16, -1)
 
 
 def assemble_two_copy_ccq(p: BellDiagonal) -> CcqState:
     """The (U1, U2, W1, E1 E2) state for two purified copies of p."""
-    vectors = _two_copy_vectors(purify_bell_diagonal(p).reshape(2, 2, 4))
+    vectors = _two_copy_vectors(purify_bell_diagonal(p).reshape(1, 2, 2, 4))[0]
     return CcqState(registers=_REGISTERS, keys=_OUTCOME_KEYS, vectors=vectors)
 
 
@@ -325,7 +336,7 @@ def conditional_entropy(ccq: CcqState, conditioned_on) -> float:
     if unknown:
         raise ValueError(f"unknown registers {sorted(unknown)}")
     marginals = [(ccq.registers, True)] + ([(names, with_quantum)] if names or with_quantum else [])
-    joint, *given = _ccq_entropies(ccq.vectors, marginals, _group_rows(ccq.registers, ccq.keys, marginals))
+    joint, *given = _ccq_entropies(ccq.vectors[None], marginals, _group_rows(ccq.registers, ccq.keys, marginals))[0]
     return joint - given[0] if given else joint
 
 
@@ -346,28 +357,30 @@ def _group_rows(registers, keys, marginals: list) -> tuple[np.ndarray, list]:
     return np.array([[*group] + [len(keys)] * (width - len(group)) for group in rows]), members
 
 
-def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[np.ndarray, list]) -> list[float]:
-    """Entropy of each marginal (names, with_quantum) from the outcome
-    vectors and their _group_rows layout. A group's block A_g = X X^dagger,
-    with its outcome vectors as the columns of X, has the nonzero spectrum
-    of the k x k Gram matrix X^dagger X, and a zero pad column adds a zero
-    eigenvalue. The entropy is the math.fsum over the marginal's groups of
-    -tr A_g log2 A_g with the quantum part, of -p_g log2 p_g, p_g the Gram
-    trace, without it; the traces are formed only when such a marginal
-    asks. One eigvalsh call takes the groups up to the last one a quantum
-    marginal reads: exactly theirs when, as in every caller, the quantum
-    marginals come first. The k x k Gram form serves every vector dimension
-    d: at these sizes (k <= 8, d <= 16) call overhead sets the time."""
+def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[np.ndarray, list]) -> list[list[float]]:
+    """Entropy of each marginal (names, with_quantum), one list per state of a
+    stack (b, outcomes, d) of outcome vectors, from their _group_rows layout.
+    A group's block A_g = X X^dagger, with its outcome vectors as the columns
+    of X, has the nonzero spectrum of the k x k Gram matrix X^dagger X, and a
+    zero pad column adds a zero eigenvalue. The entropy is the math.fsum over
+    the marginal's groups of -tr A_g log2 A_g with the quantum part, of
+    -p_g log2 p_g, p_g the Gram trace, without it; the traces are formed only
+    when such a marginal asks. One Gram product and one eigvalsh call serve
+    the stack, the latter up to the last group a quantum marginal reads:
+    exactly theirs when, as in every caller, the quantum marginals come
+    first. The k x k Gram form serves every vector dimension d: at these
+    sizes (k <= 8, d <= 16) call overhead sets the time."""
     rows, members = layout
-    x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
-    gram = x.conj() @ x.swapaxes(1, 2)
+    x = np.concatenate([vectors, np.zeros_like(vectors[:, :1])], axis=1).take(rows, axis=1)
+    gram = x.conj() @ x.swapaxes(2, 3)
     solved, entropies = len(rows), {}
     if not all(q for _, q in marginals):
-        traces = np.trace(gram, axis1=1, axis2=2).real.tolist()
-        entropies[False] = [-p * math.log2(p) if p > 0.0 else 0.0 for p in traces]
+        traces = np.trace(gram, axis1=2, axis2=3).real.tolist()
+        entropies[False] = [[-p * math.log2(p) if p > 0.0 else 0.0 for p in state] for state in traces]
         solved = 1 + max(g for groups, (_, q) in zip(members, marginals) if q for g in groups)
-    entropies[True] = _spectral_entropy(gram[:solved]).tolist()
-    return [math.fsum(entropies[q][g] for g in groups) for groups, (_, q) in zip(members, marginals)]
+    entropies[True] = _spectral_entropy(gram[:, :solved].reshape((-1,) + gram.shape[2:])).reshape(len(x), -1).tolist()
+    by_state = [dict(zip(entropies, terms)) for terms in zip(*entropies.values())]
+    return [[math.fsum(e[q][g] for g in groups) for groups, (_, q) in zip(members, marginals)] for e in by_state]
 
 
 # The joint, {w1} and {u1, w1} marginals of the brackets, grouped once
@@ -375,35 +388,36 @@ _BRACKET_MARGINALS = [(_REGISTERS, True), (("w1",), True), (("u1", "w1"), True)]
 _BRACKET_LAYOUT = _group_rows(_REGISTERS, _OUTCOME_KEYS, _BRACKET_MARGINALS)
 
 
-def _measured_block_laws(psi: np.ndarray) -> tuple[Dist, Dist]:
-    """(P_W1, P_W2 | W1=0) for two i.i.d. copies measured in the z basis."""
-    weights = np.einsum("abe,abe->ab", psi, psi.conj()).real
-    p_e = np.array([weights[0, 0] + weights[1, 1], weights[0, 1] + weights[1, 0]])
-    p_e = p_e / p_e.sum()
-    w1 = Dist([p_e[0] ** 2 + p_e[1] ** 2, 2.0 * p_e[0] * p_e[1]])
-    # p_e is normalized, so w1(0) = p_e(0)^2 + p_e(1)^2 >= 1/2
-    w2 = Dist([p_e[0] ** 2 / w1(0), p_e[1] ** 2 / w1(0)])
-    return w1, w2
+def _measured_block_laws(psi: np.ndarray) -> Iterator[tuple[Dist, Dist]]:
+    """(P_W1, P_W2 | W1=0) for two i.i.d. copies measured in the z basis, of
+    each state in a stack (b, 2, 2, dE) in turn: one einsum, then Python
+    floats, each square a C pow as numpy's float64 scalar power is."""
+    for (w00, w01), (w10, w11) in np.einsum("sabe,sabe->sab", psi, psi.conj()).real.tolist():
+        total = (w00 + w11) + (w01 + w10)
+        e0, e1 = (w00 + w11) / total, (w01 + w10) / total
+        w1 = Dist([e0**2 + e1**2, 2.0 * e0 * e1])
+        # (e0, e1) is normalized, so w1(0) = e0^2 + e1^2 >= 1/2
+        yield w1, Dist([e0**2 / w1(0), e1**2 / w1(0)])
 
 
-def _brackets(psi: np.ndarray) -> tuple[float, float, Dist, Dist]:
-    """Unhalved bracket quantities of a purification of shape (2, 2, dE),
-    with the block laws (P_W1, P_W2 | W1=0) measured from psi itself:
+def _brackets(psi: np.ndarray) -> Iterator[tuple[float, float, Dist, Dist]]:
+    """Unhalved bracket quantities of each purification in a stack (b, 2, 2, dE),
+    with the block laws (P_W1, P_W2 | W1=0) measured from it, the whole stack
+    in one two-copy product, one Gram product and one (10b, 8, 8) eigvalsh:
 
     first  = H(U1 U2 | W1 E1 E2) - H(P_W1) - P_W1(0) H(P_W2|W1=0)
     second = H(U2 | W1 U1 E1 E2) - P_W1(0) H(P_W2|W1=0)
     """
-    vectors = _two_copy_vectors(psi)
-    w1, w2 = _measured_block_laws(psi)
-    h_w2 = shannon_entropy(w2)
-    joint, h_w1, h_u1_w1 = _ccq_entropies(vectors, _BRACKET_MARGINALS, _BRACKET_LAYOUT)
-    return joint - h_w1 - shannon_entropy(w1) - w1(0) * h_w2, joint - h_u1_w1 - w1(0) * h_w2, w1, w2
+    entropies = _ccq_entropies(_two_copy_vectors(psi), _BRACKET_MARGINALS, _BRACKET_LAYOUT)
+    for (joint, h_w1, h_u1_w1), (w1, w2) in zip(entropies, _measured_block_laws(psi)):
+        h_w2 = shannon_entropy(w2)
+        yield joint - h_w1 - shannon_entropy(w1) - w1(0) * h_w2, joint - h_u1_w1 - w1(0) * h_w2, w1, w2
 
 
 def theorem3_direct(p: BellDiagonal) -> tuple[float, float]:
     """Both bracket arguments of the closed-form rate, from raw entropies of
-    two purified copies of p (half of each bracket of _brackets)."""
-    first, second, _, _ = _brackets(purify_bell_diagonal(p).reshape(2, 2, 4))
+    two purified copies of p (half of each bracket of _brackets, a stack of one)."""
+    ((first, second, _, _),) = _brackets(purify_bell_diagonal(p).reshape(1, 2, 2, 4))
     return 0.5 * first, 0.5 * second
 
 
@@ -437,9 +451,10 @@ class WorstCaseRecord(NamedTuple):
 
 
 def worst_case_check(sigma) -> WorstCaseRecord:
-    """Compare both bracket quantities for sigma against its discrete twirl."""
-    f_o, s_o, w1_o, w2_o = _brackets(purify_state(sigma).reshape(2, 2, -1))
-    f_t, s_t, w1_t, w2_t = _brackets(purify_state(discrete_twirl(sigma)).reshape(2, 2, -1))
+    """Both bracket quantities of sigma and its discrete twirl, from one eigh and one _brackets call."""
+    sigma = _hermitian(sigma)
+    psi = _purifications(np.stack([sigma, discrete_twirl(sigma)])).reshape(2, 2, 2, -1)
+    (f_o, s_o, w1_o, w2_o), (f_t, s_t, w1_t, w2_t) = _brackets(psi)
     return WorstCaseRecord(f_o, s_o, f_t, s_t, w1_o, w1_t, w2_o, w2_t)
 
 
@@ -467,7 +482,7 @@ def coset_decomposition_check(p: BellDiagonal, code, shift) -> float:
     probability are skipped (both sides condition on an impossible event);
     a discrepancy pattern xbar's vectors live on the 2^m phase patterns z.
     """
-    code, shift = [tuple(w) for w in code], tuple(shift)
+    p, code, shift = as_instance("p", p, BellDiagonal), [tuple(w) for w in code], tuple(shift)
     for name, word in [*(("code word", w) for w in code), ("shift", shift)]:
         if set(word) - {0, 1}:
             raise ValueError(f"{name} {word} has an entry other than 0 or 1")
@@ -520,11 +535,11 @@ def random_density(dim: int, rng: np.random.Generator, rank: int | None = None) 
     """Normalized G G^dagger with complex Gaussian G of the given rank."""
     dim = as_count("dim", dim, 1)
     rank = dim if rank is None else as_count("rank", rank, 1)
-    return _densities(rng.standard_normal((1, 2, dim, rank)))[0]
+    return _densities(as_instance("rng", rng, np.random.Generator).standard_normal((1, 2, dim, rank)))[0]
 
 
 def random_bell_diagonal(rng: np.random.Generator) -> BellDiagonal:
-    p10, p01, p11 = rng.dirichlet(np.ones(4)).tolist()[1:]
+    p10, p01, p11 = as_instance("rng", rng, np.random.Generator).dirichlet(np.ones(4)).tolist()[1:]
     return BellDiagonal(1.0 - (p10 + p01 + p11), p10, p01, p11)
 
 
@@ -542,7 +557,7 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
     consumers assert <= 1e-9. Samples are drawn one by one, and their
     densities formed and checked in stacks of at most _CHUNK.
     """
-    samples = as_count("samples", samples, 1)
+    samples, rng = as_count("samples", samples, 1), as_instance("rng", rng, np.random.Generator)
     worst = dict.fromkeys(_LEMMAS, -math.inf)
     for start in range(0, samples, _CHUNK):
         for name, values in zip(_LEMMAS, _lemma_chunk(min(_CHUNK, samples - start), rng)):

@@ -34,7 +34,7 @@ from typing import NamedTuple
 import numpy as np
 import scipy.fft
 
-from .blocks import as_bits, as_count, as_real, parity_seq, partition, second_bit_seq
+from .blocks import as_bits, as_count, as_instance, as_real, parity_seq, partition, second_bit_seq
 from .channel import BellDiagonal, bb84_family, derived_dists, sample_pair, six_state_point
 from .codes import DecodeResult, ParityCheck, bp_decode, code_for_rate
 from .entropy import shannon_entropy
@@ -349,8 +349,7 @@ class SessionConfig:
     mapping: str = "six-state"
 
     def __post_init__(self):
-        if not isinstance(self.channel, BellDiagonal):
-            raise ValueError(f"channel={self.channel!r} must be a BellDiagonal")
+        as_instance("channel", self.channel, BellDiagonal)
         as_count("n", self.n, 1, _MAX_SIZE)
         if as_count("m", self.m, 2, _MAX_SIZE) % 2 != 0:
             raise ValueError("estimation sample size must be even and >= 2 (drawn block-wise)")

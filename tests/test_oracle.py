@@ -12,6 +12,7 @@ it never reads the closed-form block laws.
 import collections
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -60,7 +61,7 @@ from qkdpost.oracle import (
 
 def two_copy_ccq(psi: np.ndarray) -> CcqState:
     """The two-copy ccq state of a general purification psi of shape (2, 2, dE)."""
-    return CcqState(registers=oracle._REGISTERS, keys=oracle._OUTCOME_KEYS, vectors=_two_copy_vectors(psi))
+    return CcqState(registers=oracle._REGISTERS, keys=oracle._OUTCOME_KEYS, vectors=_two_copy_vectors(psi[None])[0])
 
 
 def bell_density(p: BellDiagonal) -> np.ndarray:
@@ -202,7 +203,7 @@ def bracket_gram_stacks():
     rows, _ = oracle._BRACKET_LAYOUT
     stacks = []
     for psi in psis:
-        vectors = _two_copy_vectors(psi)
+        vectors = _two_copy_vectors(psi[None])[0]
         x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
         stacks.append(x.conj() @ x.swapaxes(1, 2))
     return stacks
@@ -478,9 +479,10 @@ def test_conditional_entropy_rejects_a_negative_eigenvalue():
         von_neumann_entropy(np.diag([1.5, -0.5]))
 
 
-@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 4, 4), (2, 2, 2, 2)])
+@pytest.mark.parametrize("shape", [(2, 2), (4, 4), (2, 4, 4), (2, 2, 4), (1, 4, 2, 4), (1, 1, 2, 2, 4)])
 def test_two_copy_ccq_rejects_a_wrong_shape(shape):
-    with pytest.raises(ValueError, match=r"expected shape \(2, 2, dE\)"):
+    # The outcome vectors are formed for a stack (b, 2, 2, dE) of states.
+    with pytest.raises(ValueError, match=r"expected shape \(b, 2, 2, dE\)"):
         _two_copy_vectors(np.ones(shape, dtype=complex) / 2.0)
 
 
@@ -592,16 +594,96 @@ def test_bracket_layout_lists_each_group_once():
         assert sorted(i for g in marginal for i in groups[g]) == list(range(16))
 
 
-def test_worst_case_check_solves_each_state_once(lapack_calls):
-    # purify_state validates on the eigendecomposition it purifies with, so
-    # worst_case_check makes one eigh per state (sigma and its twirl) and
-    # one eigvalsh per bracket stack.
-    sigma = random_density(4, np.random.default_rng(19), rank=3)
-    purify_state(sigma)
-    assert lapack_calls == {"eigh": 1}
-    lapack_calls.clear()
-    worst_case_check(sigma)
-    assert lapack_calls == {"eigh": 2, "eigvalsh": 2}
+def test_worst_case_check_solves_each_state_once(monkeypatch):
+    # purify_state validates on the eigendecomposition it purifies with, a
+    # stack of one; worst_case_check solves sigma and its twirl in one eigh
+    # of the pair and both states' 10 bracket groups in one eigvalsh, at
+    # any rank; theorem3_direct solves a stack of one.
+    solves = []
+    for name in ("eigh", "eigvalsh", "eigvals"):
+        def recorded(a, *args, _name=name, _solve=getattr(np.linalg, name), **kwargs):
+            solves.append((_name, a.shape))
+            return _solve(a, *args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, recorded)
+    rng = np.random.default_rng(19)
+    for sigma in (random_density(4, rng), random_density(4, rng, rank=3)):
+        solves.clear()
+        purify_state(sigma)
+        assert solves == [("eigh", (1, 4, 4))]
+        solves.clear()
+        worst_case_check(sigma)
+        assert solves == [("eigh", (2, 4, 4)), ("eigvalsh", (20, 8, 8))]
+    solves.clear()
+    theorem3_direct(six_state_point(0.05))
+    assert solves == [("eigvalsh", (10, 8, 8))]
+
+
+def per_state_record(sigma) -> tuple:
+    """worst_case_check's record from purify_state and one-state bracket calls."""
+    (f_o, s_o, w1_o, w2_o), (f_t, s_t, w1_t, w2_t) = (
+        next(oracle._brackets(purify_state(rho).reshape(1, 2, 2, -1))) for rho in (sigma, discrete_twirl(sigma))
+    )
+    return f_o, s_o, f_t, s_t, w1_o, w1_t, w2_o, w2_t
+
+
+def test_worst_case_stack_matches_per_state_reference():
+    # Full rank: the stacked solve repeats each state's one-matrix arithmetic,
+    # bit for bit. Ranks 1-3: sigma's environment is padded with zero
+    # columns to its twirl's width.
+    rng = np.random.default_rng(41)
+    for _ in range(20):
+        sigma = random_density(4, rng)
+        assert repr(tuple(worst_case_check(sigma))) == repr(per_state_record(sigma))
+    widths = set()
+    for rank in (1, 2, 3) * 10:
+        sigma = random_density(4, rng, rank=rank)
+        widths.add((rank, int(_support(discrete_twirl(sigma))[2])))
+        got, want = worst_case_check(sigma), per_state_record(sigma)
+        assert max(abs(a - b) for a, b in zip(got[:4], want[:4])) <= 1e-14
+        for a, b in zip(got[4:], want[4:]):
+            assert max(abs(x - y) for x, y in zip(a.probs, b.probs)) <= 1e-14
+    assert {(1, 4), (2, 4), (3, 4)} <= widths
+
+
+def block_laws_reference(psi: np.ndarray) -> tuple:
+    """(P_W1, P_W2 | W1=0) of one purification (2, 2, dE), in numpy scalars."""
+    weights = np.einsum("abe,abe->ab", psi, psi.conj()).real
+    p_e = np.array([weights[0, 0] + weights[1, 1], weights[0, 1] + weights[1, 0]])
+    p_e = p_e / p_e.sum()
+    w1 = (p_e[0] ** 2 + p_e[1] ** 2, 2.0 * p_e[0] * p_e[1])
+    return w1, (p_e[0] ** 2 / w1[0], p_e[1] ** 2 / w1[0])
+
+
+def test_measured_block_laws_match_one_state_reference():
+    rng = np.random.default_rng(43)
+    points = [BellDiagonal(1.0, 0.0, 0.0, 0.0), six_state_point(0.05)] + [random_bell_diagonal(rng) for _ in range(20)]
+    psis = [purify_bell_diagonal(p).reshape(2, 2, 4) for p in points]
+    psis += [purify_state(random_density(4, rng)).reshape(2, 2, 4) for _ in range(20)]
+    laws = list(oracle._measured_block_laws(np.stack(psis)))
+    assert [(w1.probs, w2.probs) for w1, w2 in laws] == [block_laws_reference(psi) for psi in psis]
+    assert laws[0][1].probs == (1.0, 0.0)
+
+
+WRONG_TYPE_CALLS = {
+    "theorem3_direct": ("p", lambda v: theorem3_direct(v)),
+    "purify_bell_diagonal": ("p", lambda v: purify_bell_diagonal(v)),
+    "assemble_two_copy_ccq": ("p", lambda v: assemble_two_copy_ccq(v)),
+    "coset_decomposition_check": ("p", lambda v: coset_decomposition_check(v, [(0, 0), (1, 1)], (0, 1))),
+    "lemma_suite": ("rng", lambda v: lemma_suite(3, v)),
+    "random_density": ("rng", lambda v: random_density(4, v)),
+    "random_bell_diagonal": ("rng", lambda v: random_bell_diagonal(v)),
+}
+
+
+@pytest.mark.parametrize("call", sorted(WRONG_TYPE_CALLS))
+def test_wrong_argument_type_is_a_clear_error(call):
+    # A string or None reached an attribute and failed as a bare AttributeError.
+    name, run = WRONG_TYPE_CALLS[call]
+    kind = "BellDiagonal" if name == "p" else "Generator"
+    for bad in ("x", None, (0.25, 0.25, 0.25, 0.25)):
+        with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(bad))} must be a {kind}$"):
+            run(bad)
 
 
 def test_brackets_build_no_ccq_state(monkeypatch):
