@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blocks import as_count, as_real
+from .blocks import as_count, as_instance, as_real
 from .entropy import _SUM_TOL, Dist
 
 __all__ = [
@@ -125,6 +125,7 @@ def sample_pair(p: BellDiagonal, length: int, rng: np.random.Generator) -> tuple
     Phase-flip components do not affect z-basis outcomes, so only the bit-flip
     marginal enters. Reproducible given the generator state.
     """
+    p, rng = as_instance("p", p, BellDiagonal), as_instance("rng", rng, np.random.Generator)
     if as_count("length", length, 2) % 2 != 0:
         raise ValueError(f"length must be even and >= 2, got {length}")
     x = rng.integers(0, 2, size=length, dtype=np.uint8)

@@ -33,7 +33,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import as_bits, as_count, as_real
+from .blocks import as_bits, as_count, as_instance, as_real
 
 __all__ = [
     "DecodeResult",
@@ -206,7 +206,7 @@ def ml_decode(H: ParityCheck, t: np.ndarray) -> DecodeResult:
     Minimum weight is the likelihood order for every crossover below 1/2, so
     no crossover is needed.
     """
-    t = as_bits(t)
+    H, t = as_instance("H", H, ParityCheck), as_bits(t)
     if t.size != H.m:
         raise ValueError(f"syndrome length {t.size}, expected {H.m}")
     synd, weight = H._ml_tables
@@ -245,6 +245,7 @@ def bp_decode(
     A stack returns a (B, n) estimate and length-B converged and iterations
     arrays; a single syndrome returns scalars.
     """
+    H = as_instance("H", H, ParityCheck)
     if not 0.0 < as_real("crossover", crossover) < 0.5:
         raise ValueError(f"crossover {crossover} not in (0, 1/2)")
     max_iters = as_count("max_iters", max_iters, 1)
@@ -369,7 +370,7 @@ def code_for_rate(n: int, target_rate: float, rng: np.random.Generator) -> Parit
     """
     if not 0.0 < as_real("target_rate", target_rate) < 1.0:
         raise ValueError(f"target rate {target_rate} not in (0, 1)")
-    n = as_count("n", n, 1)
+    n, rng = as_count("n", n, 1), as_instance("rng", rng, np.random.Generator)
     m = math.ceil(n * target_rate)
     k = n - m
     tail_extra = np.full(m, -1, dtype=np.int64)

@@ -39,11 +39,12 @@ list, and no BellDiagonal, per evaluation.
 from __future__ import annotations
 
 import math
+from collections.abc import Callable
 from typing import NamedTuple
 
 import numpy as np
 
-from .blocks import as_real
+from .blocks import as_instance, as_real
 from .channel import BellDiagonal, _bb84_entries, six_state_point
 from .entropy import binary_entropy
 
@@ -442,6 +443,7 @@ def tolerable_rate(curve) -> ThresholdResult:
             raise ValueError(f"rate curve returned NaN at e = {e}")
         return rate <= 0.0
 
+    curve = as_instance("curve", curve, Callable)
     lo = 0.0
     if nonpositive(lo):
         raise ValueError("rate curve must be positive at e = 0")

@@ -23,12 +23,15 @@ from eigendecompositions of Hermitian matrices; fidelity alone takes the
 general eigenvalues of rho*sigma. Entropies are in bits. Each entropy helper
 has one core over (..., d, d) stacks, called by its public one-matrix
 function after the input checks (finite, nonempty and, for the entropies,
-fidelity and trace norm, Hermitian within _TOL). lemma_suite forms a
-chunk's densities in one product per (dim, rank) and solves the chunk with
-one LAPACK call per quantity; the brackets solve each distinct outcome group
-of their three marginals once, in one stack over all their states, and
-_spectral_entropy reduces the stack's spectra in one array pass.
-worst_case_check purifies sigma and its twirl from one eigh of the pair.
+fidelity and trace norm, Hermitian within _TOL); input numpy cannot read as
+numbers is a ValueError. lemma_suite draws a sample in 14 generator calls,
+with the stream of one call per draw, forms a chunk's densities in one
+product per (dim, rank) and solves the chunk with one LAPACK call per
+quantity; the brackets form the zero-padded two-copy stack in one product,
+solve each distinct outcome group of their three marginals once, in one
+stack over all their states, and _spectral_entropy reduces the stack's
+spectra in one array pass. worst_case_check purifies sigma and its twirl
+from one eigh of the pair.
 """
 
 from __future__ import annotations
@@ -81,7 +84,11 @@ def _finite(rho) -> np.ndarray:
     """A public entry point's square matrix of dimension at most _MAX_DIM,
     without NaN and infinite entries: LAPACK fails on some placements and
     on others (a NaN on the diagonal) returns finite, wrong eigenvalues."""
-    rho = np.asarray(rho, dtype=complex)
+    try:
+        rho = np.asarray(rho, dtype=complex)
+    except (TypeError, ValueError):
+        # an object, a dict, a non-numeric string or a ragged nesting
+        raise ValueError(f"expected a numeric square matrix, got {type(rho).__name__}") from None
     if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {rho.shape}")
     if rho.shape[0] == 0:
@@ -262,14 +269,17 @@ def purify_state(rho) -> np.ndarray:
 
 def _purifications(rho: np.ndarray) -> np.ndarray:
     """purify_state of each Hermitian matrix in a stack (b, d, d), as
-    (b, d, dE), from one eigh, each row checked in turn; dE is the largest
-    rank, and a row of lower rank gets zero columns on its null space."""
+    (b, d, dE), from one eigh; dE is the largest rank, and a row of lower
+    rank gets zero columns on its null space. The first row that fails a
+    check names its failure, its negative eigenvalue before its trace."""
     w, v, k = _support(rho)
-    for low, trace in zip(w[:, 0].tolist(), np.trace(rho, axis1=1, axis2=2).real.tolist()):
-        if low < -_TOL:
-            raise ValueError(f"matrix has negative eigenvalue {low}")
-        if abs(trace - 1.0) > 1e-8:
-            raise ValueError(f"trace {trace}, expected 1")
+    low, trace = w[:, 0], np.trace(rho, axis1=1, axis2=2).real
+    failed = (low < -_TOL) | (np.abs(trace - 1.0) > 1e-8)
+    if failed.any():
+        row = failed.argmax()
+        if low[row] < -_TOL:
+            raise ValueError(f"matrix has negative eigenvalue {low[row].item()}")
+        raise ValueError(f"trace {trace[row].item()}, expected 1")
     w, v = w[:, w.shape[1] - k.max() :], v[:, :, w.shape[1] - k.max() :]
     return v * np.sqrt(np.where(w > _TOL, w, 0.0))[:, None, :]
 
@@ -289,7 +299,10 @@ class CcqState:
     vectors: np.ndarray
 
     def __post_init__(self):
-        keys, vectors = tuple(map(tuple, self.keys)), np.asarray(self.vectors, dtype=complex)
+        try:
+            keys, vectors = tuple(map(tuple, self.keys)), np.asarray(self.vectors, dtype=complex)
+        except (TypeError, ValueError):
+            raise ValueError(f"expected numeric outcome vectors, got {type(self.vectors).__name__}") from None
         if vectors.ndim != 2 or len(vectors) != len(keys):
             raise ValueError(f"vectors have shape {vectors.shape}: expected one row for each of {len(keys)} keys")
         for what, size in (("outcome count", len(keys)), ("dimension", vectors.shape[1])):
@@ -306,20 +319,25 @@ class CcqState:
 
 
 def _two_copy_vectors(psi: np.ndarray) -> np.ndarray:
-    """The 16 outcome vectors, as (b, 16, dE^2), of two copies of each
-    tripartite pure state of a stack psi (b, 2, 2, dE) measured in the z
-    basis on A,B; outcome (a, b) leaves the environment in the subnormalized
-    vector psi[a, b]. Outcome (a1, b1), (a2, b2), labelled by _OUTCOME_KEYS,
-    keeps psi[a1, b1] (x) psi[a2, b2], zero or not."""
+    """The 16 outcome vectors of two copies of each tripartite pure state of
+    a stack psi (b, 2, 2, dE) measured in the z basis on A,B, as rows 0-15
+    of a (b, 17, dE^2) stack whose row 16 is zero, the pad row of the
+    _group_rows layouts; outcome (a, b) leaves the environment in the
+    subnormalized vector psi[a, b]. Outcome (a1, b1), (a2, b2), labelled by
+    _OUTCOME_KEYS, keeps psi[a1, b1] (x) psi[a2, b2], zero or not."""
     if psi.ndim != 4 or psi.shape[1:3] != (2, 2):
         raise ValueError(f"expected shape (b, 2, 2, dE), got {psi.shape}")
+    b, de = len(psi), psi.shape[3]
+    out = np.zeros((b, 17, de * de), dtype=complex)
     # row 8*a1 + 4*b1 + 2*a2 + b2 is psi[a1, b1] (x) psi[a2, b2]
-    return (psi[:, :, :, None, None, :, None] * psi[:, None, None, :, :, None, :]).reshape(len(psi), 16, -1)
+    np.multiply(psi[:, :, :, None, None, :, None], psi[:, None, None, :, :, None, :],
+                out=out[:, :16].reshape(b, 2, 2, 2, 2, de, de))
+    return out
 
 
 def assemble_two_copy_ccq(p: BellDiagonal) -> CcqState:
     """The (U1, U2, W1, E1 E2) state for two purified copies of p."""
-    vectors = _two_copy_vectors(purify_bell_diagonal(p).reshape(1, 2, 2, 4))[0]
+    vectors = _two_copy_vectors(purify_bell_diagonal(p).reshape(1, 2, 2, 4))[0, :16]
     return CcqState(registers=_REGISTERS, keys=_OUTCOME_KEYS, vectors=vectors)
 
 
@@ -336,7 +354,8 @@ def conditional_entropy(ccq: CcqState, conditioned_on) -> float:
     if unknown:
         raise ValueError(f"unknown registers {sorted(unknown)}")
     marginals = [(ccq.registers, True)] + ([(names, with_quantum)] if names or with_quantum else [])
-    joint, *given = _ccq_entropies(ccq.vectors[None], marginals, _group_rows(ccq.registers, ccq.keys, marginals))[0]
+    padded = np.concatenate([ccq.vectors, np.zeros_like(ccq.vectors[:1])])[None]
+    joint, *given = _ccq_entropies(padded, marginals, _group_rows(ccq.registers, ccq.keys, marginals))[0]
     return joint - given[0] if given else joint
 
 
@@ -359,28 +378,32 @@ def _group_rows(registers, keys, marginals: list) -> tuple[np.ndarray, list]:
 
 def _ccq_entropies(vectors: np.ndarray, marginals: list, layout: tuple[np.ndarray, list]) -> list[list[float]]:
     """Entropy of each marginal (names, with_quantum), one list per state of a
-    stack (b, outcomes, d) of outcome vectors, from their _group_rows layout.
-    A group's block A_g = X X^dagger, with its outcome vectors as the columns
-    of X, has the nonzero spectrum of the k x k Gram matrix X^dagger X, and a
-    zero pad column adds a zero eigenvalue. The entropy is the math.fsum over
-    the marginal's groups of -tr A_g log2 A_g with the quantum part, of
-    -p_g log2 p_g, p_g the Gram trace, without it; the traces are formed only
-    when such a marginal asks. One Gram product and one eigvalsh call serve
-    the stack, the latter up to the last group a quantum marginal reads:
-    exactly theirs when, as in every caller, the quantum marginals come
-    first. The k x k Gram form serves every vector dimension d: at these
-    sizes (k <= 8, d <= 16) call overhead sets the time."""
+    stack (b, outcomes + 1, d) of outcome vectors whose last row is zero,
+    from their _group_rows layout. A group's block A_g = X X^dagger, with its
+    outcome vectors as the columns of X, has the nonzero spectrum of the
+    k x k Gram matrix X^dagger X, and a zero pad column adds a zero
+    eigenvalue. The entropy is the math.fsum over the marginal's groups of
+    -tr A_g log2 A_g with the quantum part, of -p_g log2 p_g, p_g the Gram
+    trace, without it; the traces are formed only when such a marginal asks.
+    One Gram product and one eigvalsh call serve the stack, the latter up to
+    the last group a quantum marginal reads: exactly theirs when, as in
+    every caller, the quantum marginals come first. The k x k Gram form
+    serves every vector dimension d: at these sizes (k <= 8, d <= 16) call
+    overhead sets the time."""
     rows, members = layout
-    x = np.concatenate([vectors, np.zeros_like(vectors[:, :1])], axis=1).take(rows, axis=1)
+    x = vectors.take(rows, axis=1)
     gram = x.conj() @ x.swapaxes(2, 3)
-    solved, entropies = len(rows), {}
-    if not all(q for _, q in marginals):
+    quantum = [q for _, q in marginals]
+    solved, shannon = len(rows), [None] * len(x)
+    if not all(quantum):
         traces = np.trace(gram, axis1=2, axis2=3).real.tolist()
-        entropies[False] = [[-p * math.log2(p) if p > 0.0 else 0.0 for p in state] for state in traces]
-        solved = 1 + max(g for groups, (_, q) in zip(members, marginals) if q for g in groups)
-    entropies[True] = _spectral_entropy(gram[:, :solved].reshape((-1,) + gram.shape[2:])).reshape(len(x), -1).tolist()
-    by_state = [dict(zip(entropies, terms)) for terms in zip(*entropies.values())]
-    return [[math.fsum(e[q][g] for g in groups) for groups, (_, q) in zip(members, marginals)] for e in by_state]
+        shannon = [[-p * math.log2(p) if p > 0.0 else 0.0 for p in state] for state in traces]
+        solved = 1 + max(g for groups, q in zip(members, quantum) if q for g in groups)
+    spectra = _spectral_entropy(gram[:, :solved].reshape((-1,) + gram.shape[2:])).reshape(len(x), -1).tolist()
+    return [
+        [math.fsum(map((spectral if q else classical).__getitem__, groups)) for groups, q in zip(members, quantum)]
+        for spectral, classical in zip(spectra, shannon)
+    ]
 
 
 # The joint, {w1} and {u1, w1} marginals of the brackets, grouped once
@@ -569,27 +592,68 @@ def lemma_suite(samples: int, rng: np.random.Generator) -> dict:
 # drawn from 1..dim first, and _SCALED_SLOTS draw a scale in [0.5, 1) after.
 _SLOTS = ((4, None), (4, None), (2, 2), (8, None), (2, 2), (8, None), (2, 2), (4, 4), (4, 4), (4, None))
 _SCALED_SLOTS = (7, 8)
+_SLOT_DIMS = np.array([dim for dim, _ in _SLOTS])
+
+
+def _normal_runs() -> tuple:
+    """The slots whose Gaussian entries one standard_normal call draws: a run
+    starts at a drawn rank and ends at a scale. One (dim, size, scaled) per
+    run: the dim of its drawn rank (0 if none), the entries of its other
+    slots, and whether a scale follows."""
+    runs = []
+    for j, (dim, rank) in enumerate(_SLOTS):
+        if rank is None or j - 1 in _SCALED_SLOTS or not runs:
+            runs.append([0 if rank else dim, 0, False])
+        runs[-1][1] += 2 * dim * (rank or 0)
+        runs[-1][2] = j in _SCALED_SLOTS
+    return tuple(map(tuple, runs))
+
+
+_NORMAL_RUNS = _normal_runs()
 
 
 def _lemma_draws(count: int, rng: np.random.Generator) -> list:
     """The mixing weights and ten density stacks of count samples, drawn
-    sample by sample in _SLOTS order; each (dim, rank) forms its densities in
-    one _densities call, unpadded, since zero columns would change the bits."""
-    probs, gauss, scales, groups, rhos = [], [], [], {}, {}
-    for _ in range(count):
-        probs.append(rng.dirichlet(np.ones(2)))
-        for j, (dim, rank) in enumerate(_SLOTS):
-            shape = (2, dim, rank or int(rng.integers(1, dim + 1)))
-            groups.setdefault(shape, []).append(len(gauss))
-            gauss.append(rng.standard_normal(shape))
-            if j in _SCALED_SLOTS:
-                scales.append(rng.uniform(0.5, 1.0))
-    for rows in groups.values():
-        rhos.update(zip(rows, _densities(np.array([gauss[i] for i in rows]))))
-    slots = [np.array([rhos[i] for i in range(j, len(gauss), len(_SLOTS))]) for j in range(len(_SLOTS))]
-    for j, scale in zip(_SCALED_SLOTS, np.reshape(scales, (count, -1)).T):
+    sample by sample in _SLOTS order, in 14 generator calls a sample with the
+    stream of the per-sample draws: the weights as the normalized
+    standard_exponential(2) that dirichlet(np.ones(2)) draws, each scale as
+    0.5 + 0.5 * random(), as uniform(0.5, 1.0) forms it, and each of
+    _NORMAL_RUNS in one standard_normal call, which splits into the values
+    of one call per slot. Each (dim, rank) gathers its Gaussian entries from
+    the drawn stream and forms its densities in one _densities call,
+    unpadded, since zero columns would change the bits; each slot's stack
+    is filled by index assignment."""
+    exps, ranks, normals, units = np.empty((count, 2)), [], [], []
+    for i in range(count):
+        rng.standard_exponential(out=exps[i])
+        for dim, size, scaled in _NORMAL_RUNS:
+            if dim:
+                rank = int(rng.integers(1, dim + 1))
+                ranks.append(rank)
+                size += 2 * dim * rank
+            normals.append(rng.standard_normal(size))
+            if scaled:
+                units.append(rng.random())
+    rank = np.tile([r or 0 for _, r in _SLOTS], (count, 1))
+    rank[:, [j for j, (_, r) in enumerate(_SLOTS) if r is None]] = np.reshape(ranks, (count, -1))
+    # each density's entries start where the stream reaches its (sample, slot)
+    sizes = 2 * _SLOT_DIMS * rank
+    starts, flat = np.cumsum(sizes).reshape(count, -1) - sizes, np.concatenate(normals)
+    slots = [None] * len(_SLOTS)
+    for dim in np.unique(_SLOT_DIMS).tolist():
+        cols = np.flatnonzero(_SLOT_DIMS == dim)
+        stacks = np.empty((len(cols), count, dim, dim), dtype=complex)
+        for r in np.unique(rank[:, cols]).tolist():
+            # the group's rows in draw order: sample by sample, slot by slot
+            rows = rank[:, cols] == r
+            g = flat[starts[:, cols][rows][:, None] + np.arange(2 * dim * r)]
+            stacks.transpose(1, 0, 2, 3)[rows] = _densities(g.reshape(-1, 2, dim, r))
+        for j, stack in zip(cols.tolist(), stacks):
+            slots[j] = stack
+    for j, scale in zip(_SCALED_SLOTS, (0.5 + 0.5 * np.reshape(units, (count, -1))).T):
         slots[j] = slots[j] * scale[:, None, None]
-    return [np.array(probs), *slots]
+    probs = exps * (1.0 / (0.0 + exps[:, 0] + exps[:, 1]))[:, None]
+    return [probs, *slots]
 
 
 def _lemma_chunk(count: int, rng: np.random.Generator) -> tuple:

@@ -214,7 +214,10 @@ def run_ir(
     """
     x = as_bits(x)
     y = as_bits(y)
-    n = code1.n
+    n = as_instance("code1", code1, ParityCheck).n
+    as_instance("plan", plan, SessionPlan)
+    for name, value in (("rng_code2", rng_code2), ("rng", rng)):
+        as_instance(name, value, np.random.Generator)
     if x.size != y.size:
         raise ValueError(f"raw key lengths differ: {x.size} vs {y.size}")
     if x.size != 2 * n:
@@ -317,7 +320,7 @@ def key_length(p_est: BellDiagonal, n: int, margin: float) -> int:
     """
     if not 0.0 <= as_real("margin", margin) < math.inf:
         raise ValueError(f"margin={margin} must be finite and >= 0")
-    n = as_count("n", n, 1)
+    n, p_est = as_count("n", n, 1), as_instance("p_est", p_est, BellDiagonal)
     rate = rate_proposed(p_est) - margin
     return int(math.floor(2 * n * max(0.0, rate)))
 
@@ -448,7 +451,7 @@ class SessionPlan(NamedTuple):
 
 def plan_session(estimate: float, cfg: SessionConfig) -> SessionPlan:
     """The SessionPlan of an estimated error rate under cfg; deterministic."""
-    if cfg.mapping == "six-state":
+    if as_instance("cfg", cfg, SessionConfig).mapping == "six-state":
         point = six_state_point(estimate)
     else:
         point = bb84_family(estimate, bb84_rate(estimate, "proposed")[1])
@@ -474,7 +477,7 @@ def run_full_session(cfg: SessionConfig) -> SessionReport:
     decode yields a report with transcript (t1,), leak |t1| and no key.
     The estimate sizes the rest of the session through plan_session.
     """
-    streams = np.random.SeedSequence(cfg.seed).spawn(6)
+    streams = np.random.SeedSequence(as_instance("cfg", cfg, SessionConfig).seed).spawn(6)
     rng_est, rng_data, rng_code1, rng_code2, rng_hash, rng_guess = map(np.random.default_rng, streams)
     nominal_e = cfg.channel.bit_flip_rate()
 

@@ -1,6 +1,7 @@
 """Block reduction: parities, second bits and partitions; the shared input checks."""
 
 import re
+from collections.abc import Callable
 
 import numpy as np
 import pytest
@@ -8,12 +9,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from qkdpost.blocks import as_bits, as_count, as_real, parity_seq, partition, second_bit_seq
-from qkdpost.channel import bb84_family, derived_dists, sample_pair, six_state_point
-from qkdpost.codes import ParityCheck, bp_decode, code_for_rate
+from qkdpost.channel import BellDiagonal, bb84_family, derived_dists, sample_pair, six_state_point
+from qkdpost.codes import ParityCheck, bp_decode, code_for_rate, ml_decode
 from qkdpost.entropy import type_deviation_bound
-from qkdpost.keyrate import bb84_curve, bb84_rate, sixstate_curve, sweep
+from qkdpost.keyrate import bb84_curve, bb84_rate, sixstate_curve, sweep, tolerable_rate
 from qkdpost.oracle import lemma_suite, min_entropy, partial_trace, random_density
-from qkdpost.protocol import SessionConfig, key_length, toeplitz_hash
+from qkdpost.protocol import SessionConfig, SessionPlan, key_length, plan_session, run_full_session, run_ir, toeplitz_hash
 
 
 def test_as_bits_rejects_non_binary():
@@ -149,6 +150,50 @@ def test_real_arguments_take_reals_only(name, call):
             call(bad)
     for good in (np.float32(0.1), np.float64(0.1)):
         call(good)
+
+
+_SMALL_CONFIG = SessionConfig(channel=six_state_point(0.05), n=4, m=100)
+_SMALL_PLAN = SessionPlan(point=six_state_point(0.05), rates=(0.5, 0.5), crossovers=(0.1, 0.1), n0_bounds=(0, 3),
+                          key_bits=0)
+
+
+def _run_small_ir(**argument):
+    """run_ir on noiseless 6-bit raw keys, with argument in place of its valid value."""
+    zeros = np.zeros(2 * _SMALL_CODE.n, np.uint8)
+    valid = dict(code1=_SMALL_CODE, plan=_SMALL_PLAN, rng_code2=np.random.default_rng(0), rng=np.random.default_rng(0))
+    return run_ir(zeros, zeros, **{**valid, **argument})
+
+
+# Every public protocol, channel, codes and keyrate argument that is read as
+# an object, called with one value v for it and valid values for the rest.
+# Each failed as a bare AttributeError or TypeError before the check.
+_INSTANCE_ARGUMENTS = [
+    ("run_full_session", "cfg", SessionConfig, lambda v: run_full_session(v), _SMALL_CONFIG),
+    ("plan_session", "cfg", SessionConfig, lambda v: plan_session(0.05, v), _SMALL_CONFIG),
+    ("key_length", "p_est", BellDiagonal, lambda v: key_length(v, 10, 0.0), six_state_point(0.05)),
+    ("sample_pair", "p", BellDiagonal, lambda v: sample_pair(v, 10, np.random.default_rng(0)), six_state_point(0.05)),
+    ("sample_pair", "rng", np.random.Generator, lambda v: sample_pair(six_state_point(0.05), 10, v),
+     np.random.default_rng(0)),
+    ("run_ir", "code1", ParityCheck, lambda v: _run_small_ir(code1=v), _SMALL_CODE),
+    ("run_ir", "plan", SessionPlan, lambda v: _run_small_ir(plan=v), _SMALL_PLAN),
+    ("run_ir", "rng_code2", np.random.Generator, lambda v: _run_small_ir(rng_code2=v), np.random.default_rng(0)),
+    ("run_ir", "rng", np.random.Generator, lambda v: _run_small_ir(rng=v), np.random.default_rng(0)),
+    ("code_for_rate", "rng", np.random.Generator, lambda v: code_for_rate(100, 0.5, v), np.random.default_rng(0)),
+    ("bp_decode", "H", ParityCheck, lambda v: bp_decode(v, np.ones(2, np.uint8), 0.1), _SMALL_CODE),
+    ("ml_decode", "H", ParityCheck, lambda v: ml_decode(v, np.ones(2, np.uint8)), _SMALL_CODE),
+    ("tolerable_rate", "curve", Callable, lambda v: tolerable_rate(v), lambda e: 0.1 - e),
+]
+
+
+@pytest.mark.parametrize(
+    "name, kind, call, good",
+    [pytest.param(name, kind, call, good, id=f"{where}-{name}") for where, name, kind, call, good in _INSTANCE_ARGUMENTS],
+)
+def test_object_arguments_take_their_type_only(name, kind, call, good):
+    for bad in ("x", None, 0.5, (0.25, 0.25, 0.25, 0.25)):
+        with pytest.raises(ValueError, match=f"^{name}={re.escape(repr(bad))} must be a {kind.__name__}$"):
+            call(bad)
+    call(good)
 
 
 def test_parity_seq():

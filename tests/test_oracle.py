@@ -61,7 +61,7 @@ from qkdpost.oracle import (
 
 def two_copy_ccq(psi: np.ndarray) -> CcqState:
     """The two-copy ccq state of a general purification psi of shape (2, 2, dE)."""
-    return CcqState(registers=oracle._REGISTERS, keys=oracle._OUTCOME_KEYS, vectors=_two_copy_vectors(psi[None])[0])
+    return CcqState(registers=oracle._REGISTERS, keys=oracle._OUTCOME_KEYS, vectors=_two_copy_vectors(psi[None])[0, :16])
 
 
 def bell_density(p: BellDiagonal) -> np.ndarray:
@@ -121,6 +121,26 @@ def test_non_finite_input_is_a_clear_error(name):
         m[pos] = bad
         with pytest.raises(ValueError, match="non-finite"):
             NON_FINITE_CALLS[name](m)
+
+
+# Every public matrix entry point: each of these inputs raised numpy's own
+# conversion error (a bare TypeError, "complex() arg is a malformed string"
+# or "setting an array element with a sequence").
+NON_NUMERIC = [object(), {"a": 1}, "abc", [[1, 2], [3]]]
+NON_NUMERIC_CALLS = {**NON_FINITE_CALLS, "purify_state": purify_state, "worst_case_check": worst_case_check}
+
+
+@pytest.mark.parametrize("name", sorted(NON_NUMERIC_CALLS))
+def test_non_numeric_input_is_a_clear_error(name):
+    for bad in NON_NUMERIC:
+        with pytest.raises(ValueError, match="^expected a numeric square matrix, got "):
+            NON_NUMERIC_CALLS[name](bad)
+
+
+def test_ccq_state_rejects_non_numeric_vectors():
+    for bad in NON_NUMERIC:
+        with pytest.raises(ValueError, match="^expected numeric outcome vectors, got "):
+            CcqState(registers=("x",), keys=[(0,), (1,)], vectors=bad)
 
 
 # Without the check each of these would be answered as its symmetrized
@@ -203,8 +223,8 @@ def bracket_gram_stacks():
     rows, _ = oracle._BRACKET_LAYOUT
     stacks = []
     for psi in psis:
-        vectors = _two_copy_vectors(psi[None])[0]
-        x = np.concatenate([vectors, np.zeros_like(vectors[:1])])[rows]
+        # row 16 of the two-copy stack is the zero pad row
+        x = _two_copy_vectors(psi[None])[0][rows]
         stacks.append(x.conj() @ x.swapaxes(1, 2))
     return stacks
 
@@ -928,6 +948,69 @@ def test_lemma_draws_match_per_sample_densities(samples, seed):
     for got, want in zip(stacked, reference):
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
     assert rng.bit_generator.state == ref_rng.bit_generator.state
+
+
+def _normalized_exponentials(rng):
+    g = rng.standard_exponential(2)
+    return g * (1.0 / (0.0 + g[0] + g[1]))
+
+
+# The numpy identities through which _lemma_draws keeps the stream of the
+# per-sample draws in fewer generator calls: (per-sample call, fast form).
+GENERATOR_IDENTITIES = {
+    "dirichlet(np.ones(2)) is the normalized standard_exponential(2)": (
+        lambda rng: rng.dirichlet(np.ones(2)), _normalized_exponentials),
+    "uniform(0.5, 1.0) is 0.5 + 0.5 * random()": (
+        lambda rng: np.float64(rng.uniform(0.5, 1.0)), lambda rng: np.float64(0.5 + 0.5 * rng.random())),
+    "one standard_normal call, split, is consecutive calls": (
+        lambda rng: np.concatenate([rng.standard_normal(size) for size in (24, 8, 40)]),
+        lambda rng: rng.standard_normal(72)),
+}
+
+
+@pytest.mark.parametrize("identity", sorted(GENERATOR_IDENTITIES))
+def test_generator_identities_of_the_lemma_draws(identity):
+    # A numpy release that breaks one fails here by name, mid-stream: other
+    # draws come between the draws compared, on both generators alike.
+    per_sample, fast = GENERATOR_IDENTITIES[identity]
+    for seed in range(100):
+        rngs = np.random.default_rng(seed), np.random.default_rng(seed)
+        for _ in range(3):
+            want, got = per_sample(rngs[0]), fast(rngs[1])
+            assert want.tobytes() == got.tobytes(), f"numpy no longer keeps: {identity} (seed {seed})"
+            for rng in rngs:
+                rng.integers(1, 9)
+                rng.standard_normal(3)
+        assert rngs[0].bit_generator.state == rngs[1].bit_generator.state, (
+            f"numpy no longer keeps: {identity} (seed {seed}, generator state)")
+
+
+class CountingGenerator:
+    """Forwards every call to a Generator and counts it."""
+
+    def __init__(self, rng):
+        self.rng, self.calls = rng, collections.Counter()
+
+    def __getattr__(self, name):
+        method = getattr(self.rng, name)
+
+        def counted(*args, **kwargs):
+            self.calls[name] += 1
+            return method(*args, **kwargs)
+
+        return counted
+
+
+def test_lemma_draws_stay_within_their_generator_call_budget():
+    # Per-call overhead was about 40% of the draws: a sample takes at most
+    # 14 generator calls (one per drawn rank, scale and weight pair, and one
+    # per run of Gaussian draws), where one call per draw took 18.
+    for count in (1, 10):
+        proxy = CountingGenerator(np.random.default_rng(8))
+        counted = _lemma_draws(count, proxy)
+        assert sum(proxy.calls.values()) <= 14 * count, dict(proxy.calls)
+        direct = _lemma_draws(count, np.random.default_rng(8))
+        assert [a.tobytes() for a in counted] == [a.tobytes() for a in direct]
 
 
 def test_lemma_draws_form_densities_in_stacks(monkeypatch):
